@@ -29,6 +29,7 @@ from .callgraph import CallGraph, CallSite
 from .checkers import ALL_CHECKERS, Checker, checkers_by_name
 from .contracts import (
     ContractViolation,
+    check_anchor_vector,
     check_area,
     check_cached_value,
     check_flow,
@@ -55,6 +56,7 @@ __all__ = [
     "LintReport",
     "ProjectModel",
     "analyze",
+    "check_anchor_vector",
     "check_area",
     "check_cached_value",
     "check_flow",

@@ -12,6 +12,8 @@ type checker can see:
   best-first termination test returns wrong top-k sets (Section 4.2);
 * cached == fresh — a memoized region/presence must agree with a from-
   scratch recomputation (the PR 1 cache-coherence invariant).
+* memoized anchor vectors (per-sample distances from a device centre)
+  equal their recomputation bitwise.
 
 Checks are **off by default** and cost one truthiness test per call site.
 Set ``REPRO_CONTRACTS=1`` (CI does, for the whole test suite) to enable
@@ -27,8 +29,11 @@ from __future__ import annotations
 import math
 import os
 
+import numpy as np
+
 __all__ = [
     "ContractViolation",
+    "check_anchor_vector",
     "check_area",
     "check_cached_value",
     "check_flow",
@@ -134,6 +139,35 @@ def check_cached_value(
             f"cached {what} {cached!r} != fresh recomputation {fresh!r}{suffix}"
         )
     return cached
+
+
+def _bitwise_equal(cached: object, fresh: object) -> bool:
+    if isinstance(cached, (tuple, list)) and isinstance(fresh, (tuple, list)):
+        return (
+            type(cached) is type(fresh)
+            and len(cached) == len(fresh)
+            and all(_bitwise_equal(a, b) for a, b in zip(cached, fresh))
+        )
+    if isinstance(cached, np.ndarray) and isinstance(fresh, np.ndarray):
+        return cached.dtype == fresh.dtype and bool(
+            np.array_equal(cached, fresh, equal_nan=cached.dtype.kind == "f")
+        )
+    return type(cached) is type(fresh) and bool(cached == fresh)
+
+
+def check_anchor_vector(cached: object, fresh: object, *, key: object = None) -> None:
+    """Anchor-memo coherence: a memoized per-sample value equals its recomputation.
+
+    The values are anchor vectors (distances from a device centre to a POI
+    sample grid), batch bounds or room assignments; arrays must match
+    element for element with the same dtype (``np.array_equal``), because
+    presence counts are exact and any difference could flip a sample.
+    """
+    if contracts_enabled() and not _bitwise_equal(cached, fresh):
+        _fail(
+            f"memoized anchor vector for {key!r} differs from a fresh "
+            "computation on the same sample batch"
+        )
 
 
 def check_region_fingerprint(

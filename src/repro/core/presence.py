@@ -10,6 +10,14 @@ grid guarantees that every query algorithm assigns identical presence to
 identical (object, POI) pairs, so the iterative and join algorithms return
 the same flows bit for bit.  An evicted-and-resampled POI regenerates the
 exact same grid, so the bound never affects results, only memory.
+
+Grids are made read-only when sampled and never made writable again.  That
+lets the anchored primitives of an uncertainty region (rings, circles,
+extended ellipses, indoor-distance constraints) reuse the distance from
+their device centre to the grid across objects, instants and queries
+(:mod:`repro.geometry.anchor`): quadrature then reduces to threshold
+comparisons on cached vectors, with every sample decided exactly as a
+fresh computation would decide it.
 """
 
 from __future__ import annotations
@@ -52,10 +60,12 @@ class PresenceEstimator:
         return len(self._samples)
 
     def samples_of(self, poi: Poi) -> tuple[np.ndarray, np.ndarray]:
-        """The POI's cached grid sample coordinates."""
+        """The POI's cached grid sample coordinates (read-only arrays)."""
         cached = self._samples.get(poi.poi_id)
         if cached is None:
             xs, ys, _ = polygon_grid_points(poi.polygon, self.resolution)
+            xs.flags.writeable = False
+            ys.flags.writeable = False
             cached = (xs, ys)
             self._samples.put(poi.poi_id, cached)
         return cached

@@ -255,9 +255,9 @@ def _gap_episode(
     def build() -> Region:
         total_budget = v_max * (gap_end - gap_start)
         # Cheap Euclidean predicates first, indoor-distance constraints
-        # last: the intersection evaluates parts left to right on a
-        # shrinking point set, so the expensive topology checks only see
-        # survivors.
+        # last: the intersection stops evaluating parts once no point is
+        # left alive, so the topology checks are skipped for batches the
+        # Euclidean parts already reject.
         parts: list[Region] = [
             ExtendedEllipse(device_a.range, device_b.range, total_budget)
         ]

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .anchor import squared_distances
 from .mbr import Mbr
 from .point import EPSILON, Point
 from .region import Region
@@ -52,10 +53,8 @@ class Circle(Region):
     def contains_many(
         self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
     ) -> "NDArray[np.bool_]":
-        dx = xs - self.center.x
-        dy = ys - self.center.y
         limit = self.radius + EPSILON
-        return dx * dx + dy * dy <= limit * limit
+        return squared_distances(self.center, xs, ys) <= limit * limit
 
     def distance_to_point(self, point: Point) -> float:
         """Distance from ``point`` to the disk (0 when inside).

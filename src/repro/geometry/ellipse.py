@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .anchor import distances
 from .circle import Circle
 from .mbr import Mbr
 from .point import EPSILON, Point
@@ -104,8 +105,8 @@ class ExtendedEllipse(Region):
     ) -> "NDArray[np.bool_]":
         if self._mbr is None:
             return np.zeros(len(xs), dtype=bool)
-        dist_a = np.hypot(xs - self.focus_a.center.x, ys - self.focus_a.center.y)
-        dist_b = np.hypot(xs - self.focus_b.center.x, ys - self.focus_b.center.y)
+        dist_a = distances(self.focus_a.center, xs, ys)
+        dist_b = distances(self.focus_b.center, xs, ys)
         total = np.maximum(dist_a - self.focus_a.radius, 0.0) + np.maximum(
             dist_b - self.focus_b.radius, 0.0
         )

@@ -20,7 +20,13 @@ deterministic grid quadrature (:mod:`repro.geometry.area`), which is all the
 flow definitions need — presence is a *ratio* of areas over a POI polygon.
 
 All regions support vectorised membership via :meth:`Region.contains_many`
-for fast presence estimation with NumPy.
+for fast presence estimation with NumPy.  The combinators evaluate every
+part on the *whole* batch and combine the answers with bounding-box masks
+and accepted-so-far masks, so each point is decided by the same boolean
+formula however the region is nested.  Passing the caller's arrays through
+unchanged lets the anchored primitives (circles, rings, extended ellipses,
+indoor constraints) answer from distance vectors memoized on read-only
+batches (:mod:`repro.geometry.anchor`).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .anchor import ANCHOR_MEMO
 from .mbr import Mbr
 from .point import Point
 
@@ -64,7 +71,12 @@ def _batch_bounds(
     xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
 ) -> tuple[float, float, float, float]:
     """(min_x, max_x, min_y, max_y) of a non-empty coordinate batch."""
-    return float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
+    return ANCHOR_MEMO.get(
+        "bounds",
+        xs,
+        ys,
+        lambda: (float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())),
+    )
 
 
 def _mbr_disjoint_from_bounds(
@@ -195,9 +207,7 @@ class RegionIntersection(Region):
         if self._mbr is None or len(xs) == 0:
             return np.zeros(len(xs), dtype=bool)
         # Reject whole batches against the intersection MBR with scalar
-        # compares, and evaluate each part only on the points all previous
-        # parts accepted — the expensive parts (indoor distance
-        # constraints) then see small batches.
+        # compares; a part is only evaluated while some point is alive.
         bounds = _batch_bounds(xs, ys)
         if _mbr_disjoint_from_bounds(self._mbr, bounds):
             return np.zeros(len(xs), dtype=bool)
@@ -208,12 +218,7 @@ class RegionIntersection(Region):
         for part in self.parts:
             if not alive.any():
                 break
-            if alive.all():
-                alive = part.contains_many(xs, ys).copy()
-                continue
-            indices = np.flatnonzero(alive)
-            accepted = part.contains_many(xs[indices], ys[indices])
-            alive[indices[~accepted]] = False
+            alive &= part.contains_many(xs, ys)
         return alive
 
     def __repr__(self) -> str:
@@ -268,19 +273,15 @@ class RegionUnion(Region):
             part = self.parts[part_index]
             part_mbr = part.mbr
             assert part_mbr is not None
-            # Only evaluate the part on points not yet accepted that fall
-            # inside the part's bounding box.
+            # The part decides the points not yet accepted that fall
+            # inside its bounding box.
             candidates = ~result
             if not _mbr_covers_bounds(part_mbr, bounds):
                 candidates &= _inside_mbr_mask(part_mbr, xs, ys)
             if not candidates.any():
                 continue
-            if candidates.all():
-                result |= part.contains_many(xs, ys)
-                continue
-            indices = np.flatnonzero(candidates)
-            accepted = part.contains_many(xs[indices], ys[indices])
-            result[indices[accepted]] = True
+            candidates &= part.contains_many(xs, ys)
+            result |= candidates
         return result
 
     def __repr__(self) -> str:

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .anchor import squared_distances
 from .circle import Circle
 from .mbr import Mbr
 from .point import EPSILON, Point
@@ -77,9 +78,7 @@ class Ring(Region):
     def contains_many(
         self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
     ) -> "NDArray[np.bool_]":
-        dx = xs - self.center.x
-        dy = ys - self.center.y
-        squared = dx * dx + dy * dy
+        squared = squared_distances(self.center, xs, ys)
         low = max(self.inner_radius - EPSILON, 0.0)
         high = self.outer_radius + EPSILON
         return (squared >= low * low) & (squared <= high * high)

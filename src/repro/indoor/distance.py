@@ -12,6 +12,12 @@ This module provides that metric:
   many points quickly, including a vectorised per-room fast path used by
   the presence quadrature.
 
+Batch answers (room assignments, distance vectors) are memoized in
+:data:`repro.geometry.anchor.ANCHOR_MEMO` when the batch is read-only, as
+the presence estimator's POI sample grids are: the distance from a device
+centre to a fixed grid is then computed once and shared by every region
+anchored at that device.
+
 Indoor distance always dominates Euclidean distance, so constraining a
 region by indoor distance only tightens it — which is exactly what the
 topology check is meant to do.
@@ -20,12 +26,12 @@ topology check is meant to do.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..geometry import Mbr, Point
+from ..geometry.anchor import ANCHOR_MEMO
 from .floorplan import FloorPlan
 from .topology import DoorGraph
 
@@ -41,16 +47,6 @@ class IndoorDistanceOracle:
     def __init__(self, floorplan: FloorPlan, graph: DoorGraph | None = None):
         self.floorplan = floorplan
         self.graph = graph if graph is not None else DoorGraph(floorplan)
-        # Room assignment of a coordinate batch is independent of the
-        # distance source, and presence quadrature evaluates many fields
-        # against the *same* cached POI sample arrays — so assignments are
-        # cached by array identity (strong references keep ids stable).
-        # The cache is LRU-bounded: besides the long-lived POI sample
-        # arrays, callers also pass throwaway masked subsets, which must
-        # not accumulate.
-        self._room_groups_cache: "OrderedDict[tuple[int, int], tuple[object, object, list]]" = (
-            OrderedDict()
-        )
 
     def distance(self, start: Point, goal: Point) -> float:
         """Shortest walking distance (inf when unreachable or outside)."""
@@ -63,18 +59,22 @@ class IndoorDistanceOracle:
     def room_groups(
         self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
     ) -> list[tuple[str | None, "NDArray[np.intp]"]]:
-        """Group point indices by containing room (cached by array identity).
+        """Group point indices by containing room.
 
         Boundary points may appear in several groups (both rooms give valid
         shortest-path bounds; callers take the minimum).  Points in no room
         are returned under the ``None`` key for scalar fallback handling.
+        The groups of a read-only batch are computed once and shared
+        (:mod:`repro.geometry.anchor`); callers must not mutate them.
         """
-        key = (id(xs), id(ys))
-        hit = self._room_groups_cache.get(key)
-        if hit is not None and hit[0] is xs and hit[1] is ys:
-            self._room_groups_cache.move_to_end(key)
-            return hit[2]
-        groups: list[tuple[str | None, np.ndarray]] = []
+        return ANCHOR_MEMO.get(
+            ("rooms", self), xs, ys, lambda: self._room_groups(xs, ys)
+        )
+
+    def _room_groups(
+        self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
+    ) -> list[tuple[str | None, "NDArray[np.intp]"]]:
+        groups: list[tuple[str | None, "NDArray[np.intp]"]] = []
         if len(xs) == 0:
             return groups
         covered = np.zeros(len(xs), dtype=bool)
@@ -97,7 +97,6 @@ class IndoorDistanceOracle:
                 )
             if fully_inside:
                 groups.append((room.room_id, np.arange(len(xs))))
-                self._cache_room_groups(key, xs, ys, groups)
                 return groups
         for room in candidates:
             in_room = room.polygon.contains_many(xs, ys)
@@ -106,17 +105,7 @@ class IndoorDistanceOracle:
                 covered |= in_room
         if not covered.all():
             groups.append((None, np.flatnonzero(~covered)))
-        self._cache_room_groups(key, xs, ys, groups)
         return groups
-
-    _ROOM_GROUPS_CACHE_LIMIT = 2048
-
-    def _cache_room_groups(self, key, xs, ys, groups) -> None:
-        cache = self._room_groups_cache
-        cache[key] = (xs, ys, groups)
-        cache.move_to_end(key)
-        while len(cache) > self._ROOM_GROUPS_CACHE_LIMIT:
-            cache.popitem(last=False)
 
 
 class PointDistanceField:
@@ -228,6 +217,15 @@ class PointDistanceField:
         valid shortest-path upper bound, and the minimum over the rooms a
         point belongs to is taken implicitly by keeping the smaller value.
         """
+        return ANCHOR_MEMO.get(
+            ("indoor", self), xs, ys, lambda: self._distances_to_many(xs, ys)
+        )
+
+    def _distances_to_many(
+        self,
+        xs: "NDArray[np.float64]",
+        ys: "NDArray[np.float64]",
+    ) -> "NDArray[np.float64]":
         result = np.full(len(xs), math.inf, dtype=float)
         if len(xs) == 0:
             return result

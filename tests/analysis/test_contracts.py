@@ -9,12 +9,14 @@ an invariant.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
     ContractViolation,
+    check_anchor_vector,
     check_area,
     check_cached_value,
     check_flow,
@@ -26,6 +28,7 @@ from repro.analysis import (
 )
 from repro.core.presence import PresenceEstimator
 from repro.core.states import snapshot_contexts
+from repro.geometry.anchor import AnchorMemo
 
 
 @pytest.fixture()
@@ -69,6 +72,7 @@ class TestEnablement:
             assert check_upper_bound(1.0, 5.0) == 5.0
             assert check_cached_value(1.0, 2.0) == 1.0
             check_region_fingerprint((0.0, 0.0, 1.0, 1.0), None)
+            check_anchor_vector(np.zeros(2), np.ones(2))
         finally:
             set_contracts(None)
 
@@ -116,6 +120,45 @@ class TestViolations:
     def test_fingerprint_emptiness_mismatch(self, contracts_on):
         with pytest.raises(ContractViolation, match="empty"):
             check_region_fingerprint(None, (0.0, 0.0, 1.0, 1.0))
+
+    def test_anchor_vector_differs(self, contracts_on):
+        with pytest.raises(ContractViolation, match="anchor vector"):
+            check_anchor_vector(np.array([1.0, 2.0]), np.array([1.0, 2.5]), key="k")
+
+    def test_anchor_vector_dtype_differs(self, contracts_on):
+        with pytest.raises(ContractViolation, match="anchor vector"):
+            check_anchor_vector(np.array([1, 2]), np.array([1.0, 2.0]))
+
+    def test_anchor_room_groups_differ(self, contracts_on):
+        cached = [("a", np.array([0, 1])), (None, np.array([2]))]
+        fresh = [("a", np.array([0])), (None, np.array([1, 2]))]
+        with pytest.raises(ContractViolation, match="anchor vector"):
+            check_anchor_vector(cached, fresh)
+
+    def test_anchor_values_that_match_pass(self, contracts_on):
+        check_anchor_vector(np.array([1.0, np.inf]), np.array([1.0, np.inf]))
+        check_anchor_vector((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 3.0))
+        check_anchor_vector(
+            [("a", np.array([0, 1]))], [("a", np.array([0, 1]))]
+        )
+
+    def test_corrupted_anchor_memo_entry_is_caught(self, contracts_on):
+        memo = AnchorMemo()
+        xs = np.array([0.0, 1.0, 2.0])
+        ys = np.array([0.0, 0.0, 0.0])
+        xs.flags.writeable = False
+        ys.flags.writeable = False
+
+        def compute():
+            return xs * 2.0
+
+        stored = memo.get("double", xs, ys, compute)
+        np.testing.assert_array_equal(memo.get("double", xs, ys, compute), stored)
+        # Corrupt the stored vector behind the memo's back.
+        stored.flags.writeable = True
+        stored[1] = 7.0
+        with pytest.raises(ContractViolation, match="anchor vector"):
+            memo.get("double", xs, ys, compute)
 
     def test_violation_is_an_assertion_error(self, contracts_on):
         with pytest.raises(AssertionError):

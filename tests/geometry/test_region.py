@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from repro.geometry import (
     Circle,
     EmptyRegion,
+    ExtendedEllipse,
     Mbr,
     Point,
     Polygon,
     RegionDifference,
     RegionIntersection,
     RegionUnion,
+    Ring,
     intersect_all,
     union_all,
 )
@@ -122,6 +124,15 @@ class TestVectorisedConsistency:
             [region.contains(Point(float(x), float(y))) for x, y in zip(xs, ys)]
         )
         np.testing.assert_array_equal(vector, scalar)
+        # Read-only batches are answered through the anchor memo: the
+        # first (cold) and second (memo hit) evaluation must agree too.
+        frozen_xs, frozen_ys = xs.copy(), ys.copy()
+        frozen_xs.flags.writeable = False
+        frozen_ys.flags.writeable = False
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                region.contains_many(frozen_xs, frozen_ys), scalar
+            )
 
     def test_intersection(self):
         self._check(Circle(Point(0, 0), 30.0) & Circle(Point(20, 5), 25.0))
@@ -137,6 +148,13 @@ class TestVectorisedConsistency:
             Polygon.rectangle(-50, -50, -20, -20) - Circle(Point(-35, -35), 5.0)
         )
         self._check(region)
+
+    def test_anchored_primitives(self):
+        ring = Ring(Circle(Point(5, 5), 10.0), 20.0)
+        ellipse = ExtendedEllipse(
+            Circle(Point(-20, 0), 5.0), Circle(Point(20, 10), 5.0), 45.0
+        )
+        self._check((ring & ellipse) | (ellipse.gap_region - Circle(Point(0, 0), 8.0)))
 
     def test_empty_batch(self):
         region = Circle(Point(0, 0), 1.0) & Circle(Point(1, 0), 1.0)

@@ -128,9 +128,27 @@ class TestRoomGroups:
     def test_cache_hit_by_identity(self, corridor_oracle):
         xs = np.array([5.0, 15.0])
         ys = np.array([5.0, 5.0])
+        xs.flags.writeable = False
+        ys.flags.writeable = False
         first = corridor_oracle.room_groups(xs, ys)
         second = corridor_oracle.room_groups(xs, ys)
         assert first is second
+
+    def test_writable_batch_mutated_in_place_regroups(self, corridor_oracle):
+        # A writable batch can change between calls, so its groups must
+        # follow the current values, never an earlier call's.
+        xs = np.array([5.0, 15.0])
+        ys = np.array([5.0, 5.0])
+        before = dict(corridor_oracle.room_groups(xs, ys))
+        assert before["a"].tolist() == [0] and before["b"].tolist() == [1]
+        xs[:] = [25.0, 5.0]
+        after = dict(corridor_oracle.room_groups(xs, ys))
+        assert set(after) == {"a", "c"}
+        assert after["c"].tolist() == [0] and after["a"].tolist() == [1]
+        field = corridor_oracle.field_from(Point(5, 5))
+        assert field.distances_to_many(xs, ys).tolist() == pytest.approx(
+            [20.0, 0.0]
+        )
 
     def test_single_room_fast_path(self, corridor_oracle):
         xs = np.linspace(1.0, 9.0, 10)
