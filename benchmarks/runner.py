@@ -34,7 +34,6 @@ if str(REPO_ROOT / "src") not in sys.path:  # allow running without PYTHONPATH
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro import obs
-from repro.core.coordinator import ShardedFlowEngine
 from repro.core.engine import FlowEngine
 from repro.core.monitor import SlidingIntervalTopKMonitor
 from repro.datagen.config import SyntheticConfig
@@ -439,22 +438,22 @@ def bench_shard_scaling(dataset: Dataset, out_dir: Path, scale: float, repeats: 
         "interval": monolith.interval_topk(*window, K, method="join"),
     }
 
-    engines: dict[int, ShardedFlowEngine] = {}
+    engines: dict[int, FlowEngine] = {}
     results: dict[str, Any] = {}
     identical = True
     for num_shards in SHARD_COUNTS:
-        engine = ShardedFlowEngine(
+        engine = FlowEngine(
             ott=dataset.ott, num_shards=num_shards, **_engine_kwargs(dataset)
         )
         engines[num_shards] = engine
 
-        def matrix(engine: ShardedFlowEngine = engine) -> dict:
+        def matrix(engine: FlowEngine = engine) -> dict:
             return {
                 "snapshot": engine.snapshot_topk(t, K, method="join"),
                 "interval": engine.interval_topk(*window, K, method="join"),
             }
 
-        def localized_cell(engine: ShardedFlowEngine = engine) -> None:
+        def localized_cell(engine: FlowEngine = engine) -> None:
             for instant in sweep:
                 engine.snapshot_topk(
                     instant, LOCALIZED_K, pois=localized, method="join"
@@ -473,7 +472,10 @@ def bench_shard_scaling(dataset: Dataset, out_dir: Path, scale: float, repeats: 
 
         engine.reset_stats()
         localized_cell()
-        results[f"shard_prunes_n{num_shards}"] = engine.stats()["shard_prunes"]
+        # A one-shard engine has nothing to prune and reports no counter.
+        results[f"shard_prunes_n{num_shards}"] = engine.stats().get(
+            "shard_prunes", 0
+        )
 
     base_ms = results[f"matrix_n{SHARD_COUNTS[0]}_ms"]
     for num_shards in SHARD_COUNTS[1:]:
@@ -504,13 +506,12 @@ def bench_shard_scaling(dataset: Dataset, out_dir: Path, scale: float, repeats: 
             "k": K,
             "window_seconds": WINDOW_SECONDS,
             "shard_counts": list(SHARD_COUNTS),
-            "executor": "serial",
             "localized_pois": [poi.poi_id for poi in localized],
             "localized_k": LOCALIZED_K,
             "snapshot_sweep": list(SNAPSHOT_SWEEP),
-            # On a single-CPU host the serial executor cannot show a
-            # parallel speedup; the win that scales with shard count here
-            # is bound-based shard pruning on localized POI subsets.
+            # Shards run in the calling thread, so there is no parallel
+            # speedup; the win that scales with shard count here is
+            # bound-based shard pruning on localized POI subsets.
             "win_mechanism": "shard_prunes",
         },
         results=results,

@@ -1,15 +1,14 @@
-"""Checker: shard state is only mutated through the coordinator/engine seam.
+"""Checker: shard state is only mutated through the engine's ingest seam.
 
-PR 6 split the engine into :class:`~repro.core.shard.ShardState`
-partitions behind a coordinator that routes every mutation to the owning
-shard and keeps three things in lockstep: the routing partition
-(``crc32(object_id) % N``), the live table's generation counter and the
-context's per-object cache epochs.  A ``ShardState`` (or the AR-tree /
-live table / cache internals it owns) mutated behind the coordinator's
-back silently diverges from all three — queries keep answering, with
-wrong bits.
+The engine keeps its state in :class:`~repro.core.shard.ShardState`
+partitions and routes every mutation to the owning shard, keeping three
+things in lockstep: the routing partition (``crc32(object_id) % N``), the
+live tables' generation counters and the context's per-object cache
+epochs.  A ``ShardState`` (or the AR-tree / live table / cache internals
+it owns) mutated behind the engine's back silently diverges from all
+three — queries keep answering, with wrong bits.
 
-Three whole-program checks, all interprocedural over the call graph:
+Two whole-program checks, both interprocedural over the call graph:
 
 1. **External attribute writes** — ``shard.artree = ...``,
    ``tree._delta = ...`` and friends are flagged anywhere outside the
@@ -17,30 +16,22 @@ Three whole-program checks, all interprocedural over the call graph:
 2. **Mutator reachability** — calls of the guarded mutator methods
    (``ingest_batch``, ``append_record``, ``patch_tail``,
    ``LiveTrackingTable.append`` …) are flagged unless the calling
-   function is part of the ingest seam (the guarded classes themselves,
-   the engine/coordinator facades, or the forked worker loop).  Unlike
-   the per-file ``context-bypass`` rule this is receiver-type aware
-   (``entries.append(...)`` on a list is not a finding) and sees through
-   helper indirection.
-3. **Fork divergence** — a closure or lambda handed to an executor
-   ``run()`` / ``Process(target=...)`` that mutates state captured from
-   the submitting function is flagged: with a forked worker the write
-   lands in the child's copy-on-write memory and the coordinator's copy
-   silently diverges.
+   function is part of the ingest seam (the guarded classes themselves
+   or the engine facade).  Unlike the per-file ``context-bypass`` rule
+   this is receiver-type aware (``entries.append(...)`` on a list is not
+   a finding) and sees through helper indirection.
 """
 
 from __future__ import annotations
 
-import ast
-
 from ..callgraph import CallGraph, CallSite
 from ..linter import Diagnostic
-from ..program import FunctionInfo, ProjectModel
+from ..program import ProjectModel
 from .base import Checker
 
 __all__ = ["ShardSafetyChecker"]
 
-#: Classes whose state is coordinator-owned (matched by bare name so the
+#: Classes whose state is engine-owned (matched by bare name so the
 #: checker also works on fixture trees that model the shapes).
 GUARDED_CLASSES = frozenset(
     {
@@ -55,9 +46,7 @@ GUARDED_CLASSES = frozenset(
 )
 
 #: Facade classes allowed to drive shard mutations (the ingest seam).
-SEAM_CLASSES = GUARDED_CLASSES | frozenset(
-    {"FlowEngine", "LiveFlowEngine", "ShardedFlowEngine"}
-)
+SEAM_CLASSES = GUARDED_CLASSES | frozenset({"FlowEngine", "LiveFlowEngine"})
 
 #: Modules that implement the seam and may touch internals directly.
 SEAM_MODULES = frozenset(
@@ -80,9 +69,6 @@ SEAM_MODULES = frozenset(
         "repro.datagen.__main__",
     }
 )
-
-#: Free-standing functions that are part of the seam (worker loops).
-SEAM_FUNCTIONS = frozenset({"_shard_worker"})
 
 #: Guarded mutator methods: name -> receiver class names that make the
 #: call guarded.  ``None`` in the set means "also guard when the receiver
@@ -109,8 +95,7 @@ class ShardSafetyChecker(Checker):
     name = "shard-safety"
     description = (
         "ShardState / AR-tree / cache internals are mutated only from the "
-        "coordinator/engine ingest seam, and no executor-submitted "
-        "callable mutates captured coordinator state"
+        "engine's ingest seam"
     )
     paper_ref = (
         "Definition 2's per-object flow decomposition: the sharded "
@@ -125,7 +110,6 @@ class ShardSafetyChecker(Checker):
         diagnostics: list[Diagnostic] = []
         diagnostics.extend(self._check_writes(model, graph, report_all))
         diagnostics.extend(self._check_mutator_calls(model, graph, report_all))
-        diagnostics.extend(self._check_fork_divergence(model, graph, report_all))
         return diagnostics
 
     # ------------------------------------------------------------------
@@ -139,8 +123,6 @@ class ShardSafetyChecker(Checker):
             module = qualname.rsplit(".", 1)[0]
             return module in SEAM_MODULES
         if function.module in SEAM_MODULES:
-            return True
-        if function.name in SEAM_FUNCTIONS:
             return True
         cls = function.cls
         if cls is not None and cls.rsplit(".", 1)[-1] in SEAM_CLASSES:
@@ -188,8 +170,8 @@ class ShardSafetyChecker(Checker):
                     module.path,
                     None,
                     f"attribute write {write.obj}.{write.attr} mutates "
-                    f"{receiver_cls} state outside the coordinator/engine "
-                    "ingest seam; route mutations through the engine facade "
+                    f"{receiver_cls} state outside the engine's ingest "
+                    "seam; route mutations through the engine facade "
                     "so partitioning, generation and cache epochs stay "
                     "coherent",
                     line=write.line,
@@ -235,240 +217,9 @@ class ShardSafetyChecker(Checker):
                     module.path,
                     site.node,
                     f"{receiver}.{site.name}() mutates shard-owned state "
-                    "outside the coordinator/engine ingest seam; use "
-                    "FlowEngine.ingest()/ShardedFlowEngine.ingest() (or the "
-                    "open-episode facade methods) instead",
+                    "outside the engine's ingest seam; use "
+                    "FlowEngine.ingest() (or the open-episode facade "
+                    "methods) instead",
                 )
             )
         return diagnostics
-
-    # ------------------------------------------------------------------
-    # 3. Fork divergence
-    # ------------------------------------------------------------------
-
-    def _check_fork_divergence(
-        self, model: ProjectModel, graph: CallGraph, report_all: bool
-    ) -> list[Diagnostic]:
-        diagnostics: list[Diagnostic] = []
-        for function in list(model.functions.values()):
-            module = model.modules.get(function.module)
-            if module is None or not self.reportable(
-                module.path, report_all=report_all
-            ):
-                continue
-            bound = _bound_names(function.node)
-            for node in ast.walk(function.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                if not self._is_submission(node):
-                    continue
-                for submitted in self._submitted_callables(node):
-                    diagnostics.extend(
-                        self._check_submitted(
-                            model, module.path, function, submitted, bound
-                        )
-                    )
-        return diagnostics
-
-    @staticmethod
-    def _is_submission(call: ast.Call) -> bool:
-        """Whether ``call`` hands work to an executor or worker process."""
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr in ("run", "submit"):
-            receiver = func.value
-            text = ""
-            if isinstance(receiver, ast.Name):
-                text = receiver.id
-            elif isinstance(receiver, ast.Attribute):
-                text = receiver.attr
-            return "executor" in text.lower() or "pool" in text.lower()
-        name = ""
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        return name == "Process" and any(
-            keyword.arg == "target" for keyword in call.keywords
-        )
-
-    def _submitted_callables(
-        self, call: ast.Call
-    ) -> list[ast.Lambda | ast.expr]:
-        """Lambda / local-function arguments of a submission call."""
-        candidates: list[ast.expr] = []
-        for arg in call.args:
-            if isinstance(arg, (ast.List, ast.Tuple)):
-                candidates.extend(arg.elts)
-            else:
-                candidates.append(arg)
-        for keyword in call.keywords:
-            if keyword.arg == "target":
-                candidates.append(keyword.value)
-        return [
-            candidate
-            for candidate in candidates
-            if isinstance(candidate, (ast.Lambda, ast.Name))
-        ]
-
-    def _check_submitted(
-        self,
-        model: ProjectModel,
-        path: str,
-        function: FunctionInfo,
-        submitted: ast.expr,
-        enclosing_bound: frozenset[str],
-    ) -> list[Diagnostic]:
-        diagnostics: list[Diagnostic] = []
-        if isinstance(submitted, ast.Lambda):
-            body_writes = _closure_mutations(submitted, enclosing_bound)
-            for line, col, detail in body_writes:
-                diagnostics.append(
-                    self.diagnostic(
-                        path,
-                        None,
-                        "fork-divergence: executor-submitted lambda "
-                        f"mutates captured state ({detail}); a forked "
-                        "worker's write lands in the child process and the "
-                        "coordinator's copy silently diverges",
-                        line=line,
-                        col=col,
-                    )
-                )
-            return diagnostics
-        if isinstance(submitted, ast.Name):
-            nested = model.functions.get(f"{function.qualname}.{submitted.id}")
-            if nested is None:
-                # Module-level target functions capture nothing.
-                return diagnostics
-            body_writes = _closure_mutations(nested.node, enclosing_bound)
-            for line, col, detail in body_writes:
-                diagnostics.append(
-                    self.diagnostic(
-                        path,
-                        None,
-                        "fork-divergence: executor-submitted closure "
-                        f"{submitted.id!r} mutates captured state ({detail}); "
-                        "a forked worker's write lands in the child process "
-                        "and the coordinator's copy silently diverges",
-                        line=line,
-                        col=col,
-                    )
-                )
-        return diagnostics
-
-
-def _bound_names(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> frozenset[str]:
-    """Parameter and locally-assigned names of ``node``."""
-    bound: set[str] = set()
-    args = node.args
-    for arg in [
-        *args.posonlyargs,
-        *args.args,
-        *args.kwonlyargs,
-        *([args.vararg] if args.vararg else []),
-        *([args.kwarg] if args.kwarg else []),
-    ]:
-        bound.add(arg.arg)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-            bound.add(sub.id)
-    return frozenset(bound)
-
-
-def _callable_bound(node: ast.Lambda | ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[str]:
-    bound: set[str] = set()
-    args = node.args
-    for arg in [
-        *args.posonlyargs,
-        *args.args,
-        *args.kwonlyargs,
-        *([args.vararg] if args.vararg else []),
-        *([args.kwarg] if args.kwarg else []),
-    ]:
-        bound.add(arg.arg)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
-            bound.add(sub.id)
-    return frozenset(bound)
-
-
-def _root_name(expr: ast.expr) -> str | None:
-    """The leftmost name of an attribute/subscript chain."""
-    current = expr
-    while isinstance(current, (ast.Attribute, ast.Subscript)):
-        current = current.value
-    if isinstance(current, ast.Name):
-        return current.id
-    return None
-
-
-def _closure_mutations(
-    node: ast.Lambda | ast.FunctionDef | ast.AsyncFunctionDef,
-    enclosing_bound: frozenset[str],
-) -> list[tuple[int, int, str]]:
-    """(line, col, detail) for each mutation of captured state in ``node``.
-
-    A mutation counts when its receiver's root name is *free* in the
-    submitted callable but *bound* in the submitting function (a genuine
-    capture), or is ``self``.
-    """
-    own_bound = _callable_bound(node)
-    findings: list[tuple[int, int, str]] = []
-
-    def captured(root: str | None) -> bool:
-        if root is None:
-            return False
-        if root in own_bound:
-            return False
-        return root == "self" or root in enclosing_bound
-
-    body = node.body if isinstance(node.body, list) else [node.body]
-    for stmt in body:
-        for sub in ast.walk(stmt):
-            if isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (
-                    sub.targets
-                    if isinstance(sub, ast.Assign)
-                    else [sub.target]
-                )
-                for target in targets:
-                    if isinstance(
-                        target, (ast.Attribute, ast.Subscript)
-                    ) and captured(_root_name(target)):
-                        findings.append(
-                            (
-                                sub.lineno,
-                                sub.col_offset,
-                                f"write to {ast.unparse(target)}",
-                            )
-                        )
-            elif isinstance(sub, ast.Call):
-                func = sub.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in GUARDED_MUTATORS
-                    and captured(_root_name(func.value))
-                ):
-                    findings.append(
-                        (
-                            sub.lineno,
-                            sub.col_offset,
-                            f"call {ast.unparse(func)}()",
-                        )
-                    )
-                elif (
-                    isinstance(func, ast.Name)
-                    and func.id == "setattr"
-                    and sub.args
-                    and captured(_root_name(sub.args[0]))
-                ):
-                    findings.append(
-                        (
-                            sub.lineno,
-                            sub.col_offset,
-                            f"setattr on {ast.unparse(sub.args[0])}",
-                        )
-                    )
-    return findings

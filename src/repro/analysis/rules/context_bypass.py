@@ -46,9 +46,9 @@ _GUARDED = frozenset({"snapshot_region", "interval_uncertainty"})
 #: the live table and the context generation in lockstep).
 _GUARDED_MUTATORS = frozenset({"append_record", "patch_tail"})
 
-#: ShardState mutators owned by the coordinator seam: a shard mutated
-#: behind its coordinator's back diverges from the routing partition and
-#: the coordinator's generation counter.
+#: ShardState mutators owned by the engine's ingest seam: a shard mutated
+#: behind the engine's back diverges from the routing partition and the
+#: engine's generation counter.
 _GUARDED_SHARD_MUTATORS = frozenset(
     {
         "ingest_batch",
@@ -75,8 +75,8 @@ _MUTATOR_ALLOWED = (
 )
 
 #: Path fragments allowed to call shard mutators directly: the shard
-#: itself, the engine facade (its single shard) and the coordinator
-#: (which routes by the partition hash).
+#: itself, the engine facade (which routes by the partition hash) and the
+#: coordinator module (which builds and merges the shards).
 _SHARD_MUTATOR_ALLOWED = (
     ("core", "shard.py"),
     ("core", "engine.py"),
@@ -111,7 +111,7 @@ class ContextBypassRule(Rule):
         "no direct snapshot_region()/interval_uncertainty() outside the "
         "EvaluationContext caching layer, no direct AR-tree "
         "append_record()/patch_tail() outside the shard ingest path, "
-        "no ShardState mutation outside the coordinator/engine seam, and "
+        "no ShardState mutation outside the engine's ingest seam, and "
         "no StorageBackend append_row()/rewrite_tail_row() outside the "
         "live table's write-through path"
     )
@@ -205,8 +205,8 @@ class ContextBypassRule(Rule):
                             path,
                             node,
                             f"direct .{func.attr}() mutates a ShardState "
-                            "behind the coordinator's back; route records "
-                            "through ShardedFlowEngine.ingest() (or the "
+                            "behind the engine's back; route records "
+                            "through FlowEngine.ingest() (or the "
                             "engine facade) so partitioning and generation "
                             "stay coherent",
                         )

@@ -11,13 +11,7 @@ from .algorithms import (
 )
 from .caching import LruCache, shard_cache_capacity
 from .context import EvaluationContext, EvaluationStats
-from .coordinator import (
-    Executor,
-    ForkedProcessExecutor,
-    SerialExecutor,
-    ShardedFlowEngine,
-    shard_of,
-)
+from .coordinator import shard_of
 from .engine import FlowEngine, LiveFlowEngine
 from .monitor import (
     MonitorableEngine,
@@ -61,9 +55,7 @@ __all__ = [
     "Episode",
     "EvaluationContext",
     "EvaluationStats",
-    "Executor",
     "FlowEngine",
-    "ForkedProcessExecutor",
     "IntervalContext",
     "IntervalTopKQuery",
     "IntervalUncertainty",
@@ -75,9 +67,7 @@ __all__ = [
     "PresenceEstimator",
     "RankedPoi",
     "ReachabilityConstraint",
-    "SerialExecutor",
     "ShardState",
-    "ShardedFlowEngine",
     "SlidingIntervalTopKMonitor",
     "SnapshotContext",
     "SnapshotTopKMonitor",

@@ -1,81 +1,53 @@
-"""`ShardedFlowEngine` — N object-partitioned shards behind one facade.
+"""The object partition and the bit-exact merge behind ``num_shards > 1``.
 
 The paper's flow score is a per-object sum, ``Φ(p) = Σ_o φ(o)``
-(Definition 2), so the engine scales out by partitioning *objects*: each
-of N :class:`~repro.core.shard.ShardState` partitions owns a disjoint
-slice of the tracking table (selected by a stable hash of the object id),
-its own AR-tree and its own cache slice.  The coordinator fans queries
-out over an :class:`Executor`, merges the shards' partial results and
-re-ranks — returning **bit-identical** top-k results to a monolithic
-:class:`~repro.core.engine.FlowEngine` over the same data:
+(Definition 2), so a :class:`~repro.core.engine.FlowEngine` built with
+``num_shards=N > 1`` partitions *objects*: each of N
+:class:`~repro.core.shard.ShardState` partitions owns a disjoint slice of
+the tracking table (selected by :func:`shard_of`), its own AR-tree and its
+own cache slice.  The engine calls the shards directly, merges their
+partial results with the functions here and re-ranks — returning
+**bit-identical** top-k results to the one-shard engine over the same data:
 
 * **Iterative queries** merge the shards' raw per-(object, POI) presence
   contributions, re-sorted on the canonical AR-tree entry key, and
   accumulate them in one global pass — the exact float-addition order of
-  the monolithic scan.
-* **Join queries** first fan out the cheap per-POI count bounds
+  the monolithic scan (:func:`merge_partials`).
+* **Join queries** first collect the cheap per-POI count bounds
   (Section 4.2), then refine POIs in rounds — a POI is refined while its
   summed bound still reaches the current k-th exact flow — skipping every
   shard whose bounds are all zero for the POIs still in play (a skipped
-  shard could only add exact zeros).  ``shard_prunes`` in :meth:`stats`
-  counts those skipped fan-outs; the refined flows go through the same
-  canonical contribution merge, so ranking and flows match the monolith.
+  shard could only add exact zeros).  :func:`pruned_topk` returns how many
+  shard calls it skipped (``shard_prunes`` in the engine's stats); the
+  refined flows go through the same canonical merge.
 
-Executors are pluggable: :class:`SerialExecutor` runs the shards in the
-calling process (the default; zero overhead, still prunes), and
-:class:`ForkedProcessExecutor` pins each shard to a forked worker process
-for real parallelism on multi-core hosts.  Live ingestion routes each
-record to its owning shard and rolls only that shard's cache epochs.
-
-Typical use::
-
-    engine = ShardedFlowEngine(plan, deployment, ott, pois,
-                               v_max=1.1, num_shards=4)
-    top = engine.snapshot_topk(t=3600.0, k=10)
-    print(engine.stats()["shard_prunes"])
+This module owns every partition and merge-order decision, so the engine
+facade holds none.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import zlib
-from multiprocessing.connection import Connection
 from pathlib import Path
-from typing import Any, Callable, Iterable, Protocol, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..analysis.contracts import check_flow, contracts_enabled
-from ..storage.base import StorageBackend
-from ..storage.sqlite import sqlite_shard_stores
 from ..indoor.devices import Deployment
 from ..indoor.distance import IndoorDistanceOracle
 from ..indoor.floorplan import FloorPlan
 from ..indoor.poi import Poi
-from ..obs import counter, merge_snapshot_dicts, obs_enabled, snapshot_dict, span
-from ..obs import disable as obs_disable
-from ..obs import enable as obs_enable
-from ..obs import reset as obs_reset
-from ..tracking.records import ObjectId, TrackingRecord
+from ..storage.sqlite import sqlite_shard_stores
+from ..tracking.records import ObjectId
 from ..tracking.table import LiveTrackingTable, ObjectTrackingTable
 from .caching import shard_cache_capacity
-from .context import DEFAULT_PRESENCE_CACHE_SIZE, DEFAULT_REGION_CACHE_SIZE
-from .queries import TopKResult, rank_top_k, rank_top_k_by_density
+from .queries import TopKResult, rank_top_k
 from .shard import Contribution, ShardState
-from .stats import merge_shard_stats
 from .uncertainty import TopologyChecker
 
-__all__ = [
-    "Executor",
-    "ForkedProcessExecutor",
-    "SerialExecutor",
-    "ShardCall",
-    "ShardedFlowEngine",
-    "shard_of",
-]
+__all__ = ["build_shards", "merge_partials", "pruned_topk", "shard_of"]
 
-_METHODS = ("join", "iterative")
-
-#: One routed shard invocation: ``(shard index, method name, args, kwargs)``.
-ShardCall = tuple[int, str, tuple[Any, ...], dict[str, Any]]
+#: One shard's partial flows: ``(contributions, candidate objects)``.
+Partial = tuple[list[Contribution], int]
 
 
 def shard_of(object_id: ObjectId, num_shards: int) -> int:
@@ -100,834 +72,200 @@ def shard_of(object_id: ObjectId, num_shards: int) -> int:
     return zlib.crc32(str(object_id).encode("utf-8")) % num_shards
 
 
-class Executor(Protocol):
-    """Where shard calls run: in-process, forked workers, or custom.
+def build_shards(
+    floorplan: FloorPlan,
+    deployment: Deployment,
+    ott: ObjectTrackingTable | LiveTrackingTable,
+    pois: Sequence[Poi],
+    v_max: float,
+    num_shards: int,
+    storage: str | Path | None,
+    **params: Any,
+) -> list[ShardState]:
+    """Partition ``ott`` by :func:`shard_of` into ``num_shards`` shards.
 
-    An executor owns N shard endpoints (index 0..N-1) and evaluates
-    routed method calls against them.  The coordinator only ever talks to
-    shards through this seam, so distribution strategies are swappable
-    without touching query logic.
+    The monolith's cache budget is *split* across shards
+    (:func:`~repro.core.caching.shard_cache_capacity`) and the indoor
+    topology checker is built once and shared (door-graph distances
+    depend only on the floor plan), so a fleet keeps roughly the
+    monolith's memory footprint.
+
+    Args:
+        floorplan, deployment, ott, pois, v_max: As for the engine.
+        num_shards: The partition count N.
+        storage: A directory holding one SQLite store per shard
+            (:func:`~repro.storage.sqlite.sqlite_shard_stores` layout), or
+            ``None``.  Pristine stores are seeded with each shard's
+            partition; populated ones recover it (``ott`` must then be
+            empty, and N must match the count the stores were written
+            under).
+        **params: The remaining :class:`ShardState` keyword arguments.
+
+    Returns:
+        The shards, index ``i`` owning the objects with
+        ``shard_of(object_id, N) == i``.
+
+    Raises:
+        ValueError: If ``storage`` is given for a frozen-batch fleet, or
+            a recovered store holds objects of another partition.
     """
-
-    #: Whether the shards execute inside the calling process.  In-process
-    #: executors share the caller's :mod:`repro.obs` state; cross-process
-    #: ones keep per-worker state the coordinator must merge.
-    in_process: bool
-
-    def run(self, calls: Sequence[ShardCall]) -> list[Any]:
-        """Evaluate routed calls; results align with ``calls`` by index."""
-        ...
-
-    def close(self) -> None:
-        """Release executor resources (idempotent)."""
-        ...
-
-
-class SerialExecutor:
-    """Runs every shard call sequentially in the calling process.
-
-    The default executor: no serialization, no worker management, and the
-    shards share the caller's obs tracer/registry.  Join-side shard
-    pruning still applies, so even the serial deployment skips work.
-    """
-
-    in_process = True
-
-    def __init__(self, shards: Sequence[ShardState]):
-        self._shards = list(shards)
-
-    def run(self, calls: Sequence[ShardCall]) -> list[Any]:
-        """Evaluate the calls one by one, in order."""
-        return [
-            getattr(self._shards[index], method)(*args, **kwargs)
-            for index, method, args, kwargs in calls
-        ]
-
-    def close(self) -> None:
-        """Nothing to release."""
-
-
-def _shard_worker(connection: Connection, shard: ShardState) -> None:
-    """A forked worker's loop: serve one shard until the sentinel."""
-    try:
-        while True:
-            message = connection.recv()
-            if message is None:
-                break
-            method, args, kwargs = message
-            try:
-                payload: tuple[bool, Any] = (
-                    True,
-                    getattr(shard, method)(*args, **kwargs),
-                )
-            except Exception as exc:  # re-raised by the parent
-                payload = (False, exc)
-            try:
-                connection.send(payload)
-            except Exception:
-                connection.send(
-                    (
-                        False,
-                        RuntimeError(
-                            f"shard method {method!r} produced an "
-                            "unpicklable result or error"
-                        ),
+    live = bool(params.get("live", False)) or isinstance(ott, LiveTrackingTable)
+    if storage is not None and not live:
+        raise ValueError(
+            "per-shard storage needs a live fleet; pass live=True "
+            "or a LiveTrackingTable"
+        )
+    stores = None if storage is None else sqlite_shard_stores(storage)
+    for key in ("region_cache_size", "presence_cache_size"):
+        params[key] = shard_cache_capacity(params[key], num_shards)
+    topology: TopologyChecker | None = None
+    if params.get("topology_check", True):
+        topology = TopologyChecker(IndoorDistanceOracle(floorplan))
+    all_ids = ott.object_ids
+    shards = [
+        ShardState(
+            floorplan=floorplan,
+            deployment=deployment,
+            ott=ott,
+            pois=pois,
+            v_max=v_max,
+            object_ids=frozenset(
+                object_id
+                for object_id in all_ids
+                if shard_of(object_id, num_shards) == index
+            ),
+            topology=topology,
+            storage=None if stores is None else stores(index),
+            **params,
+        )
+        for index in range(num_shards)
+    ]
+    if stores is not None:
+        for index, shard in enumerate(shards):
+            for object_id in shard.ott.object_ids:
+                owner = shard_of(object_id, num_shards)
+                if owner != index:
+                    raise ValueError(
+                        f"shard {index}'s store holds object "
+                        f"{object_id!r}, which crc32-partitions to "
+                        f"shard {owner} of {num_shards}; was the store "
+                        "written under a different shard count?"
                     )
-                )
-    except EOFError:  # parent went away; exit quietly
-        pass
-    finally:
-        connection.close()
+    return shards
 
 
-class ForkedProcessExecutor:
-    """Pins each shard to a forked worker process (POSIX only).
+def merge_partials(results: Iterable[Partial]) -> tuple[dict[str, float], int]:
+    """Merge shards' contributions in canonical accumulation order.
 
-    Workers receive their :class:`ShardState` through fork-time
-    copy-on-write memory — nothing is pickled at start-up — and serve
-    method calls over a pipe, so each shard's AR-tree and caches stay
-    warm in their own process.  Requests issued in one :meth:`run` batch
-    execute concurrently across workers.
+    Re-sorting every contribution on its AR-tree entry key
+    ``(t1, t2, record_id)`` restores the monolithic iterative scan's
+    enumeration order; accumulating in that order reproduces its float
+    additions bit for bit (addition is not associative, so a per-shard
+    pre-sum would not).
 
-    Every worker accumulates its own :mod:`repro.obs` state; the
-    coordinator's :meth:`ShardedFlowEngine.obs_snapshot` merges it with
-    the parent's.
+    Args:
+        results: One :meth:`ShardState.partial_flows` (or
+            ``partial_interval_flows``) result per shard.
+
+    Returns:
+        ``({poi_id: flow}, candidates)`` over the merged results.
     """
-
-    in_process = False
-
-    def __init__(self, shards: Sequence[ShardState]):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise RuntimeError(
-                "ForkedProcessExecutor needs the 'fork' start method "
-                "(POSIX); use SerialExecutor on this platform"
-            )
-        context = multiprocessing.get_context("fork")
-        self._connections: list[Connection] = []
-        self._processes: list[multiprocessing.process.BaseProcess] = []
-        self._closed = False
-        for shard in shards:
-            parent_end, child_end = context.Pipe()
-            process = context.Process(
-                target=_shard_worker, args=(child_end, shard), daemon=True
-            )
-            process.start()
-            child_end.close()
-            self._connections.append(parent_end)
-            self._processes.append(process)
-
-    def run(self, calls: Sequence[ShardCall]) -> list[Any]:
-        """Dispatch the batch, then collect responses in call order.
-
-        All requests are written before any response is read, so calls
-        routed to different workers overlap in wall-clock time; a
-        worker's own requests stay FIFO on its pipe.  Errors are
-        collected for the whole batch first (keeping every pipe in sync)
-        and the first one re-raised.
-        """
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        for index, method, args, kwargs in calls:
-            try:
-                self._connections[index].send((method, args, kwargs))
-            except (BrokenPipeError, OSError) as exc:
-                raise self._worker_failure(index, exc) from exc
-        responses = []
-        for index, _, _, _ in calls:
-            try:
-                responses.append(self._connections[index].recv())
-            except (EOFError, OSError) as exc:
-                raise self._worker_failure(index, exc) from exc
-        for ok, payload in responses:
-            if not ok:
-                raise payload
-        return [payload for _, payload in responses]
-
-    def _worker_failure(self, index: int, exc: BaseException) -> RuntimeError:
-        """A descriptive error for a worker that died mid-batch.
-
-        The pipe raising ``EOFError``/``BrokenPipeError`` means the
-        worker process itself is gone (killed, OOM, hard crash) — there
-        is no original exception to surface, so name the worker and its
-        exit code instead.
-        """
-        process = self._processes[index]
-        process.join(timeout=1.0)
-        return RuntimeError(
-            f"shard worker {index} died mid-batch "
-            f"(exit code {process.exitcode}): {exc!r}"
-        )
-
-    def close(self) -> None:
-        """Send every worker the shutdown sentinel and join it.
-
-        Workers that ignore the sentinel (wedged, or already broken) are
-        terminated after the join timeout, so close() never leaves a
-        zombie behind.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        for connection in self._connections:
-            try:
-                connection.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for process in self._processes:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - wedged worker
-                process.terminate()
-                process.join(timeout=1.0)
-        for connection in self._connections:
-            connection.close()
-
-    def __del__(self) -> None:  # best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
+    contributions: list[Contribution] = []
+    candidates = 0
+    for part, count in results:
+        contributions.extend(part)
+        candidates += count
+    # Stable sort: within one entry key all contributions belong to one
+    # object and target distinct POIs, so the key alone fixes every
+    # per-POI addition order.
+    contributions.sort(key=lambda contribution: contribution[0])
+    flows: dict[str, float] = {}
+    for _, poi_id, presence in contributions:
+        flows[poi_id] = flows.get(poi_id, 0.0) + presence
+    if contracts_enabled():
+        for poi_id, flow in flows.items():
+            check_flow(flow, candidates, poi_id=poi_id)
+    return flows, candidates
 
 
-class ShardedFlowEngine:
-    """N object-partitioned shards presenting the engine query surface.
+def _kth_flow(exact: dict[str, float], k: int) -> float:
+    """The current k-th best confirmed flow (0.0 while undersubscribed)."""
+    if len(exact) < k:
+        return 0.0
+    return sorted(exact.values(), reverse=True)[k - 1]
 
-    Construction mirrors :class:`~repro.core.engine.FlowEngine` (same
-    data and evaluation parameters) plus the scale-out knobs.  The
-    monolith's cache budget is *split* across shards
-    (:func:`~repro.core.caching.shard_cache_capacity`), and the indoor
-    topology checker is built once and shared, so an N-shard deployment
-    keeps roughly the monolith's memory footprint.
 
-    Query results are bit-identical to the monolith's — see the module
-    docstring for how the merges preserve float-addition order.
+def pruned_topk(
+    shards: Sequence[ShardState],
+    query_pois: Sequence[Poi],
+    k: int,
+    bounds: Callable[[ShardState], dict[str, int]],
+    flows: Callable[[ShardState, list[Poi]], Partial],
+) -> tuple[TopKResult, int]:
+    """The join strategy over a fleet: bound, refine in rounds, prune.
 
-    Parameters
-    ----------
-    floorplan, deployment, ott, pois, v_max, **engine_params:
-        As for :class:`~repro.core.engine.FlowEngine`; ``engine_params``
-        accepts the same keyword arguments (resolution, topology_check,
-        fanouts, detection_slack, cache sizes, live,
-        artree_delta_threshold).
-    num_shards:
-        The partition count N (``1`` reproduces the monolith exactly,
-        merge path included).
-    executor:
-        ``"serial"`` (default), ``"process"``, or a callable mapping the
-        built shard list to an :class:`Executor`.
-    storage:
-        Per-shard durable stores: a directory (``str`` / ``Path``) that
-        gets one SQLite database per shard
-        (:func:`~repro.storage.sqlite.sqlite_shard_stores` layout), or a
-        ``shard_index -> StorageBackend`` factory.  Requires a live
-        fleet.  Pristine stores are seeded with each shard's partition;
-        populated ones recover it (``ott`` must then be empty and the
-        shard count must match the one the stores were written under —
-        the partition is the same ``crc32(object_id) % N``).
+    Every POI whose summed count bound still reaches the current k-th
+    exact flow gets refined (``>=`` so ties are always confirmed
+    exactly); each refinement round skips the shards whose bounds are all
+    zero for the POIs in play — such a shard could only contribute exact
+    zeros, which cannot perturb a float sum.  Unrefined POIs are provably
+    below the k-th flow, so ranking the refined exact flows zero-filled
+    reproduces the monolithic join's result bit for bit.
+
+    Args:
+        shards: The fleet.
+        query_pois: The query POI set P.
+        k: How many POIs to return.
+        bounds: One shard's per-POI count bounds over ``query_pois``.
+        flows: One shard's partial flows over a refinement target.
+
+    Returns:
+        ``(ranked result, skipped shard calls)``.
+
+    Raises:
+        ValueError: If ``k < 1``.
     """
-
-    def __init__(
-        self,
-        floorplan: FloorPlan,
-        deployment: Deployment,
-        ott: ObjectTrackingTable | LiveTrackingTable,
-        pois: Sequence[Poi],
-        v_max: float,
-        num_shards: int = 2,
-        executor: str | Callable[[Sequence[ShardState]], Executor] = "serial",
-        storage: str | Path | Callable[[int], StorageBackend] | None = None,
-        **engine_params: Any,
-    ):
-        if num_shards < 1:
-            raise ValueError("num_shards must be positive")
-        self.num_shards = num_shards
-        self.pois = list(pois)
-        self._live = bool(engine_params.get("live", False)) or isinstance(
-            ott, LiveTrackingTable
-        )
-        self._shard_prunes = 0
-        self._generation = 0
-        self._closed = False
-        params = dict(engine_params)
-        params["region_cache_size"] = shard_cache_capacity(
-            params.get("region_cache_size", DEFAULT_REGION_CACHE_SIZE),
-            num_shards,
-        )
-        params["presence_cache_size"] = shard_cache_capacity(
-            params.get("presence_cache_size", DEFAULT_PRESENCE_CACHE_SIZE),
-            num_shards,
-        )
-        topology: TopologyChecker | None = None
-        if params.get("topology_check", True):
-            # One shared oracle: the door-graph distances depend only on
-            # the floor plan, not on the object partition.
-            topology = TopologyChecker(IndoorDistanceOracle(floorplan))
-        stores: Callable[[int], StorageBackend] | None
-        if storage is None:
-            stores = None
-        else:
-            if not self._live:
-                raise ValueError(
-                    "per-shard storage needs a live fleet; pass live=True "
-                    "or a LiveTrackingTable"
-                )
-            stores = (
-                storage
-                if callable(storage)
-                else sqlite_shard_stores(storage)
-            )
-        all_ids = ott.object_ids
-        self._shards = [
-            ShardState(
-                floorplan=floorplan,
-                deployment=deployment,
-                ott=ott,
-                pois=pois,
-                v_max=v_max,
-                object_ids=frozenset(
-                    object_id
-                    for object_id in all_ids
-                    if shard_of(object_id, num_shards) == index
-                ),
-                topology=topology,
-                storage=None if stores is None else stores(index),
-                **params,
-            )
-            for index in range(num_shards)
-        ]
-        if stores is not None:
-            for index, shard in enumerate(self._shards):
-                for object_id in shard.ott.object_ids:
-                    owner = shard_of(object_id, num_shards)
-                    if owner != index:
-                        raise ValueError(
-                            f"shard {index}'s store holds object "
-                            f"{object_id!r}, which crc32-partitions to "
-                            f"shard {owner} of {num_shards}; was the store "
-                            "written under a different shard count?"
-                        )
-            # Recovered mutations count as routed: the coordinator's
-            # generation resumes at the fleet's persisted total.
-            self._generation = sum(
-                shard.generation for shard in self._shards
-            )
-        if callable(executor):
-            self._executor: Executor = executor(self._shards)
-        elif executor == "serial":
-            self._executor = SerialExecutor(self._shards)
-        elif executor == "process":
-            self._executor = ForkedProcessExecutor(self._shards)
-        else:
-            raise ValueError(
-                f"unknown executor {executor!r}; expected 'serial', "
-                "'process' or a factory callable"
-            )
-
-    # ------------------------------------------------------------------
-    # Introspection / lifecycle
-    # ------------------------------------------------------------------
-
-    @property
-    def shards(self) -> list[ShardState]:
-        """The construction-time shard states.
-
-        Authoritative for in-process executors; with a cross-process
-        executor these are the parent's pre-fork copies and do **not**
-        reflect worker-side mutation.
-        """
-        return self._shards
-
-    @property
-    def executor(self) -> Executor:
-        """The executor evaluating routed shard calls."""
-        return self._executor
-
-    @property
-    def is_live(self) -> bool:
-        """Whether the fleet accepts new tracking records."""
-        return self._live
-
-    @property
-    def generation(self) -> int:
-        """Total mutations routed through this coordinator."""
-        return self._generation
-
-    def close(self) -> None:
-        """Flush every shard store, then release the executor (idempotent).
-
-        Each shard's ``close_storage`` runs *through the executor* —
-        shard-pinned workers fold and close their own stores — before
-        the workers are shut down, so a ``with ShardedFlowEngine(...)``
-        block never leaves forked processes or an unflushed WAL behind.
-        Storage-less (or frozen-batch) fleets just release the executor.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._live:
-                self._fan_out("close_storage")
-        finally:
-            self._executor.close()
-
-    def __enter__(self) -> "ShardedFlowEngine":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Merge plumbing
-    # ------------------------------------------------------------------
-
-    def _query_pois(self, pois: Sequence[Poi] | None) -> list[Poi]:
-        """Resolve the query POI set P (validation mirrors the shards')."""
-        if pois is None:
-            return self.pois
-        subset = list(pois)
-        if not subset:
-            raise ValueError("the query POI set may not be empty")
-        return subset
-
-    def _fan_out(self, method: str, *args: Any, **kwargs: Any) -> list[Any]:
-        """Run ``method`` on every shard; results in shard order."""
-        return self._executor.run(
-            [(index, method, args, kwargs) for index in range(self.num_shards)]
-        )
-
-    @staticmethod
-    def _merge_partials(
-        results: Iterable[tuple[list[Contribution], int]],
-    ) -> tuple[dict[str, float], int]:
-        """Merge shards' contributions in canonical accumulation order.
-
-        Re-sorting every contribution on its AR-tree entry key
-        ``(t1, t2, record_id)`` restores the monolithic iterative scan's
-        enumeration order; accumulating in that order reproduces its
-        float additions bit for bit (addition is not associative, so a
-        per-shard pre-sum would not).
-
-        Returns:
-            ``({poi_id: flow}, candidates)`` over the merged results.
-        """
-        contributions: list[Contribution] = []
-        candidates = 0
-        for part, count in results:
-            contributions.extend(part)
-            candidates += count
-        # Stable sort: within one entry key all contributions belong to
-        # one object and target distinct POIs, so the key alone fixes
-        # every per-POI addition order.
-        contributions.sort(key=lambda contribution: contribution[0])
-        flows: dict[str, float] = {}
-        for _, poi_id, presence in contributions:
-            flows[poi_id] = flows.get(poi_id, 0.0) + presence
-        if contracts_enabled():
-            for poi_id, flow in flows.items():
-                check_flow(flow, candidates, poi_id=poi_id)
-        return flows, candidates
-
-    @staticmethod
-    def _kth_flow(exact: dict[str, float], k: int) -> float:
-        """The current k-th best confirmed flow (0.0 while undersubscribed)."""
-        if len(exact) < k:
-            return 0.0
-        return sorted(exact.values(), reverse=True)[k - 1]
-
-    def _pruned_topk(
-        self,
-        query_pois: Sequence[Poi],
-        k: int,
-        bounds_method: str,
-        bounds_args: tuple[Any, ...],
-        bounds_kwargs: dict[str, Any],
-        flows_method: str,
-        flows_args: tuple[Any, ...],
-    ) -> TopKResult:
-        """The join strategy, sharded: bound, refine in rounds, prune.
-
-        Every POI whose summed count bound still reaches the current k-th
-        exact flow gets refined (``>=`` so ties are always confirmed
-        exactly); each refinement round skips the shards whose bounds are
-        all zero for the POIs in play — such a shard could only
-        contribute exact zeros, which cannot perturb a float sum.
-        Unrefined POIs are provably below the k-th flow, so ranking the
-        refined exact flows zero-filled reproduces the monolithic join's
-        result bit for bit.
-        """
-        if k < 1:
-            raise ValueError("k must be positive")
-        per_shard_bounds: list[dict[str, int]] = self._executor.run(
-            [
-                (index, bounds_method, bounds_args, bounds_kwargs)
-                for index in range(self.num_shards)
-            ]
-        )
-        total_bounds: dict[str, int] = {}
-        for part in per_shard_bounds:
-            for poi_id, bound in part.items():
-                total_bounds[poi_id] = total_bounds.get(poi_id, 0) + bound
-        exact: dict[str, float] = {}
-        refined: set[str] = set()
-        while True:
-            if not refined:
-                # Seed with the k most promising POIs by bound.
-                candidates = sorted(
-                    (
-                        poi
-                        for poi in query_pois
-                        if total_bounds.get(poi.poi_id, 0) > 0
-                    ),
-                    key=lambda poi: (-total_bounds[poi.poi_id], poi.poi_id),
-                )
-                target = candidates[:k]
-            else:
-                kth = self._kth_flow(exact, k)
-                target = [
+    if k < 1:
+        raise ValueError("k must be positive")
+    per_shard_bounds = [bounds(shard) for shard in shards]
+    total_bounds: dict[str, int] = {}
+    for part in per_shard_bounds:
+        for poi_id, bound in part.items():
+            total_bounds[poi_id] = total_bounds.get(poi_id, 0) + bound
+    exact: dict[str, float] = {}
+    refined: set[str] = set()
+    prunes = 0
+    while True:
+        if not refined:
+            # Seed with the k most promising POIs by bound.
+            candidates = sorted(
+                (
                     poi
                     for poi in query_pois
-                    if poi.poi_id not in refined
-                    and total_bounds.get(poi.poi_id, 0) > 0
-                    and float(total_bounds[poi.poi_id]) >= kth
-                ]
-            if not target:
-                break
-            involved = [
-                index
-                for index in range(self.num_shards)
-                if any(
-                    per_shard_bounds[index].get(poi.poi_id, 0) > 0
-                    for poi in target
-                )
-            ]
-            self._shard_prunes += self.num_shards - len(involved)
-            results = self._executor.run(
-                [
-                    (index, flows_method, flows_args, {"pois": target})
-                    for index in involved
-                ]
+                    if total_bounds.get(poi.poi_id, 0) > 0
+                ),
+                key=lambda poi: (-total_bounds[poi.poi_id], poi.poi_id),
             )
-            flows, _ = self._merge_partials(results)
-            for poi in target:
-                refined.add(poi.poi_id)
-                exact[poi.poi_id] = flows.get(poi.poi_id, 0.0)
-        return rank_top_k(exact, query_pois, k)
-
-    # ------------------------------------------------------------------
-    # Top-k queries (Problems 1 and 2)
-    # ------------------------------------------------------------------
-
-    def snapshot_topk(
-        self,
-        t: float,
-        k: int,
-        pois: Sequence[Poi] | None = None,
-        method: str = "join",
-    ) -> TopKResult:
-        """Problem 1 over the fleet — same contract as the monolith's.
-
-        Args:
-            t: The query instant.
-            k: How many POIs to return.
-            pois: Optional query subset P; defaults to the universe.
-            method: ``"join"`` (bound + prune, default) or
-                ``"iterative"`` (full fan-out); identical results.
-
-        Returns:
-            The ranked result, bit-identical to
-            :meth:`FlowEngine.snapshot_topk` on the same data.
-
-        Raises:
-            ValueError: If ``method`` is unknown, ``k < 1``, or an empty
-                ``pois`` sequence is passed.
-        """
-        if method not in _METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {_METHODS}"
-            )
-        query_pois = self._query_pois(pois)
-        with span(f"query.sharded.snapshot.{method}"):
-            if method == "join":
-                return self._pruned_topk(
-                    query_pois,
-                    k,
-                    "partial_bounds",
-                    (t,),
-                    {"pois": query_pois},
-                    "partial_flows",
-                    (t,),
-                )
-            if k < 1:
-                raise ValueError("k must be positive")
-            flows, _ = self._merge_partials(
-                self._fan_out("partial_flows", t, pois=query_pois)
-            )
-            return rank_top_k(flows, query_pois, k)
-
-    def interval_topk(
-        self,
-        t_start: float,
-        t_end: float,
-        k: int,
-        pois: Sequence[Poi] | None = None,
-        method: str = "join",
-        use_segment_mbrs: bool = True,
-    ) -> TopKResult:
-        """Problem 2 over the fleet — same contract as the monolith's.
-
-        Args:
-            t_start: Window start (inclusive).
-            t_end: Window end (inclusive; must not precede ``t_start``).
-            k: How many POIs to return.
-            pois: Optional query subset P; defaults to the universe.
-            method: ``"join"`` (bound + prune, default) or ``"iterative"``.
-            use_segment_mbrs: Keep the Section 4.3.2 tight per-episode
-                MBR refinement in the join's bounds.
-
-        Returns:
-            The ranked result, bit-identical to
-            :meth:`FlowEngine.interval_topk` on the same data.
-
-        Raises:
-            ValueError: If ``method`` is unknown, ``k < 1``, the window
-                is inverted, or an empty ``pois`` sequence is passed.
-        """
-        if method not in _METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {_METHODS}"
-            )
-        if t_end < t_start:
-            raise ValueError("t_end precedes t_start")
-        query_pois = self._query_pois(pois)
-        with span(f"query.sharded.interval.{method}"):
-            if method == "join":
-                return self._pruned_topk(
-                    query_pois,
-                    k,
-                    "partial_interval_bounds",
-                    (t_start, t_end),
-                    {
-                        "pois": query_pois,
-                        "use_segment_mbrs": use_segment_mbrs,
-                    },
-                    "partial_interval_flows",
-                    (t_start, t_end),
-                )
-            if k < 1:
-                raise ValueError("k must be positive")
-            flows, _ = self._merge_partials(
-                self._fan_out(
-                    "partial_interval_flows", t_start, t_end, pois=query_pois
-                )
-            )
-            return rank_top_k(flows, query_pois, k)
-
-    # ------------------------------------------------------------------
-    # Flow maps and density variants
-    # ------------------------------------------------------------------
-
-    def snapshot_flows(
-        self, t: float, pois: Sequence[Poi] | None = None
-    ) -> dict[str, float]:
-        """``Φ_t(p)`` for every query POI with positive flow (merged)."""
-        query_pois = self._query_pois(pois)
-        flows, _ = self._merge_partials(
-            self._fan_out("partial_flows", t, pois=query_pois)
-        )
-        return flows
-
-    def interval_flows(
-        self, t_start: float, t_end: float, pois: Sequence[Poi] | None = None
-    ) -> dict[str, float]:
-        """``Φ_[t_s, t_e](p)`` for every query POI with positive flow."""
-        if t_end < t_start:
-            raise ValueError("t_end precedes t_start")
-        query_pois = self._query_pois(pois)
-        flows, _ = self._merge_partials(
-            self._fan_out(
-                "partial_interval_flows", t_start, t_end, pois=query_pois
-            )
-        )
-        return flows
-
-    def snapshot_density_topk(
-        self, t: float, k: int, pois: Sequence[Poi] | None = None
-    ) -> TopKResult:
-        """The k POIs with the highest snapshot flow density (flow/m²)."""
-        query_pois = self._query_pois(pois)
-        flows = self.snapshot_flows(t, pois=query_pois)
-        return rank_top_k_by_density(flows, query_pois, k)
-
-    def interval_density_topk(
-        self,
-        t_start: float,
-        t_end: float,
-        k: int,
-        pois: Sequence[Poi] | None = None,
-    ) -> TopKResult:
-        """The k POIs with the highest interval flow density (flow/m²)."""
-        query_pois = self._query_pois(pois)
-        flows = self.interval_flows(t_start, t_end, pois=query_pois)
-        return rank_top_k_by_density(flows, query_pois, k)
-
-    # ------------------------------------------------------------------
-    # Live ingestion (routed to the owning shard)
-    # ------------------------------------------------------------------
-
-    def ingest(self, records: Iterable[TrackingRecord]) -> int:
-        """Append closed records, each routed to its owning shard.
-
-        Records keep their relative order within each shard; only the
-        owning shard's cache epochs roll, so the other N-1 shards' memo
-        layers stay fully warm.  Shards apply their sub-batches
-        independently: a validation error in one shard does not undo
-        records already applied elsewhere (the monolith's partial-batch
-        semantics, per shard).
-
-        Args:
-            records: Closed tracking records in per-object time order.
-
-        Returns:
-            The number of records ingested.
-
-        Raises:
-            RuntimeError: If the fleet is frozen-batch.
-            ValueError: If a record fails a shard's at-append validation.
-        """
-        self._require_live()
-        routed: dict[int, list[TrackingRecord]] = {}
-        for record in records:
-            routed.setdefault(
-                shard_of(record.object_id, self.num_shards), []
-            ).append(record)
-        counts = self._executor.run(
-            [
-                (index, "ingest_batch", (batch,), {})
-                for index, batch in sorted(routed.items())
-            ]
-        )
-        count = sum(counts)
-        self._generation += count
-        if obs_enabled():
-            counter("engine.ingest.records", unit="records").inc(count)
-        return count
-
-    def ingest_open(self, record: TrackingRecord) -> None:
-        """Start an open episode on the owning shard."""
-        self._require_live()
-        index = shard_of(record.object_id, self.num_shards)
-        self._executor.run([(index, "ingest_open_episode", (record,), {})])
-        self._generation += 1
-
-    def extend_episode(self, object_id: ObjectId, t_e: float) -> TrackingRecord:
-        """Advance an open episode's end time on the owning shard."""
-        self._require_live()
-        index = shard_of(object_id, self.num_shards)
-        result = self._executor.run(
-            [(index, "extend_open_episode", (object_id, t_e), {})]
-        )
-        self._generation += 1
-        updated: TrackingRecord = result[0]
-        return updated
-
-    def close_episode(
-        self, object_id: ObjectId, t_e: float | None = None
-    ) -> TrackingRecord:
-        """Close an open episode on the owning shard."""
-        self._require_live()
-        index = shard_of(object_id, self.num_shards)
-        result = self._executor.run(
-            [(index, "close_open_episode", (object_id, t_e), {})]
-        )
-        self._generation += 1
-        closed: TrackingRecord = result[0]
-        return closed
-
-    def checkpoint(self) -> int:
-        """Fold every shard store's WAL tail into its bulk snapshot.
-
-        Runs :meth:`ShardState.compact_storage` on each shard through the
-        executor (so shard-pinned workers compact their own stores).
-
-        Returns:
-            The total number of WAL mutations folded across shards.
-
-        Raises:
-            RuntimeError: If the fleet is frozen-batch.
-        """
-        self._require_live()
-        folded = self._executor.run(
-            [
-                (index, "compact_storage", (), {})
-                for index in range(self.num_shards)
-            ]
-        )
-        return sum(folded)
-
-    def _require_live(self) -> None:
-        if not self._live:
-            raise RuntimeError(
-                "this engine is frozen-batch; construct it with live=True "
-                "to ingest records"
-            )
-
-    # ------------------------------------------------------------------
-    # Instrumentation
-    # ------------------------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        """Fleet-wide counters: pointwise sums plus ``shard_prunes``.
-
-        Every monolith counter is summed across shards (cache-entry
-        occupancies included — the fleet total is what budgets against
-        the monolith's capacity); ``shard_prunes`` counts refinement
-        rounds' skipped shard fan-outs on the join path.
-
-        Returns:
-            The merged counter dict.
-        """
-        merged = merge_shard_stats(self._fan_out("stats"))
-        merged["shard_prunes"] = self._shard_prunes
-        return merged
-
-    def reset_stats(self) -> None:
-        """Zero every shard's counters and the coordinator's own."""
-        self._fan_out("reset_stats")
-        self._shard_prunes = 0
-
-    def obs_control(self, action: str) -> None:
-        """Drive obs state fleet-wide: ``enable``/``disable``/``reset``.
-
-        Applies to the coordinator's process and, for a cross-process
-        executor, is broadcast to every worker.
-
-        Args:
-            action: One of ``"enable"``, ``"disable"``, ``"reset"``.
-
-        Raises:
-            ValueError: For an unknown action.
-        """
-        if action == "enable":
-            obs_enable()
-        elif action == "disable":
-            obs_disable()
-        elif action == "reset":
-            obs_reset()
+            target = candidates[:k]
         else:
-            raise ValueError(f"unknown obs action {action!r}")
-        if not self._executor.in_process:
-            self._fan_out("obs_control", action)
-
-    def obs_snapshot(self) -> dict[str, Any]:
-        """One mergeable obs snapshot for the whole fleet.
-
-        In-process executors share the caller's tracer/registry, so the
-        plain process snapshot already covers every shard; cross-process
-        executors contribute one snapshot per worker, merged with the
-        coordinator's own via
-        :func:`~repro.obs.export.merge_snapshot_dicts`.
-        """
-        if self._executor.in_process:
-            return snapshot_dict()
-        return merge_snapshot_dicts(
-            [snapshot_dict(), *self._fan_out("obs_snapshot")]
-        )
+            kth = _kth_flow(exact, k)
+            target = [
+                poi
+                for poi in query_pois
+                if poi.poi_id not in refined
+                and total_bounds.get(poi.poi_id, 0) > 0
+                and float(total_bounds[poi.poi_id]) >= kth
+            ]
+        if not target:
+            break
+        involved = [
+            shard
+            for shard, part in zip(shards, per_shard_bounds)
+            if any(part.get(poi.poi_id, 0) > 0 for poi in target)
+        ]
+        prunes += len(shards) - len(involved)
+        merged, _ = merge_partials(flows(shard, target) for shard in involved)
+        for poi in target:
+            refined.add(poi.poi_id)
+            exact[poi.poi_id] = merged.get(poi.poi_id, 0.0)
+    return rank_top_k(exact, query_pois, k), prunes

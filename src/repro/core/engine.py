@@ -27,11 +27,22 @@ incrementally (delta buffer + automatic compaction) and rolls the
 appended objects' cache epochs — no index rebuild, no cache flush.
 Results after an ingest are identical to a freshly built engine over the
 union of records.
+
+A **fleet** (``num_shards=N > 1``) partitions the tracked objects across N
+:class:`~repro.core.shard.ShardState` partitions; queries merge the
+shards' partial results (see :mod:`repro.core.coordinator`) into answers
+bit-identical to the one-shard engine's, ingest routes each record to its
+owning shard, and join queries skip shards whose count bounds are zero::
+
+    fleet = FlowEngine(plan, deployment, ott, pois, v_max=1.1, num_shards=4)
+    top = fleet.snapshot_topk(t=3600.0, k=10)
+    print(fleet.stats()["shard_prunes"])
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from pathlib import Path
+from typing import Any, Callable, Iterable, Sequence
 
 from ..geometry import DEFAULT_RESOLUTION, Region
 from ..index import ARTree, RTree
@@ -55,10 +66,17 @@ from .context import (
     DEFAULT_REGION_CACHE_SIZE,
     EvaluationContext,
 )
+from .coordinator import (
+    Partial,
+    build_shards,
+    merge_partials,
+    pruned_topk,
+    shard_of,
+)
 from .presence import PresenceEstimator
-from .queries import TopKResult, rank_top_k_by_density
+from .queries import TopKResult, rank_top_k, rank_top_k_by_density
 from .shard import DEFAULT_POI_SUBSET_CACHE_SIZE, ShardState
-from .states import interval_context_from_entries, snapshot_context
+from .stats import merge_shard_stats
 from .uncertainty import IntervalUncertainty, TopologyChecker
 
 __all__ = ["FlowEngine", "LiveFlowEngine", "DEFAULT_POI_SUBSET_CACHE_SIZE"]
@@ -103,14 +121,23 @@ class FlowEngine:
     artree_delta_threshold:
         Delta-buffer size at which the live AR-tree auto-compacts.
     storage:
-        A :class:`~repro.storage.base.StorageBackend` the live table
-        writes through to (requires ``live=True`` or a live table).  A
-        pristine backend is seeded with ``ott``'s records; a populated
-        one **recovers** — ``ott`` must then be empty, the AR-tree
+        Durable storage (requires ``live=True`` or a live table).  With
+        one shard, a :class:`~repro.storage.base.StorageBackend` the live
+        table writes through to; with ``num_shards > 1``, a directory
+        holding one SQLite store per shard
+        (:func:`~repro.storage.sqlite.sqlite_shard_stores` layout).  A
+        pristine store is seeded with ``ott``'s records; a populated one
+        **recovers** — ``ott`` must then be empty, the AR-tree
         bulk-loads the persisted snapshot and only the WAL tail is
         replayed through the ingest seam, reproducing the crashed
-        writer's state bit for bit.  :meth:`checkpoint` folds the tail
-        into the snapshot so later reopens replay nothing.
+        writer's state bit for bit (a fleet must be reopened with the
+        shard count its stores were written under).  :meth:`checkpoint`
+        folds the tail into the snapshot so later reopens replay nothing.
+    num_shards:
+        The object partition count N.  ``1`` (default) keeps all state in
+        one :class:`~repro.core.shard.ShardState`; more splits the cache
+        budget across N shards, shares one topology oracle and merges the
+        shards' partial results bit-identically.
     """
 
     def __init__(
@@ -129,17 +156,12 @@ class FlowEngine:
         presence_cache_size: int = DEFAULT_PRESENCE_CACHE_SIZE,
         live: bool = False,
         artree_delta_threshold: int = DEFAULT_DELTA_THRESHOLD,
-        storage: StorageBackend | None = None,
+        storage: StorageBackend | str | Path | None = None,
+        num_shards: int = 1,
     ):
-        # The engine is the degenerate one-shard deployment: all state —
-        # table, indexes, caches, epochs — lives in a single ShardState,
-        # the same facade an N-shard coordinator fans out over.
-        self._shard = ShardState(
-            floorplan=floorplan,
-            deployment=deployment,
-            ott=ott,
-            pois=pois,
-            v_max=v_max,
+        if num_shards < 1:
+            raise ValueError("num_shards must be positive")
+        params: dict[str, Any] = dict(
             resolution=resolution,
             topology_check=topology_check,
             rtree_fanout=rtree_fanout,
@@ -149,88 +171,124 @@ class FlowEngine:
             presence_cache_size=presence_cache_size,
             live=live,
             artree_delta_threshold=artree_delta_threshold,
-            storage=storage,
         )
+        if num_shards == 1:
+            if isinstance(storage, (str, Path)):
+                raise ValueError(
+                    "a one-shard engine stores into a StorageBackend, "
+                    "not a directory"
+                )
+            # All state — table, indexes, caches, epochs — lives in a
+            # single ShardState.
+            self._shards = [
+                ShardState(
+                    floorplan, deployment, ott, pois, v_max,
+                    storage=storage, **params,
+                )
+            ]
+        else:
+            if storage is not None and not isinstance(storage, (str, Path)):
+                raise ValueError(
+                    "a sharded engine stores into a directory of per-shard "
+                    "stores, not a single StorageBackend"
+                )
+            self._shards = build_shards(
+                floorplan, deployment, ott, pois, v_max, num_shards,
+                storage, **params,
+            )
+        self.num_shards = num_shards
         self.floorplan = floorplan
         self.detection_slack = detection_slack
+        self._shard_prunes = 0
         self._closed = False
 
     # ------------------------------------------------------------------
-    # Shard-owned state (the engine is its single shard)
+    # Shard-owned state
     # ------------------------------------------------------------------
 
     @property
+    def shards(self) -> list[ShardState]:
+        """The engine's shard states, index ``i`` owning partition ``i``."""
+        return self._shards
+
+    @property
     def shard(self) -> ShardState:
-        """The engine's single :class:`ShardState` (owns all state)."""
-        return self._shard
+        """The single :class:`ShardState` of a one-shard engine.
+
+        Raises:
+            RuntimeError: If the engine has more than one shard (the
+                per-shard state is then in :attr:`shards`).
+        """
+        if self.num_shards != 1:
+            raise RuntimeError(
+                f"a {self.num_shards}-shard engine has no single shard "
+                "state; use engine.shards"
+            )
+        return self._shards[0]
 
     @property
     def ott(self) -> ObjectTrackingTable | LiveTrackingTable:
-        """The indexed tracking table (live when the engine is live)."""
-        return self._shard.ott
+        """The indexed tracking table (one-shard engines)."""
+        return self.shard.ott
 
     @property
     def pois(self) -> list[Poi]:
         """The engine's POI universe."""
-        return self._shard.pois
+        return self._shards[0].pois
 
     @property
     def artree(self) -> ARTree:
-        """The AR-tree over the OTT."""
-        return self._shard.artree
+        """The AR-tree over the OTT (one-shard engines)."""
+        return self.shard.artree
 
     @property
     def poi_tree(self) -> RTree:
-        """The POI R-tree ``R_P`` over the full universe."""
-        return self._shard.poi_tree
+        """The POI R-tree ``R_P`` over the full universe (one-shard engines)."""
+        return self.shard.poi_tree
 
     @property
     def ctx(self) -> EvaluationContext:
-        """The long-lived evaluation context (parameters + memo layers)."""
-        return self._shard.ctx
+        """The long-lived evaluation context (one-shard engines)."""
+        return self.shard.ctx
 
     @property
     def poi_subset_trees_built(self) -> int:
         """How many per-subset POI R-trees were actually built."""
-        return self._shard.poi_subset_trees_built
-
-    @property
-    def _live(self) -> LiveTrackingTable | None:
-        return self._shard._live
+        return sum(shard.poi_subset_trees_built for shard in self._shards)
 
     # ------------------------------------------------------------------
-    # Evaluation parameters (delegated to the long-lived context)
+    # Evaluation parameters (identical on every shard's context)
     # ------------------------------------------------------------------
 
     @property
     def deployment(self) -> Deployment:
         """The positioning-device deployment regions are derived against."""
-        return self.ctx.deployment
+        return self._shards[0].ctx.deployment
 
     @property
     def v_max(self) -> float:
         """Maximum indoor movement speed (m/s) — the paper's ``V_max``."""
-        return self.ctx.v_max
+        return self._shards[0].ctx.v_max
 
     @property
     def estimator(self) -> PresenceEstimator:
         """The presence (grid quadrature) estimator in use."""
-        return self.ctx.estimator
+        return self._shards[0].ctx.estimator
 
     @property
     def topology(self) -> TopologyChecker | None:
         """The indoor topology checker, or ``None`` when ablated."""
-        return self.ctx.topology
+        return self._shards[0].ctx.topology
 
     @property
     def inner_allowance(self) -> float:
         """Ring inner-exclusion relaxation in meters (``v_max * slack``)."""
-        return self.ctx.inner_allowance
+        return self._shards[0].ctx.inner_allowance
 
     @property
     def rtree_fanout(self) -> int:
         """Node capacity for per-query R-trees (POI subsets, join R_I)."""
-        return self.ctx.rtree_fanout
+        return self._shards[0].ctx.rtree_fanout
 
     # ------------------------------------------------------------------
     # Live ingestion
@@ -239,17 +297,28 @@ class FlowEngine:
     @property
     def is_live(self) -> bool:
         """Whether the engine accepts new tracking records (see ``live``)."""
-        return self._shard.is_live
+        return self._shards[0].is_live
 
     @property
     def generation(self) -> int:
-        """The live table's mutation counter (0 for a frozen-batch engine)."""
-        return self._shard.generation
+        """The live tables' mutation count, summed over shards.
+
+        0 for a frozen-batch engine.  Derived from the shards on every
+        read, so a batch a shard rejected halfway still counts exactly
+        the records that were applied.
+        """
+        return sum(shard.generation for shard in self._shards)
 
     @property
     def storage(self) -> StorageBackend | None:
-        """The durable storage backend, if one was attached (see ``storage``)."""
-        return self._shard.storage
+        """The durable storage backend of a one-shard engine, if attached."""
+        return self.shard.storage
+
+    def _owner(self, object_id: ObjectId) -> ShardState:
+        """The shard holding ``object_id``'s records."""
+        if self.num_shards == 1:
+            return self._shards[0]
+        return self._shards[shard_of(object_id, self.num_shards)]
 
     def checkpoint(self) -> int:
         """Fold the storage backend's WAL tail into its bulk snapshot.
@@ -259,13 +328,13 @@ class FlowEngine:
         call periodically; queries before and after are bit-identical.
 
         Returns:
-            The number of WAL mutations folded in.
+            The number of WAL mutations folded in (summed over shards).
 
         Raises:
             RuntimeError: If the engine is frozen-batch.
         """
         self._require_live()
-        return self._shard.compact_storage()
+        return sum(shard.compact_storage() for shard in self._shards)
 
     def close(self) -> None:
         """Flush and release the engine's storage backend (idempotent).
@@ -281,8 +350,9 @@ class FlowEngine:
         if self._closed:
             return
         self._closed = True
-        if self._shard.is_live and self._shard.storage is not None:
-            self._shard.close_storage()
+        for shard in self._shards:
+            if shard.is_live and shard.storage is not None:
+                shard.close_storage()
 
     def __enter__(self) -> "FlowEngine":
         return self
@@ -291,7 +361,7 @@ class FlowEngine:
         self.close()
 
     def _require_live(self) -> None:
-        if not self._shard.is_live:
+        if not self.is_live:
             raise RuntimeError(
                 "this engine is frozen-batch; construct it with live=True "
                 "(or LiveFlowEngine) to ingest records"
@@ -309,7 +379,10 @@ class FlowEngine:
         what a freshly built engine over the union of records would.
 
         Records are applied one by one: if one fails validation, the
-        records before it remain ingested and the error propagates.
+        records before it remain ingested and the error propagates.  A
+        fleet routes each record to its owning shard (keeping per-shard
+        order) and applies the shards' sub-batches in shard order; only
+        the owning shard's cache epochs roll.
 
         Args:
             records: Closed tracking records, in per-object chronological
@@ -325,7 +398,18 @@ class FlowEngine:
                 validation; earlier records of the batch stay ingested.
         """
         self._require_live()
-        count = self._shard.ingest_batch(records)
+        if self.num_shards == 1:
+            count = self._shards[0].ingest_batch(records)
+        else:
+            routed: dict[int, list[TrackingRecord]] = {}
+            for record in records:
+                routed.setdefault(
+                    shard_of(record.object_id, self.num_shards), []
+                ).append(record)
+            count = sum(
+                self._shards[index].ingest_batch(batch)
+                for index, batch in sorted(routed.items())
+            )
         if obs_enabled():
             counter("engine.ingest.records", unit="records").inc(count)
         return count
@@ -347,7 +431,7 @@ class FlowEngine:
                 object already has an open episode.
         """
         self._require_live()
-        self._shard.ingest_open_episode(record)
+        self._owner(record.object_id).ingest_open_episode(record)
 
     def extend_episode(self, object_id: ObjectId, t_e: float) -> TrackingRecord:
         """Advance an open episode's end time.
@@ -365,7 +449,7 @@ class FlowEngine:
                 retreats.
         """
         self._require_live()
-        return self._shard.extend_open_episode(object_id, t_e)
+        return self._owner(object_id).extend_open_episode(object_id, t_e)
 
     def close_episode(
         self, object_id: ObjectId, t_e: float | None = None
@@ -386,7 +470,7 @@ class FlowEngine:
                 retreats.
         """
         self._require_live()
-        return self._shard.close_open_episode(object_id, t_e)
+        return self._owner(object_id).close_open_episode(object_id, t_e)
 
     # ------------------------------------------------------------------
     # Instrumentation
@@ -406,13 +490,21 @@ class FlowEngine:
             ``region_cache_entries``, ``presence_cache_entries``,
             ``data_generation``, ``estimator_cached_pois``,
             ``poi_subset_trees_built``, ``artree_delta_entries``,
-            ``artree_compactions``.
+            ``artree_compactions``; with ``num_shards > 1`` each is summed
+            over shards and ``shard_prunes`` counts the shard calls join
+            refinement skipped.
         """
-        return self._shard.stats()
+        if self.num_shards == 1:
+            return self._shards[0].stats()
+        merged = merge_shard_stats(shard.stats() for shard in self._shards)
+        merged["shard_prunes"] = self._shard_prunes
+        return merged
 
     def reset_stats(self) -> None:
         """Zero the evaluation counters (cache contents are kept)."""
-        self._shard.reset_stats()
+        for shard in self._shards:
+            shard.reset_stats()
+        self._shard_prunes = 0
 
     # ------------------------------------------------------------------
     # POI subsets
@@ -426,9 +518,35 @@ class FlowEngine:
         Subset R-trees are memoized (per ``poi_id`` tuple, verified
         against the members), so a monitor or dashboard re-querying the
         same subset builds its R_P exactly once.  ``poi_subset_trees_built``
-        in :meth:`stats` counts the actual builds.
+        in :meth:`stats` counts the actual builds.  A fleet resolves
+        through shard 0, whose shard queries would build the same tree.
         """
-        return self._shard.resolve_pois(pois)
+        return self._shards[0].resolve_pois(pois)
+
+    def _fleet_topk(
+        self,
+        query_pois: list[Poi],
+        k: int,
+        method: str,
+        bounds: Callable[[ShardState], dict[str, int]],
+        flows: Callable[[ShardState, list[Poi]], Partial],
+    ) -> TopKResult:
+        """A top-k query over a fleet (``num_shards > 1``).
+
+        ``"join"`` runs :func:`~repro.core.coordinator.pruned_topk`
+        (bounds, then pruned refinement rounds); ``"iterative"`` merges
+        every shard's partial flows over ``query_pois``.
+        """
+        if method == "join":
+            result, prunes = pruned_topk(
+                self._shards, query_pois, k, bounds, flows
+            )
+            self._shard_prunes += prunes
+            return result
+        merged, _ = merge_partials(
+            flows(shard, query_pois) for shard in self._shards
+        )
+        return rank_top_k(merged, query_pois, k)
 
     # ------------------------------------------------------------------
     # Top-k queries (Problems 1 and 2)
@@ -464,6 +582,15 @@ class FlowEngine:
                 f"unknown method {method!r}; expected one of {_METHODS}"
             )
         query_pois, poi_tree = self._query_pois(pois)
+        if self.num_shards > 1:
+            with span(f"query.sharded.snapshot.{method}"):
+                return self._fleet_topk(
+                    query_pois,
+                    k,
+                    method,
+                    lambda shard: shard.partial_bounds(t, pois=query_pois),
+                    lambda shard, target: shard.partial_flows(t, pois=target),
+                )
         with span(f"query.snapshot.{method}"):
             if method == "join":
                 return join_snapshot(
@@ -506,6 +633,24 @@ class FlowEngine:
                 f"unknown method {method!r}; expected one of {_METHODS}"
             )
         query_pois, poi_tree = self._query_pois(pois)
+        if self.num_shards > 1:
+            if t_end < t_start:
+                raise ValueError("t_end precedes t_start")
+            with span(f"query.sharded.interval.{method}"):
+                return self._fleet_topk(
+                    query_pois,
+                    k,
+                    method,
+                    lambda shard: shard.partial_interval_bounds(
+                        t_start,
+                        t_end,
+                        pois=query_pois,
+                        use_segment_mbrs=use_segment_mbrs,
+                    ),
+                    lambda shard, target: shard.partial_interval_flows(
+                        t_start, t_end, pois=target
+                    ),
+                )
         with span(f"query.interval.{method}"):
             if method == "join":
                 return join_interval(
@@ -538,7 +683,13 @@ class FlowEngine:
         Returns:
             ``{poi_id: flow}`` containing only POIs with positive flow.
         """
-        _, poi_tree = self._query_pois(pois)
+        query_pois, poi_tree = self._query_pois(pois)
+        if self.num_shards > 1:
+            flows, _ = merge_partials(
+                shard.partial_flows(t, pois=query_pois)
+                for shard in self._shards
+            )
+            return flows
         return snapshot_flows(self.artree, poi_tree, self.ctx, t)
 
     def interval_flows(
@@ -554,7 +705,15 @@ class FlowEngine:
         Returns:
             ``{poi_id: flow}`` containing only POIs with positive flow.
         """
-        _, poi_tree = self._query_pois(pois)
+        query_pois, poi_tree = self._query_pois(pois)
+        if self.num_shards > 1:
+            if t_end < t_start:
+                raise ValueError("t_end precedes t_start")
+            flows, _ = merge_partials(
+                shard.partial_interval_flows(t_start, t_end, pois=query_pois)
+                for shard in self._shards
+            )
+            return flows
         return interval_flows(self.artree, poi_tree, self.ctx, t_start, t_end)
 
     # ------------------------------------------------------------------
@@ -617,8 +776,9 @@ class FlowEngine:
     def snapshot_region_of(self, object_id: ObjectId, t: float) -> Region | None:
         """``UR(o, t)`` for one object, or ``None`` if not trackable at t.
 
-        Resolved through the AR-tree's per-object entry lookup, so the cost
-        is O(records of the object), independent of the population size.
+        Answered by the owning shard through the AR-tree's per-object
+        entry lookup, so the cost is O(records of the object), independent
+        of the population size.
 
         Args:
             object_id: The tracked object.
@@ -629,18 +789,15 @@ class FlowEngine:
             ``None`` when no detection episode makes the object
             trackable at ``t``.
         """
-        for entry in self.artree.entries_for(object_id):
-            if entry.covers(t):
-                return self.ctx.snapshot_region(snapshot_context(entry, t))
-        return None
+        return self._owner(object_id).snapshot_region_of(object_id, t)
 
     def interval_region_of(
         self, object_id: ObjectId, t_start: float, t_end: float
     ) -> IntervalUncertainty | None:
         """``UR(o, [t_s, t_e])`` for one object, or ``None`` if irrelevant.
 
-        Like :meth:`snapshot_region_of`, resolved per object rather than by
-        scanning every object relevant to the window.
+        Like :meth:`snapshot_region_of`, answered by the owning shard per
+        object rather than by scanning every object relevant to the window.
 
         Args:
             object_id: The tracked object.
@@ -655,19 +812,9 @@ class FlowEngine:
         Raises:
             ValueError: If ``t_end`` precedes ``t_start``.
         """
-        if t_end < t_start:
-            raise ValueError("t_end precedes t_start")
-        entries = [
-            entry
-            for entry in self.artree.entries_for(object_id)
-            if entry.overlaps(t_start, t_end)
-        ]
-        if not entries:
-            return None
-        context = interval_context_from_entries(
-            object_id, entries, t_start, t_end
+        return self._owner(object_id).interval_region_of(
+            object_id, t_start, t_end
         )
-        return self.ctx.interval_uncertainty(context)
 
 
 class LiveFlowEngine(FlowEngine):

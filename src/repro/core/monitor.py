@@ -41,9 +41,10 @@ __all__ = [
 class MonitorableEngine(Protocol):
     """What a monitor needs from its engine.
 
-    Both the monolithic :class:`~repro.core.engine.FlowEngine` and the
-    :class:`~repro.core.coordinator.ShardedFlowEngine` satisfy this, so
-    monitors tick unchanged over one shard or a fleet.
+    :class:`~repro.core.engine.FlowEngine` satisfies this at any
+    ``num_shards``, so monitors tick unchanged over one shard or a fleet;
+    the service's engine actor hands its own engine (or a test double)
+    through this seam.
     """
 
     def snapshot_topk(

@@ -13,10 +13,10 @@ cleanly by object id.  This facade owns exactly one partition's state:
 * the memoized per-subset POI R-trees.
 
 The interface is deliberately narrow — partial flows and partial bounds
-for both query forms, the live-ingest mutators, ``stats()`` and the obs
-snapshot — because everything a monolithic :class:`~repro.core.engine.FlowEngine`
-(one shard) or a :class:`~repro.core.coordinator.ShardedFlowEngine`
-(N shards behind an executor) needs reduces to these calls.
+for both query forms, per-object region introspection, the live-ingest
+mutators and ``stats()`` — because everything a
+:class:`~repro.core.engine.FlowEngine` needs, with one shard or with N
+(see :mod:`repro.core.coordinator`), reduces to these calls.
 
 **Bit-reproducible partials.**  Floating-point addition is not
 associative, so per-shard *sums* could never be merged back into the
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from ..geometry import DEFAULT_RESOLUTION
+from ..geometry import DEFAULT_RESOLUTION, Region
 from ..index import ARTree, RTree
 from ..index.artree import DEFAULT_DELTA_THRESHOLD
 from ..indoor.devices import Deployment
@@ -47,10 +47,7 @@ from ..indoor.distance import IndoorDistanceOracle
 from ..indoor.floorplan import FloorPlan
 from ..indoor.poi import Poi, build_poi_index
 from ..analysis.contracts import check_flow, contracts_enabled
-from ..obs import snapshot_dict, span
-from ..obs import disable as obs_disable
-from ..obs import enable as obs_enable
-from ..obs import reset as obs_reset
+from ..obs import span
 from ..storage.base import Mutation, StorageBackend
 from ..tracking.records import ObjectId, TrackingRecord
 from ..tracking.table import LiveTrackingTable, ObjectTrackingTable
@@ -63,7 +60,7 @@ from .context import (
 from .presence import PresenceEstimator
 from .states import interval_context_from_entries, snapshot_context
 from .stats import merge_component_stats
-from .uncertainty import TopologyChecker, snapshot_mbr
+from .uncertainty import IntervalUncertainty, TopologyChecker, snapshot_mbr
 
 __all__ = ["ShardState", "Contribution", "DEFAULT_POI_SUBSET_CACHE_SIZE"]
 
@@ -359,6 +356,65 @@ class ShardState:
             check_flow(flow, candidates, poi_id=poi_id)
 
     # ------------------------------------------------------------------
+    # Uncertainty-region introspection
+    # ------------------------------------------------------------------
+
+    def snapshot_region_of(self, object_id: ObjectId, t: float) -> Region | None:
+        """``UR(o, t)`` for one of this shard's objects, or ``None``.
+
+        Resolved through the AR-tree's per-object entry lookup, so the cost
+        is O(records of the object), independent of the population size.
+
+        Args:
+            object_id: The tracked object.
+            t: The query instant.
+
+        Returns:
+            The (possibly topology-checked) uncertainty region, or
+            ``None`` when no detection episode makes the object
+            trackable at ``t``.
+        """
+        for entry in self.artree.entries_for(object_id):
+            if entry.covers(t):
+                return self.ctx.snapshot_region(snapshot_context(entry, t))
+        return None
+
+    def interval_region_of(
+        self, object_id: ObjectId, t_start: float, t_end: float
+    ) -> IntervalUncertainty | None:
+        """``UR(o, [t_s, t_e])`` for one of this shard's objects, or ``None``.
+
+        Like :meth:`snapshot_region_of`, resolved per object rather than by
+        scanning every object relevant to the window.
+
+        Args:
+            object_id: The tracked object.
+            t_start: Window start (inclusive).
+            t_end: Window end (inclusive).
+
+        Returns:
+            The object's :class:`IntervalUncertainty` (episodes, region,
+            MBRs), or ``None`` when none of its records overlap the
+            window.
+
+        Raises:
+            ValueError: If ``t_end`` precedes ``t_start``.
+        """
+        if t_end < t_start:
+            raise ValueError("t_end precedes t_start")
+        entries = [
+            entry
+            for entry in self.artree.entries_for(object_id)
+            if entry.overlaps(t_start, t_end)
+        ]
+        if not entries:
+            return None
+        context = interval_context_from_entries(
+            object_id, entries, t_start, t_end
+        )
+        return self.ctx.interval_uncertainty(context)
+
+    # ------------------------------------------------------------------
     # Partial bounds (the join's count bound, per shard)
     # ------------------------------------------------------------------
 
@@ -444,7 +500,7 @@ class ShardState:
         return bounds
 
     # ------------------------------------------------------------------
-    # Live ingestion (the coordinator seam — see the context-bypass rule)
+    # Live ingestion (the engine's ingest seam — see the context-bypass rule)
     # ------------------------------------------------------------------
 
     def _require_live(self) -> LiveTrackingTable:
@@ -636,29 +692,3 @@ class ShardState:
     def reset_stats(self) -> None:
         """Zero the evaluation counters (cache contents are kept)."""
         self.ctx.reset_stats()
-
-    def obs_control(self, action: str) -> None:
-        """Drive this process's obs state: ``enable``/``disable``/``reset``.
-
-        Exists so a cross-process executor can broadcast obs switches to
-        shard-pinned workers; in-process callers may use :mod:`repro.obs`
-        directly.
-
-        Args:
-            action: One of ``"enable"``, ``"disable"``, ``"reset"``.
-
-        Raises:
-            ValueError: For an unknown action.
-        """
-        if action == "enable":
-            obs_enable()
-        elif action == "disable":
-            obs_disable()
-        elif action == "reset":
-            obs_reset()
-        else:
-            raise ValueError(f"unknown obs action {action!r}")
-
-    def obs_snapshot(self) -> dict[str, Any]:
-        """This process's obs snapshot (spans + metrics), mergeable."""
-        return snapshot_dict()

@@ -7,12 +7,12 @@ the AR-tree, the POI subset-tree memo) reports its counters as a flat
 * **union** — one engine composes the *disjoint* counter sets of its
   nested components into one stats dict; a duplicate key means two
   components claim the same counter, which is a bug, not data.
-* **sum** — a coordinator folds the *identical* counter sets of N shards
-  into fleet-wide totals, pointwise.
+* **sum** — a sharded engine folds the *identical* counter sets of N
+  shards into fleet-wide totals, pointwise.
 
 Both used to be hand-copied key lists; keeping them here means a counter
-added to a component shows up in ``FlowEngine.stats()`` and in
-``ShardedFlowEngine.stats()`` without touching either.
+added to a component shows up in ``FlowEngine.stats()`` at every shard
+count without touching it.
 """
 
 from __future__ import annotations

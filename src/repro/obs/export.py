@@ -100,12 +100,12 @@ def snapshot_json(
 def merge_snapshot_dicts(
     snapshots: "Sequence[Mapping[str, Any]]",
 ) -> dict[str, Any]:
-    """Fold per-process snapshots into one fleet-wide snapshot.
+    """Fold per-process (or per-phase) snapshots into one snapshot.
 
-    A sharded engine running shards in worker processes collects one
-    :func:`snapshot_dict` per process (each process has its own tracer
-    and registry); this merges them into the same shape, so baselines
-    and reports read identically for in-process and multi-process runs.
+    Each process has its own tracer and registry, so a run spread over
+    processes — or over phases separated by :func:`reset` — yields one
+    :func:`snapshot_dict` each; this merges them into the same shape, so
+    baselines and reports read identically for one and many.
 
     Merge rules, per span path and per metric name:
 

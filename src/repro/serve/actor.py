@@ -72,10 +72,10 @@ DEFAULT_SUBSCRIBER_QUEUE = 16
 class ServableEngine(Protocol):
     """What the service needs from an engine.
 
-    Satisfied by :class:`~repro.core.engine.FlowEngine`,
-    :class:`~repro.core.engine.LiveFlowEngine` and
-    :class:`~repro.core.coordinator.ShardedFlowEngine` — the actor is
-    agnostic to whether one shard or a fleet answers.
+    Satisfied by :class:`~repro.core.engine.FlowEngine` (and its
+    :class:`~repro.core.engine.LiveFlowEngine` subclass) at any
+    ``num_shards`` — the actor is agnostic to whether one shard or a
+    fleet answers.
     """
 
     @property
@@ -258,10 +258,10 @@ class EngineActor:
         Every operation already queued completes first (their futures
         resolve normally); new submissions are rejected.  With
         ``close_engine`` (the default) the engine's idempotent
-        ``close()`` then runs on the engine thread — checkpointing the
-        storage WAL into its snapshot and releasing executors — so a
-        graceful shutdown never loses acknowledged writes nor leaves
-        worker processes behind.
+        ``close()`` then runs on the engine thread — checkpointing every
+        shard's storage WAL into its snapshot and releasing the store
+        handles — so a graceful shutdown never loses acknowledged
+        writes.
         """
         if self._stopping:
             return

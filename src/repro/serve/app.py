@@ -124,7 +124,7 @@ class ServeApp:
         Order matters: the listener closes first (cancelling SSE
         streams), in-flight deferred jobs settle next, and the actor
         stops last — draining every queued operation and then running
-        the engine's ``close()`` (checkpoint + executor teardown), so an
+        the engine's ``close()`` (checkpoint + store release), so an
         acknowledged write is on disk when ``stop()`` returns.
         """
         await self.server.stop()

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from ..core.coordinator import ShardedFlowEngine
-from ..core.engine import LiveFlowEngine
+from ..core.engine import FlowEngine
 from ..datagen.config import SyntheticConfig
 from ..datagen.stream import stream_synthetic_records
 from ..indoor.builders import (
@@ -104,35 +103,25 @@ def build_engine(
             from memory only.  A populated store is **recovered**: its
             rows are replayed into the fresh engine before the first
             request.
-        shards: Shard count; ``1`` builds a
-            :class:`~repro.core.engine.LiveFlowEngine`, more a
-            :class:`~repro.core.coordinator.ShardedFlowEngine` with
-            hash-partitioned objects.
+        shards: Shard count (``num_shards`` of the
+            :class:`~repro.core.engine.FlowEngine`); more than one
+            hash-partitions the objects.
 
     Raises:
         ValueError: If ``shards < 1``.
     """
-    if shards < 1:
-        raise ValueError("shards must be positive")
-    if shards == 1:
-        backend = None if storage is None else SQLiteBackend(Path(storage))
-        return LiveFlowEngine(
-            venue.floorplan,
-            venue.deployment,
-            venue.pois,
-            v_max=venue.v_max,
-            detection_slack=venue.detection_slack,
-            storage=backend,
-        )
-    return ShardedFlowEngine(
+    backend: Optional[Union[SQLiteBackend, Path]] = None
+    if storage is not None:
+        backend = SQLiteBackend(Path(storage)) if shards == 1 else Path(storage)
+    return FlowEngine(
         venue.floorplan,
         venue.deployment,
         LiveTrackingTable(),
         venue.pois,
         v_max=venue.v_max,
-        num_shards=shards,
-        storage=None if storage is None else Path(storage),
         detection_slack=venue.detection_slack,
+        storage=backend,
+        num_shards=shards,
     )
 
 

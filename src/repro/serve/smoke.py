@@ -5,8 +5,9 @@ ephemeral port (tiny synthetic venue, memory storage), then walks the
 endpoint catalogue end to end exactly as a deployment probe would:
 health, ingest (batch + open/extend/close episode), sync and deferred
 queries, metrics, a standing monitor with a tick, and the SSE stream —
-asserting on every response.  Exits non-zero on the first failure, so
-the CI step is a plain command with no harness around it.
+asserting on every response.  The walk runs twice: over a one-shard
+engine and over a two-shard fleet.  Exits non-zero on the first failure,
+so the CI step is a plain command with no harness around it.
 """
 
 from __future__ import annotations
@@ -40,10 +41,22 @@ def _check(condition: bool, message: str) -> None:
         raise AssertionError(message)
 
 
+#: The engine shapes the walk covers: one shard and a two-shard fleet.
+_SHARD_COUNTS = (1, 2)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run the smoke session; returns 0 on success."""
+    for shards in _SHARD_COUNTS:
+        _walk(shards)
+    print("repro.serve smoke: OK")
+    return 0
+
+
+def _walk(shards: int) -> None:
+    """One scripted walk of the endpoint catalogue over ``shards`` shards."""
     venue = build_venue(_SMOKE_CONFIG)
-    engine = build_engine(venue)
+    engine = build_engine(venue, shards=shards)
     records = list(record_stream(_SMOKE_CONFIG))
     _check(len(records) > 10, "smoke workload produced too few records")
     t_mid = _SMOKE_CONFIG.duration / 2.0
@@ -59,6 +72,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check(
             outcome["ingested"] == len(records),
             f"ingest count mismatch: {outcome}",
+        )
+        health = client.health()
+        _check(
+            health["generation"] == len(records),
+            f"generation {health['generation']} != {len(records)} rows "
+            f"ingested ({shards} shard(s))",
         )
 
         result = client.query(
@@ -122,9 +141,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         folded = client.checkpoint()
         _check(folded >= 0, f"checkpoint folded {folded} < 0")
-
-    print("repro.serve smoke: OK")
-    return 0
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ guarantee the crash-recovery tests assert.  Object and device ids are
 JSON-encoded and therefore restricted to ``str``/``int`` (the simulated
 datasets use both); richer id types belong to the in-memory backend.
 
-**Fork safety.**  SQLite connections must not cross ``fork()`` (the
-:class:`~repro.core.coordinator.ForkedProcessExecutor` does).  The
-backend tags its connection with the owning pid and transparently opens a
-fresh one when used from a forked child.
+**Fork safety.**  SQLite connections must not cross ``fork()``, and
+user code embedding an engine may fork.  The backend tags its connection
+with the owning pid and transparently opens a fresh one when used from a
+forked child.
 """
 
 from __future__ import annotations
@@ -447,13 +447,13 @@ class SQLiteBackend:
 
 
 def sqlite_shard_stores(directory: str | Path) -> Callable[[int], SQLiteBackend]:
-    """Per-shard stores under one directory — the coordinator's layout.
+    """Per-shard stores under one directory — a sharded engine's layout.
 
-    Shard ``i`` of a :class:`~repro.core.coordinator.ShardedFlowEngine`
-    gets ``<directory>/shard-ii.sqlite``; the object partition is the
-    coordinator's own ``crc32(object_id) % N``, so reopening the same
-    directory with the same shard count recovers each partition into its
-    owning shard.
+    Shard ``i`` of a ``FlowEngine(num_shards=N)`` gets
+    ``<directory>/shard-ii.sqlite``; the object partition is
+    :func:`~repro.core.coordinator.shard_of`'s ``crc32(object_id) % N``,
+    so reopening the same directory with the same shard count recovers
+    each partition into its owning shard.
 
     Args:
         directory: Where the shard databases live (created if missing).

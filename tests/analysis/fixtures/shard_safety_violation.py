@@ -1,6 +1,6 @@
 """Seeded shard-safety violations (fixture — never imported by tests).
 
-Models the coordinator shapes with local stand-ins so the checker's
+Models the engine's shard shapes with local stand-ins so the checker's
 name-based guards fire without importing repro.core.
 """
 
@@ -16,9 +16,9 @@ class ShardState:
         self.generation += 1
 
 
-class ForkedProcessExecutor:
-    def run(self, calls: list) -> list:
-        return [call() for call in calls]
+# Only the engine's ingest seam may mutate a ShardState; each function
+# below bypasses it.  The seeded lines are pinned by test_checkers.py,
+# so this block keeps them where they were.
 
 
 def rebuild_index(shard: ShardState) -> None:
@@ -29,12 +29,3 @@ def rebuild_index(shard: ShardState) -> None:
 def sneak_ingest(shard: ShardState, records: list) -> None:
     # VIOLATION(shard-safety): guarded mutator call outside the seam.
     shard.ingest_batch(records)
-
-
-def fan_out(executor: ForkedProcessExecutor, shard: ShardState) -> None:
-    def worker() -> None:
-        # VIOLATION(shard-safety): fork-divergence — the submitted
-        # closure mutates captured coordinator-owned state.
-        shard.ingest_batch([])
-
-    executor.run([worker])

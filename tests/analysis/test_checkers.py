@@ -57,20 +57,6 @@ class TestShardSafety:
         lines = findings(ShardSafetyChecker(), fixture_graph, SHARD_FIXTURE)
         assert 26 in lines  # external attribute write shard.artree = ...
         assert 31 in lines  # shard.ingest_batch() outside the seam
-        assert 38 in lines  # fork-divergence in the submitted closure
-
-    def test_fork_divergence_message(self, fixture_graph):
-        model, graph = fixture_graph
-        forks = [
-            d
-            for d in ShardSafetyChecker().check(
-                model, graph, report_all=True
-            )
-            if "fork-divergence" in d.message
-        ]
-        assert len(forks) == 1
-        assert forks[0].path == str(SHARD_FIXTURE)
-        assert forks[0].line == 38
 
     def test_implementation_methods_stay_clean(self, fixture_graph):
         # ShardState.__init__ / ingest_batch mutate self: not flagged.

@@ -1,4 +1,4 @@
-"""``close()`` on both engines: flush, release, stay idempotent.
+"""``close()`` at every shard count: flush, release, stay idempotent.
 
 The serving layer (and any ``with`` block) relies on ``close()`` being
 terminal but safe to call twice, folding the WAL so the *next* process
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.coordinator import ShardedFlowEngine
 from repro.core.engine import FlowEngine, LiveFlowEngine
-from repro.storage import SQLiteBackend
+from repro.storage import SQLiteBackend, sqlite_shard_stores
 from repro.tracking.table import ObjectTrackingTable
 
 
@@ -28,6 +27,13 @@ def _engine_kwargs(ds):
 
 def _live_engine(ds, backend=None):
     return LiveFlowEngine(storage=backend, **_engine_kwargs(ds))
+
+
+def _fleet_storage(fleet_dir, num_shards):
+    """A fleet stores into a directory; one shard into shard 0's store."""
+    if num_shards == 1:
+        return sqlite_shard_stores(fleet_dir)(0)
+    return fleet_dir
 
 
 class TestFlowEngineClose:
@@ -152,22 +158,24 @@ class TestShardedEngineClose:
         fleet_dir = tmp_path / "fleet"
         kwargs = _engine_kwargs(ds)
 
-        with ShardedFlowEngine(
+        with FlowEngine(
             kwargs.pop("floorplan"), kwargs.pop("deployment"),
             ObjectTrackingTable(), kwargs.pop("pois"),
-            num_shards=num_shards, live=True, storage=fleet_dir, **kwargs,
+            num_shards=num_shards, live=True,
+            storage=_fleet_storage(fleet_dir, num_shards), **kwargs,
         ) as sharded:
             assert sharded.ingest(records) == len(records)
             sharded.close()  # explicit close + __exit__ close: idempotent
 
         kwargs = _engine_kwargs(ds)
-        reopened = ShardedFlowEngine(
+        reopened = FlowEngine(
             kwargs.pop("floorplan"), kwargs.pop("deployment"),
             ObjectTrackingTable(), kwargs.pop("pois"),
-            num_shards=num_shards, live=True, storage=fleet_dir, **kwargs,
+            num_shards=num_shards, live=True,
+            storage=_fleet_storage(fleet_dir, num_shards), **kwargs,
         )
         assert reopened.generation == len(records)
-        # Every per-shard store was folded before its worker shut down.
+        # Every per-shard store was folded before it was released.
         for shard in reopened.shards:
             backend = shard.storage
             assert backend.replay_since(backend.snapshot_generation) == []
@@ -182,7 +190,7 @@ class TestShardedEngineClose:
     def test_storage_less_fleet_close_is_idempotent(self, synthetic_dataset):
         ds = synthetic_dataset
         kwargs = _engine_kwargs(ds)
-        sharded = ShardedFlowEngine(
+        sharded = FlowEngine(
             kwargs.pop("floorplan"), kwargs.pop("deployment"),
             ds.ott, kwargs.pop("pois"), num_shards=2, **kwargs,
         )

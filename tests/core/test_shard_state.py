@@ -1,10 +1,10 @@
 """Unit tests for the shard-layer building blocks.
 
-Covers the pieces the coordinator composes: stats merge helpers, the
+Covers the pieces a sharded engine composes: stats merge helpers, the
 per-shard cache budget split, tracking-table partition views, the
 AR-tree's object-subset build seam, and a property test that throws
-arbitrary consistent tables at the sharded engine and requires bit
-identity with the monolith.
+arbitrary consistent tables at ``FlowEngine(num_shards=N)`` and requires
+bit identity with the monolith.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FlowEngine, ShardedFlowEngine
+from repro.core import FlowEngine
 from repro.core.caching import shard_cache_capacity
 from repro.core.shard import ShardState
 from repro.core.stats import merge_component_stats, merge_shard_stats
@@ -222,10 +222,6 @@ class TestShardState:
         )
         assert set(shard.stats()) == set(engine.stats())
 
-    def test_obs_control_rejects_unknown_action(self):
-        with pytest.raises(ValueError, match="unknown obs action"):
-            self._shard().obs_control("explode")
-
 
 # ----------------------------------------------------------------------
 # Property: arbitrary tables, sharded == monolith, bit for bit
@@ -268,7 +264,7 @@ class TestShardedProperty:
         mono = FlowEngine(
             _PLAN, _DEPLOYMENT, ott, _POIS, v_max=1.5, resolution=16
         )
-        sharded = ShardedFlowEngine(
+        sharded = FlowEngine(
             _PLAN,
             _DEPLOYMENT,
             ott,

@@ -1,25 +1,21 @@
-"""Merge equivalence: the sharded coordinator against the monolith.
+"""Merge equivalence: ``FlowEngine(num_shards=N)`` against the monolith.
 
 The contract under test is *bit identity*: for every shard count, query
-form, processing method and contracts setting, `ShardedFlowEngine` must
-return exactly the monolith's ranking **and** exactly its float flow
+form, processing method and contracts setting, a sharded `FlowEngine`
+must return exactly the monolith's ranking **and** exactly its float flow
 values — the canonical contribution merge reproduces the monolithic
 accumulation order, so not even the last ulp may differ.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.contracts import set_contracts
-from repro.core import (
-    FlowEngine,
-    ForkedProcessExecutor,
-    SerialExecutor,
-    ShardedFlowEngine,
-    SnapshotTopKMonitor,
-    shard_of,
-)
+from repro.core import FlowEngine, SnapshotTopKMonitor, shard_of
+from repro.storage import MemoryBackend
 from repro.tracking.records import TrackingRecord
 from repro.tracking.table import LiveTrackingTable
 
@@ -32,7 +28,7 @@ def assert_identical(result_a, result_b):
 
 def make_sharded(dataset, num_shards, **kwargs):
     kwargs.setdefault("detection_slack", 2.0 * dataset.sampling_interval)
-    return ShardedFlowEngine(
+    return FlowEngine(
         dataset.floorplan,
         dataset.deployment,
         dataset.ott,
@@ -151,10 +147,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="num_shards"):
             make_sharded(synthetic_dataset, 0)
 
-    def test_rejects_unknown_executor(self, synthetic_dataset):
-        with pytest.raises(ValueError, match="executor"):
-            make_sharded(synthetic_dataset, 2, executor="threads")
-
     def test_rejects_unknown_method(self, sharded_engines):
         with pytest.raises(ValueError, match="method"):
             sharded_engines[2].snapshot_topk(600.0, 5, method="magic")
@@ -175,6 +167,18 @@ class TestValidation:
     def test_frozen_fleet_rejects_ingest(self, sharded_engines):
         with pytest.raises(RuntimeError, match="frozen-batch"):
             sharded_engines[2].ingest([])
+
+    @pytest.mark.parametrize(
+        "num_shards, storage",
+        [(1, "directory"), (2, "backend")],
+        ids=["one-shard-directory", "fleet-backend"],
+    )
+    def test_rejects_storage_of_the_other_shape(
+        self, synthetic_dataset, tmp_path, num_shards, storage
+    ):
+        store = tmp_path / "fleet" if storage == "directory" else MemoryBackend()
+        with pytest.raises(ValueError, match="stores into"):
+            make_sharded(synthetic_dataset, num_shards, live=True, storage=store)
 
 
 class TestPartitioning:
@@ -232,7 +236,7 @@ class TestLiveIngest:
             v_max=dataset.v_max,
             detection_slack=2.0 * dataset.sampling_interval,
         )
-        sharded = ShardedFlowEngine(
+        sharded = FlowEngine(
             dataset.floorplan,
             dataset.deployment,
             LiveTrackingTable(head),
@@ -246,7 +250,7 @@ class TestLiveIngest:
     def test_routed_ingest_stays_bit_identical(self, synthetic_dataset):
         mono, sharded, tail = self._live_pair(synthetic_dataset, 3)
         assert mono.ingest(tail) == sharded.ingest(tail) == len(tail)
-        assert sharded.generation == len(tail)
+        assert sharded.generation == mono.generation
         for method in ("join", "iterative"):
             assert_identical(
                 mono.snapshot_topk(600.0, 5, method=method),
@@ -286,7 +290,7 @@ class TestLiveIngest:
             mono.interval_topk(t0, t0 + 30.0, 5),
             sharded.interval_topk(t0, t0 + 30.0, 5),
         )
-        assert sharded.generation == len(tail) + 3
+        assert sharded.generation == mono.generation
 
 
 class TestMonitorOverCoordinator:
@@ -303,48 +307,156 @@ class TestMonitorOverCoordinator:
         assert monitor_sharded.stats()["shard_prunes"] >= 0
 
 
-class TestExecutors:
-    def test_serial_executor_is_in_process(self, sharded_engines):
-        assert isinstance(sharded_engines[2].executor, SerialExecutor)
-        assert sharded_engines[2].executor.in_process
-
-    def test_forked_executor_matches_monolith(
-        self, synthetic_dataset, synthetic_engine
+class TestGeneration:
+    def test_partially_applied_batch_counts_applied_records(
+        self, synthetic_dataset
     ):
-        with make_sharded(
-            synthetic_dataset, 2, executor="process"
-        ) as sharded:
-            assert isinstance(sharded.executor, ForkedProcessExecutor)
-            assert not sharded.executor.in_process
-            for method in ("join", "iterative"):
-                assert_identical(
-                    synthetic_engine.snapshot_topk(600.0, 5, method=method),
-                    sharded.snapshot_topk(600.0, 5, method=method),
-                )
-            assert_identical(
-                synthetic_engine.interval_topk(300.0, 900.0, 5),
-                sharded.interval_topk(300.0, 900.0, 5),
+        """A shard rejecting a record must not hide the other's append."""
+        records = sorted(
+            synthetic_dataset.ott, key=lambda r: (r.t_s, r.t_e, r.record_id)
+        )[:50]
+        fleet = FlowEngine(
+            synthetic_dataset.floorplan,
+            synthetic_dataset.deployment,
+            LiveTrackingTable(),
+            synthetic_dataset.pois,
+            v_max=synthetic_dataset.v_max,
+            num_shards=2,
+        )
+        assert fleet.ingest(records) == 50
+        assert fleet.generation == 50
+        last = {record.object_id: record for record in records}
+        owner_0 = next(o for o in last if shard_of(o, 2) == 0)
+        owner_1 = next(o for o in last if shard_of(o, 2) == 1)
+        t_next = max(record.t_e for record in records) + 10.0
+        valid = TrackingRecord(
+            10**6, owner_0, last[owner_0].device_id, t_next, t_next + 5.0
+        )
+        overlapping = TrackingRecord(
+            10**6 + 1,
+            owner_1,
+            last[owner_1].device_id,
+            last[owner_1].t_e - 1.0,  # starts before the tail record ends
+            last[owner_1].t_e + 1.0,
+        )
+        with pytest.raises(ValueError):
+            fleet.ingest([valid, overlapping])
+        assert fleet.generation == 51
+        assert fleet.generation == sum(s.generation for s in fleet.shards)
+
+
+class TestRegionIntrospection:
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    def test_regions_match_monolith(
+        self, synthetic_dataset, synthetic_engine, sharded_engines, num_shards
+    ):
+        sharded = sharded_engines[num_shards]
+        bounds = synthetic_dataset.floorplan.bounds
+        xs, ys = np.meshgrid(
+            np.linspace(bounds.min_x, bounds.max_x, 41),
+            np.linspace(bounds.min_y, bounds.max_y, 41),
+        )
+        xs, ys = xs.ravel(), ys.ravel()
+
+        def signature(region):
+            if region is None:
+                return None
+            return region.mbr, region.contains_many(xs, ys).tolist()
+
+        t = 600.0
+        for object_id in synthetic_dataset.ott.object_ids:
+            assert signature(
+                synthetic_engine.snapshot_region_of(object_id, t)
+            ) == signature(sharded.snapshot_region_of(object_id, t))
+            expected = synthetic_engine.interval_region_of(
+                object_id, 300.0, 900.0
             )
-            snapshot = sharded.obs_snapshot()
-            assert set(snapshot) == {"schema_version", "spans", "metrics"}
+            actual = sharded.interval_region_of(object_id, 300.0, 900.0)
+            assert (expected is None) == (actual is None)
+            if expected is not None:
+                assert [(e.kind, e.key) for e in expected.episodes] == [
+                    (e.kind, e.key) for e in actual.episodes
+                ]
+                assert signature(expected.region) == signature(actual.region)
 
-    def test_forked_executor_propagates_errors(self, synthetic_dataset):
-        with make_sharded(
-            synthetic_dataset, 2, executor="process"
-        ) as sharded:
-            with pytest.raises(ValueError, match="empty"):
-                sharded.snapshot_topk(600.0, 5, pois=[])
-            # The pipes stay usable after an error round-trip.
-            assert len(sharded.snapshot_topk(600.0, 5)) == 5
 
-    def test_executor_factory_callable(self, synthetic_dataset):
-        built = []
+#: The span paths a cold one-shard engine records for the four queries in
+#: TestOneShardPath — the monolith's join and iterative code, nothing of
+#: the fleet's bound/merge path.
+ONE_SHARD_SPANS = {
+    ("query.interval.iterative",),
+    ("query.interval.iterative", "candidates.interval"),
+    ("query.interval.iterative", "presence.accumulate"),
+    ("query.interval.iterative", "ur.interval"),
+    ("query.interval.join",),
+    ("query.interval.join", "candidates.interval"),
+    ("query.interval.join", "candidates.interval", "ur.interval"),
+    ("query.interval.join", "candidates.interval", "ur.interval",
+     "ur.build.detection"),
+    ("query.interval.join", "candidates.interval", "ur.interval",
+     "ur.build.gap"),
+    ("query.interval.join", "join.bound_refine"),
+    ("query.interval.join", "join.bound_refine", "presence.quadrature"),
+    ("query.interval.join", "join.build_ri"),
+    ("query.snapshot.iterative",),
+    ("query.snapshot.iterative", "candidates.snapshot"),
+    ("query.snapshot.iterative", "presence.accumulate"),
+    ("query.snapshot.iterative", "presence.accumulate", "presence.quadrature"),
+    ("query.snapshot.iterative", "ur.snapshot"),
+    ("query.snapshot.iterative", "ur.snapshot", "ur.build.snapshot"),
+    ("query.snapshot.join",),
+    ("query.snapshot.join", "candidates.snapshot"),
+    ("query.snapshot.join", "join.bound_refine"),
+    ("query.snapshot.join", "join.bound_refine", "presence.quadrature"),
+    ("query.snapshot.join", "join.bound_refine", "ur.build.snapshot"),
+    ("query.snapshot.join", "join.build_ri"),
+}
 
-        def factory(shards):
-            executor = SerialExecutor(shards)
-            built.append(executor)
-            return executor
+ONE_SHARD_STATS_KEYS = {
+    "artree_compactions",
+    "artree_delta_entries",
+    "data_generation",
+    "estimator_cached_pois",
+    "poi_subset_trees_built",
+    "presence_cache_entries",
+    "presence_cache_hits",
+    "presence_evaluations",
+    "region_cache_entries",
+    "region_cache_hits",
+    "regions_computed",
+    "topology_prunes",
+}
 
-        engine = make_sharded(synthetic_dataset, 2, executor=factory)
-        assert engine.executor is built[0]
-        assert len(engine.snapshot_topk(600.0, 3)) == 3
+
+class TestOneShardPath:
+    def _span_paths(self, engine):
+        obs.enable()
+        obs.reset()
+        try:
+            engine.snapshot_topk(600.0, 5)
+            engine.interval_topk(300.0, 900.0, 5)
+            engine.snapshot_topk(600.0, 5, method="iterative")
+            engine.interval_topk(300.0, 900.0, 5, method="iterative")
+            return {
+                tuple(row["path"]) for row in obs.snapshot_dict()["spans"]
+            }
+        finally:
+            obs.disable()
+            obs.reset()
+
+    def test_spans_and_stats_keys_are_the_monoliths(self, synthetic_dataset):
+        engine = make_sharded(synthetic_dataset, 1)
+        assert self._span_paths(engine) == ONE_SHARD_SPANS
+        assert set(engine.stats()) == ONE_SHARD_STATS_KEYS
+
+    def test_fleet_adds_its_own_spans_and_prune_counter(
+        self, synthetic_dataset
+    ):
+        engine = make_sharded(synthetic_dataset, 2)
+        roots = {path[0] for path in self._span_paths(engine)}
+        assert roots == {
+            f"query.sharded.{form}.{method}"
+            for form in ("snapshot", "interval")
+            for method in ("join", "iterative")
+        }
+        assert set(engine.stats()) == ONE_SHARD_STATS_KEYS | {"shard_prunes"}

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import set_contracts
-from repro.core import FlowEngine, ShardedFlowEngine
+from repro.core import FlowEngine
 from repro.datagen.config import SyntheticConfig
 from repro.datagen.synthetic import build_synthetic_dataset
-from repro.storage import SQLiteBackend
+from repro.storage import SQLiteBackend, sqlite_shard_stores
 from repro.tracking import ObjectTrackingTable, TrackingRecord
 
 CONFIG = SyntheticConfig(
@@ -65,6 +65,13 @@ def storage_engine(ds, backend):
         ott=ObjectTrackingTable(), live=True, storage=backend,
         **engine_kwargs(ds),
     )
+
+
+def fleet_storage(fleet_dir, num_shards):
+    """A fleet stores into a directory; one shard into shard 0's store."""
+    if num_shards == 1:
+        return sqlite_shard_stores(fleet_dir)(0)
+    return fleet_dir
 
 
 def sever(engine):
@@ -237,20 +244,20 @@ class TestShardedStores:
         fleet_dir = tmp_path / "fleet"
         kwargs = dict(detection_slack=2.0 * ds.sampling_interval)
 
-        sharded = ShardedFlowEngine(
+        sharded = FlowEngine(
             ds.floorplan, ds.deployment, ObjectTrackingTable(), ds.pois,
             v_max=ds.v_max, num_shards=num_shards, live=True,
-            storage=fleet_dir, **kwargs,
+            storage=fleet_storage(fleet_dir, num_shards), **kwargs,
         )
         assert sharded.ingest(records) == len(records)
         assert sharded.checkpoint() == len(records)
         for shard in sharded.shards:
             shard.storage.close()
 
-        reopened = ShardedFlowEngine(
+        reopened = FlowEngine(
             ds.floorplan, ds.deployment, ObjectTrackingTable(), ds.pois,
             v_max=ds.v_max, num_shards=num_shards, live=True,
-            storage=fleet_dir, **kwargs,
+            storage=fleet_storage(fleet_dir, num_shards), **kwargs,
         )
         assert reopened.generation == len(records)
         assert_identical_answers(ds, reopened, reference_engine)
@@ -260,7 +267,7 @@ class TestShardedStores:
         fleet_dir = tmp_path / "fleet"
         kwargs = dict(detection_slack=2.0 * ds.sampling_interval)
 
-        sharded = ShardedFlowEngine(
+        sharded = FlowEngine(
             ds.floorplan, ds.deployment, ObjectTrackingTable(), ds.pois,
             v_max=ds.v_max, num_shards=4, live=True, storage=fleet_dir,
             **kwargs,
@@ -270,7 +277,7 @@ class TestShardedStores:
             shard.storage.close()
 
         with pytest.raises(ValueError, match="different shard count"):
-            ShardedFlowEngine(
+            FlowEngine(
                 ds.floorplan, ds.deployment, ObjectTrackingTable(), ds.pois,
                 v_max=ds.v_max, num_shards=3, live=True, storage=fleet_dir,
                 **kwargs,
