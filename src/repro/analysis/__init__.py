@@ -29,11 +29,11 @@ from .callgraph import CallGraph, CallSite
 from .checkers import ALL_CHECKERS, Checker, checkers_by_name
 from .contracts import (
     ContractViolation,
-    check_anchor_vector,
     check_area,
     check_cached_value,
     check_flow,
     check_presence,
+    check_quadrature,
     check_region_fingerprint,
     check_upper_bound,
     contracts_enabled,
@@ -56,11 +56,11 @@ __all__ = [
     "LintReport",
     "ProjectModel",
     "analyze",
-    "check_anchor_vector",
     "check_area",
     "check_cached_value",
     "check_flow",
     "check_presence",
+    "check_quadrature",
     "check_region_fingerprint",
     "check_upper_bound",
     "checkers_by_name",

@@ -12,12 +12,13 @@ type checker can see:
   best-first termination test returns wrong top-k sets (Section 4.2);
 * cached == fresh — a memoized region/presence must agree with a from-
   scratch recomputation (the PR 1 cache-coherence invariant).
-* memoized anchor vectors (per-sample distances from a device centre)
-  equal their recomputation bitwise.
+* batched quadrature counts equal the reference ``Region.contains_many``
+  count on the same sample grid.
 
-Checks are **off by default** and cost one truthiness test per call site.
-Set ``REPRO_CONTRACTS=1`` (CI does, for the whole test suite) to enable
-them; a violation raises :class:`ContractViolation`, an ``AssertionError``
+Checks are **off by default** and cost one read of a module flag per call
+site.  Set ``REPRO_CONTRACTS=1`` (CI does, for the whole test suite) to
+enable them; the flag is read when this module is imported and again by
+``set_contracts(None)``.  A violation raises :class:`ContractViolation`, an ``AssertionError``
 subclass, naming the invariant and the offending values.
 
 This module deliberately imports nothing from the rest of the package so
@@ -29,15 +30,13 @@ from __future__ import annotations
 import math
 import os
 
-import numpy as np
-
 __all__ = [
     "ContractViolation",
-    "check_anchor_vector",
     "check_area",
     "check_cached_value",
     "check_flow",
     "check_presence",
+    "check_quadrature",
     "check_region_fingerprint",
     "check_storage_generation",
     "check_upper_bound",
@@ -53,7 +52,12 @@ _TRUTHY = frozenset({"1", "true", "yes", "on"})
 #: drift beyond this is a real invariant break, not float noise.
 _TOLERANCE = 1e-6
 
-_override: bool | None = None
+
+def _env_flag() -> bool:
+    return os.environ.get(_ENV_VAR, "").strip().lower() in _TRUTHY
+
+
+_enabled = _env_flag()
 
 
 class ContractViolation(AssertionError):
@@ -61,16 +65,14 @@ class ContractViolation(AssertionError):
 
 
 def contracts_enabled() -> bool:
-    """Whether contract checks run (env flag, unless overridden)."""
-    if _override is not None:
-        return _override
-    return os.environ.get(_ENV_VAR, "").strip().lower() in _TRUTHY
+    """Whether contract checks run (the env flag, unless overridden)."""
+    return _enabled
 
 
 def set_contracts(enabled: bool | None) -> None:
-    """Force contracts on/off (tests); ``None`` returns to the env flag."""
-    global _override
-    _override = enabled
+    """Force contracts on/off (tests); ``None`` re-reads the env flag."""
+    global _enabled
+    _enabled = _env_flag() if enabled is None else bool(enabled)
 
 
 def _fail(message: str) -> None:
@@ -141,32 +143,20 @@ def check_cached_value(
     return cached
 
 
-def _bitwise_equal(cached: object, fresh: object) -> bool:
-    if isinstance(cached, (tuple, list)) and isinstance(fresh, (tuple, list)):
-        return (
-            type(cached) is type(fresh)
-            and len(cached) == len(fresh)
-            and all(_bitwise_equal(a, b) for a, b in zip(cached, fresh))
-        )
-    if isinstance(cached, np.ndarray) and isinstance(fresh, np.ndarray):
-        return cached.dtype == fresh.dtype and bool(
-            np.array_equal(cached, fresh, equal_nan=cached.dtype.kind == "f")
-        )
-    return type(cached) is type(fresh) and bool(cached == fresh)
+def check_quadrature(
+    batched: int, reference: int, *, where: str = "presence"
+) -> None:
+    """Batched quadrature: a sample count equals the reference count.
 
-
-def check_anchor_vector(cached: object, fresh: object, *, key: object = None) -> None:
-    """Anchor-memo coherence: a memoized per-sample value equals its recomputation.
-
-    The values are anchor vectors (distances from a device centre to a POI
-    sample grid), batch bounds or room assignments; arrays must match
-    element for element with the same dtype (``np.array_equal``), because
-    presence counts are exact and any difference could flip a sample.
+    ``batched`` is the number of POI grid samples the batched evaluator
+    found inside a region; ``reference`` is ``region.contains_many`` summed
+    on writable copies of the same grid.  Counts are exact integers, so
+    any difference is a lowering or pruning bug, never round-off.
     """
-    if contracts_enabled() and not _bitwise_equal(cached, fresh):
+    if contracts_enabled() and batched != reference:
         _fail(
-            f"memoized anchor vector for {key!r} differs from a fresh "
-            "computation on the same sample batch"
+            f"{where}: batched quadrature counted {batched} samples inside, "
+            f"the region's contains_many counts {reference}"
         )
 
 

@@ -119,6 +119,10 @@ def _match_entries(
     return matched, upper_bound
 
 
+#: ``presences(poi, objects)``: the presence of every object in one POI.
+Presences = Callable[[Poi, Sequence[JoinObject]], list[float]]
+
+
 def _topk_join(
     poi_tree: RTree,
     pois: Sequence[Poi],
@@ -127,20 +131,22 @@ def _topk_join(
     estimator: PresenceEstimator | None = None,
     use_segment_mbrs: bool = False,
     rtree_fanout: int = 8,
-    presence: Callable[[JoinObject, Poi], float] | None = None,
+    presences: Presences | None = None,
 ) -> TopKResult:
     """The shared best-first R_P x R_I join (Algorithms 2/5 unified).
 
-    Presence is evaluated through ``presence(obj, poi)`` when given (the
-    context-based entry points pass a memoizing closure); otherwise through
-    ``estimator`` directly.
+    A refined POI's whole join list is evaluated in one call of
+    ``presences(poi, objects)`` when given (the context-based entry points
+    pass a memoizing closure); otherwise through ``estimator`` directly.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if presence is None:
+    if presences is None:
         if estimator is None:
             raise ValueError("either an estimator or a presence function is needed")
-        presence = lambda obj, poi: estimator.presence(obj.region(), poi)
+        presences = lambda poi, batch: estimator.presences(
+            poi, [obj.region() for obj in batch]
+        )
     if not objects or len(poi_tree) == 0:
         return rank_top_k({}, pois, k)
 
@@ -184,7 +190,7 @@ def _topk_join(
             object_tree,
             k,
             use_segment_mbrs,
-            presence,
+            presences,
         )
 
     if len(confirmed) < k:
@@ -205,7 +211,7 @@ def _drain_heap(
     object_tree: AggregateRTree,
     k: int,
     use_segment_mbrs: bool,
-    presence: Callable[[JoinObject, Poi], float],
+    presences: Presences,
 ) -> list[RankedPoi]:
     """The best-first refinement loop of Algorithms 2/3/5.
 
@@ -231,15 +237,17 @@ def _drain_heap(
         if poi_entry.is_leaf_entry:
             if lists_are_leaf:
                 poi: Poi = poi_entry.item
-                flow = 0.0
                 # Canonical accumulation order (see JoinObject.order_key):
                 # float addition is not associative, so summing in R-tree
                 # traversal order would drift from the iterative baseline
                 # in the last bits.
-                for object_entry in sorted(
-                    join_list, key=lambda e: e.item.order_key
-                ):
-                    flow += presence(object_entry.item, poi)
+                ordered = sorted(
+                    (entry.item for entry in join_list),
+                    key=lambda obj: obj.order_key,
+                )
+                flow = 0.0
+                for value in presences(poi, ordered):
+                    flow += value
                 if contracts_enabled():
                     # The count bound the queue scheduled this POI under
                     # must dominate the refined flow, or best-first order
@@ -284,11 +292,15 @@ def _drain_heap(
 # ----------------------------------------------------------------------
 
 
-def _ctx_presence(
-    ctx: EvaluationContext,
-) -> Callable[[JoinObject, Poi], float]:
-    """Presence through the context's memo layer, keyed per join object."""
-    return lambda obj, poi: ctx.presence(obj.region(), poi, obj.region_key)
+def _ctx_presences(ctx: EvaluationContext) -> Presences:
+    """Batched presence through the context's memo layer.
+
+    Regions are derived (the paper's H_U) before the batch is evaluated,
+    in the join list's canonical order.
+    """
+    return lambda poi, batch: ctx.presences(
+        poi, [(obj.region(), obj.region_key) for obj in batch]
+    )
 
 
 def join_snapshot(
@@ -323,7 +335,7 @@ def join_snapshot(
         objects,
         k,
         rtree_fanout=ctx.rtree_fanout,
-        presence=_ctx_presence(ctx),
+        presences=_ctx_presences(ctx),
     )
 
 
@@ -375,5 +387,5 @@ def join_interval(
         k,
         use_segment_mbrs=use_segment_mbrs,
         rtree_fanout=ctx.rtree_fanout,
-        presence=_ctx_presence(ctx),
+        presences=_ctx_presences(ctx),
     )

@@ -43,7 +43,7 @@ append invalidation is surgical, never a cache flush.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Hashable, TypeVar, cast
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence, TypeVar, cast
 
 from ..analysis.contracts import (
     check_cached_value,
@@ -466,14 +466,9 @@ class EvaluationContext:
     def presence(
         self, region: Region, poi: "Poi", fingerprint: Hashable | None = None
     ) -> float:
-        """Memoized presence ``area(UR ∩ p) / area(p)``.
+        """Memoized presence ``area(UR ∩ p) / area(p)`` of one region.
 
-        ``fingerprint`` identifies the region's geometry; pass ``None`` for
-        regions not built through this context (no caching, still counted).
-
-        With :mod:`repro.obs` enabled, quadrature runs are timed under a
-        ``presence.quadrature`` span and hits/misses mirrored into the
-        ``ctx.presence.hits`` / ``ctx.presence.misses`` counters.
+        A batch of one through :meth:`presences`.
 
         Args:
             region: The uncertainty region.
@@ -483,46 +478,82 @@ class EvaluationContext:
 
         Returns:
             The presence value in ``[0, 1]``.
+        """
+        return self.presences(poi, ((region, fingerprint),))[0]
+
+    def presences(
+        self,
+        poi: "Poi",
+        batch: Sequence[tuple[Region, Hashable | None]],
+    ) -> list[float]:
+        """Memoized presences of many regions in one POI.
+
+        Each item is ``(region, fingerprint)``; the fingerprint identifies
+        the region's geometry (``None`` for regions not built through this
+        context: no caching, still counted).  Cache hits are resolved
+        first; the misses are evaluated together in one batched quadrature
+        pass over the POI's grid (:meth:`PresenceEstimator.presences`).
+
+        With :mod:`repro.obs` enabled, that pass is timed under one
+        ``presence.quadrature`` span and hits/misses are mirrored into the
+        ``ctx.presence.hits`` / ``ctx.presence.misses`` counters.
+
+        Args:
+            poi: The POI to intersect the regions with.
+            batch: ``(region, fingerprint)`` pairs.
+
+        Returns:
+            The presence values in ``[0, 1]``, in batch order.
 
         Raises:
-            AssertionError: Under ``REPRO_CONTRACTS=1``, if the estimator
-                returns a value outside ``[0, 1]`` or a cached value
-                diverges from a fresh evaluation.
+            AssertionError: Under ``REPRO_CONTRACTS=1``, if a value falls
+                outside ``[0, 1]``, a batched count differs from
+                ``contains_many`` or a cached value diverges from a fresh
+                evaluation.
         """
-        if fingerprint is None:
-            self.stats.presence_evaluations += 1
-            if obs_enabled():
-                counter("ctx.presence.misses", unit="evaluations").inc()
-                with span("presence.quadrature"):
-                    value = self.estimator.presence(region, poi)
-            else:
-                value = self.estimator.presence(region, poi)
-            return check_presence(
-                value, where=f"presence in POI {poi.poi_id!r}"
-            )
-        key = (fingerprint, poi.poi_id, self.params_epoch)
-        cached = self._presence_cache.get(key)
-        if cached is not None:
-            self.stats.presence_cache_hits += 1
-            if obs_enabled():
-                counter("ctx.presence.hits", unit="evaluations").inc()
+        values: list[float] = [0.0] * len(batch)
+        misses: list[int] = []
+        hits: list[int] = []
+        cache = self._presence_cache
+        poi_id = poi.poi_id
+        for index, (_, fingerprint) in enumerate(batch):
+            if fingerprint is not None:
+                cached = cache.get((fingerprint, poi_id, self.params_epoch))
+                if cached is not None:
+                    values[index] = cached
+                    hits.append(index)
+                    continue
+            misses.append(index)
+        instrumented = obs_enabled()
+        if hits:
+            self.stats.presence_cache_hits += len(hits)
+            if instrumented:
+                counter("ctx.presence.hits", unit="evaluations").inc(len(hits))
             if contracts_enabled():
-                check_cached_value(
-                    cached,
-                    self.estimator.presence(region, poi),
-                    what=f"presence in POI {poi.poi_id!r}",
-                    key=fingerprint,
+                fresh = self.estimator.presences(
+                    poi, [batch[index][0] for index in hits]
                 )
-            return cached
-        self.stats.presence_evaluations += 1
-        if obs_enabled():
-            counter("ctx.presence.misses", unit="evaluations").inc()
+                for index, value in zip(hits, fresh):
+                    check_cached_value(
+                        values[index],
+                        value,
+                        what=f"presence in POI {poi_id!r}",
+                        key=batch[index][1],
+                    )
+        if not misses:
+            return values
+        self.stats.presence_evaluations += len(misses)
+        regions = [batch[index][0] for index in misses]
+        if instrumented:
+            counter("ctx.presence.misses", unit="evaluations").inc(len(misses))
             with span("presence.quadrature"):
-                fresh = self.estimator.presence(region, poi)
+                fresh = self.estimator.presences(poi, regions)
         else:
-            fresh = self.estimator.presence(region, poi)
-        value = check_presence(
-            fresh, where=f"presence in POI {poi.poi_id!r}"
-        )
-        self._presence_cache.put(key, value)
-        return value
+            fresh = self.estimator.presences(poi, regions)
+        where = f"presence in POI {poi_id!r}"
+        for index, value in zip(misses, fresh):
+            values[index] = check_presence(value, where=where)
+            fingerprint = batch[index][1]
+            if fingerprint is not None:
+                cache.put((fingerprint, poi_id, self.params_epoch), value)
+        return values

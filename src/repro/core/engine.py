@@ -84,6 +84,15 @@ __all__ = ["FlowEngine", "LiveFlowEngine", "DEFAULT_POI_SUBSET_CACHE_SIZE"]
 _METHODS = ("join", "iterative")
 
 
+def _checked_k(k: object) -> int:
+    """``k`` if it is a positive ``int`` (``bool`` is not a count)."""
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"k must be an int, got {k!r} ({type(k).__name__})")
+    if k < 1:
+        raise ValueError("k must be positive")
+    return k
+
+
 class FlowEngine:
     """Query engine for frequently-visited-POI analysis.
 
@@ -574,9 +583,11 @@ class FlowEngine:
             exact for every returned POI.
 
         Raises:
+            TypeError: If ``k`` is not an ``int`` (or is a ``bool``).
             ValueError: If ``method`` is unknown, ``k < 1``, or an empty
                 ``pois`` sequence is passed.
         """
+        k = _checked_k(k)
         if method not in _METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {_METHODS}"
@@ -625,9 +636,11 @@ class FlowEngine:
             The ranked :class:`~repro.core.queries.TopKResult`.
 
         Raises:
+            TypeError: If ``k`` is not an ``int`` (or is a ``bool``).
             ValueError: If ``method`` is unknown, ``k < 1``, the window
                 is inverted, or an empty ``pois`` sequence is passed.
         """
+        k = _checked_k(k)
         if method not in _METHODS:
             raise ValueError(
                 f"unknown method {method!r}; expected one of {_METHODS}"
@@ -738,8 +751,10 @@ class FlowEngine:
             The ranked result; each entry's ``flow`` is flow per m².
 
         Raises:
+            TypeError: If ``k`` is not an ``int`` (or is a ``bool``).
             ValueError: If ``k < 1`` or an empty ``pois`` is passed.
         """
+        k = _checked_k(k)
         query_pois, _ = self._query_pois(pois)
         flows = self.snapshot_flows(t, pois=query_pois)
         return rank_top_k_by_density(flows, query_pois, k)
@@ -763,8 +778,10 @@ class FlowEngine:
             The ranked result; each entry's ``flow`` is flow per m².
 
         Raises:
+            TypeError: If ``k`` is not an ``int`` (or is a ``bool``).
             ValueError: If ``k < 1`` or an empty ``pois`` is passed.
         """
+        k = _checked_k(k)
         query_pois, _ = self._query_pois(pois)
         flows = self.interval_flows(t_start, t_end, pois=query_pois)
         return rank_top_k_by_density(flows, query_pois, k)

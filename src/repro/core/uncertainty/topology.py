@@ -29,11 +29,13 @@ a deployment is small and static, so the cache converges quickly.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ...geometry import Mbr, Point, Region
+from ...geometry.program import Dnf, pair, threshold
 from ...indoor.devices import Device
 from ...indoor.distance import IndoorDistanceOracle, PointDistanceField
 
@@ -55,7 +57,7 @@ class ReachabilityConstraint(Region):
     anchored at the range center.
     """
 
-    __slots__ = ("field", "radius", "budget", "_mbr")
+    __slots__ = ("field", "radius", "budget", "_mbr", "_program")
 
     def __init__(self, field: PointDistanceField, radius: float, budget: float):
         if radius < 0 or budget < 0:
@@ -84,6 +86,10 @@ class ReachabilityConstraint(Region):
         )
         return result
 
+    def lower(self) -> Dnf:
+        row = ("in", self.field.token)
+        return ((threshold(row, -math.inf, self.budget + 1e-9, sub=self.radius),),)
+
 
 class PathReachabilityConstraint(Region):
     """Points on an indoor path between two ranges within a total budget.
@@ -93,7 +99,9 @@ class PathReachabilityConstraint(Region):
     centers — the indoor-metric analogue of the extended ellipse.
     """
 
-    __slots__ = ("field_a", "radius_a", "field_b", "radius_b", "budget", "_mbr")
+    __slots__ = (
+        "field_a", "radius_a", "field_b", "radius_b", "budget", "_mbr", "_program"
+    )
 
     def __init__(
         self,
@@ -139,6 +147,18 @@ class PathReachabilityConstraint(Region):
         )
         result: "NDArray[np.bool_]" = part_a + part_b <= self.budget + 1e-9
         return result
+
+    def lower(self) -> Dnf:
+        if self._mbr is None:
+            return ()
+        literal = pair(
+            ("in", self.field_a.token),
+            self.radius_a,
+            ("in", self.field_b.token),
+            self.radius_b,
+            self.budget + 1e-9,
+        )
+        return ((literal,),)
 
 
 class TopologyChecker:

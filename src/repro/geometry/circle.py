@@ -14,9 +14,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .anchor import squared_distances
 from .mbr import Mbr
 from .point import EPSILON, Point
+from .program import Dnf, squared_row, threshold
 from .region import Region
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +54,15 @@ class Circle(Region):
         self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
     ) -> "NDArray[np.bool_]":
         limit = self.radius + EPSILON
-        return squared_distances(self.center, xs, ys) <= limit * limit
+        dx = xs - self.center.x
+        dy = ys - self.center.y
+        result: "NDArray[np.bool_]" = dx * dx + dy * dy <= limit * limit
+        return result
+
+    def lower(self) -> Dnf:
+        limit = self.radius + EPSILON
+        row = squared_row(self.center.x, self.center.y)
+        return ((threshold(row, -math.inf, limit * limit),),)
 
     def distance_to_point(self, point: Point) -> float:
         """Distance from ``point`` to the disk (0 when inside).

@@ -27,10 +27,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .anchor import distances
 from .circle import Circle
 from .mbr import Mbr
 from .point import EPSILON, Point
+from .program import Dnf, hypot_row, pair
 from .region import Region, RegionDifference, RegionUnion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -105,12 +105,27 @@ class ExtendedEllipse(Region):
     ) -> "NDArray[np.bool_]":
         if self._mbr is None:
             return np.zeros(len(xs), dtype=bool)
-        dist_a = distances(self.focus_a.center, xs, ys)
-        dist_b = distances(self.focus_b.center, xs, ys)
+        a, b = self.focus_a.center, self.focus_b.center
+        dist_a = np.hypot(xs - a.x, ys - a.y)
+        dist_b = np.hypot(xs - b.x, ys - b.y)
         total = np.maximum(dist_a - self.focus_a.radius, 0.0) + np.maximum(
             dist_b - self.focus_b.radius, 0.0
         )
-        return total <= self.path_budget + EPSILON
+        result: "NDArray[np.bool_]" = total <= self.path_budget + EPSILON
+        return result
+
+    def lower(self) -> Dnf:
+        if self._mbr is None:
+            return ()
+        a, b = self.focus_a.center, self.focus_b.center
+        literal = pair(
+            hypot_row(a.x, a.y),
+            self.focus_a.radius,
+            hypot_row(b.x, b.y),
+            self.focus_b.radius,
+            self.path_budget + EPSILON,
+        )
+        return ((literal,),)
 
     @property
     def gap_region(self) -> Region:

@@ -19,14 +19,14 @@ Boolean structure is kept symbolic via :class:`RegionIntersection`,
 deterministic grid quadrature (:mod:`repro.geometry.area`), which is all the
 flow definitions need — presence is a *ratio* of areas over a POI polygon.
 
-All regions support vectorised membership via :meth:`Region.contains_many`
-for fast presence estimation with NumPy.  The combinators evaluate every
-part on the *whole* batch and combine the answers with bounding-box masks
-and accepted-so-far masks, so each point is decided by the same boolean
-formula however the region is nested.  Passing the caller's arrays through
-unchanged lets the anchored primitives (circles, rings, extended ellipses,
-indoor constraints) answer from distance vectors memoized on read-only
-batches (:mod:`repro.geometry.anchor`).
+All regions support vectorised membership via :meth:`Region.contains_many`.
+The combinators evaluate every part on the *whole* batch and combine the
+answers with bounding-box masks and accepted-so-far masks, so each point is
+decided by the same boolean formula however the region is nested.
+:meth:`Region.lower` writes that formula down as conjunctions of threshold
+literals (:mod:`repro.geometry.program`), which presence quadrature
+evaluates for many regions at once; ``contains_many`` stays the reference
+the batched counts are checked against.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .anchor import ANCHOR_MEMO
 from .mbr import Mbr
 from .point import Point
+from .program import Dnf, Program, box, conjoin, negate, negation, opaque, program_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import NDArray
@@ -71,12 +71,7 @@ def _batch_bounds(
     xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
 ) -> tuple[float, float, float, float]:
     """(min_x, max_x, min_y, max_y) of a non-empty coordinate batch."""
-    return ANCHOR_MEMO.get(
-        "bounds",
-        xs,
-        ys,
-        lambda: (float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())),
-    )
+    return (float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max()))
 
 
 def _mbr_disjoint_from_bounds(
@@ -138,6 +133,32 @@ class Region(ABC):
         return self.mbr is None
 
     # ------------------------------------------------------------------
+    # Lowering for batched quadrature
+    # ------------------------------------------------------------------
+
+    #: Set by :meth:`program`; composites keep it in a slot.
+    _program: Program
+
+    def program(self) -> Program:
+        """:meth:`lower`, ordered for evaluation, built once and kept."""
+        try:
+            return self._program
+        except AttributeError:
+            program = program_of(self.lower())
+            # object.__setattr__ also reaches frozen dataclass shapes.
+            object.__setattr__(self, "_program", program)
+            return program
+
+    def lower(self) -> Dnf:
+        """The region as conjunctions of literals.
+
+        Decides every point exactly as :meth:`contains_many` does on a
+        batch (see :mod:`repro.geometry.program`).  Shapes the lowering
+        does not know stay one opaque literal.
+        """
+        return ((opaque(self),),)
+
+    # ------------------------------------------------------------------
     # Boolean composition
     # ------------------------------------------------------------------
 
@@ -166,6 +187,9 @@ class EmptyRegion(Region):
     ) -> "NDArray[np.bool_]":
         return np.zeros(len(xs), dtype=bool)
 
+    def lower(self) -> Dnf:
+        return ()
+
     def __repr__(self) -> str:
         return "EmptyRegion()"
 
@@ -173,7 +197,7 @@ class EmptyRegion(Region):
 class RegionIntersection(Region):
     """Intersection of two or more regions."""
 
-    __slots__ = ("parts", "_mbr")
+    __slots__ = ("parts", "_mbr", "_program")
 
     def __init__(self, parts: Sequence[Region]):
         if not parts:
@@ -221,6 +245,12 @@ class RegionIntersection(Region):
             alive &= part.contains_many(xs, ys)
         return alive
 
+    def lower(self) -> Dnf:
+        if self._mbr is None:
+            return ()
+        dnf = conjoin([(box(self._mbr),)] + [part.lower() for part in self.parts])
+        return ((opaque(self),),) if dnf is None else dnf
+
     def __repr__(self) -> str:
         return f"RegionIntersection({list(self.parts)!r})"
 
@@ -228,7 +258,7 @@ class RegionIntersection(Region):
 class RegionUnion(Region):
     """Union of zero or more regions (zero parts gives the empty region)."""
 
-    __slots__ = ("parts", "_mbr", "_part_boxes")
+    __slots__ = ("parts", "_mbr", "_part_boxes", "_program")
 
     def __init__(self, parts: Sequence[Region]):
         self.parts: tuple[Region, ...] = tuple(
@@ -284,6 +314,20 @@ class RegionUnion(Region):
             result |= candidates
         return result
 
+    def lower(self) -> Dnf:
+        dnf: Dnf = ()
+        for part in self.parts:
+            part_mbr = part.mbr
+            assert part_mbr is not None
+            if isinstance(part, RegionIntersection):
+                # Its conjunctions already start with its own box, which is
+                # this part's guard.
+                dnf += part.lower()
+                continue
+            guarded = conjoin([(box(part_mbr),), part.lower()])
+            dnf += ((*box(part_mbr), opaque(part)),) if guarded is None else guarded
+        return dnf
+
     def __repr__(self) -> str:
         return f"RegionUnion({list(self.parts)!r})"
 
@@ -291,7 +335,7 @@ class RegionUnion(Region):
 class RegionDifference(Region):
     """Points of ``base`` not in ``subtracted``."""
 
-    __slots__ = ("base", "subtracted")
+    __slots__ = ("base", "subtracted", "_program")
 
     def __init__(self, base: Region, subtracted: Region):
         self.base = base
@@ -312,6 +356,13 @@ class RegionDifference(Region):
         if inside.any():
             inside &= ~self.subtracted.contains_many(xs, ys)
         return inside
+
+    def lower(self) -> Dnf:
+        outside = negate(self.subtracted.lower())
+        if outside is None:
+            outside = ((negation(opaque(self.subtracted)),),)
+        dnf = conjoin([self.base.lower(), outside])
+        return ((opaque(self),),) if dnf is None else dnf
 
     def __repr__(self) -> str:
         return f"RegionDifference({self.base!r}, {self.subtracted!r})"

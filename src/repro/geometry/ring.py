@@ -15,10 +15,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .anchor import squared_distances
 from .circle import Circle
 from .mbr import Mbr
 from .point import EPSILON, Point
+from .program import Dnf, squared_row, threshold
 from .region import Region
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,10 +78,18 @@ class Ring(Region):
     def contains_many(
         self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
     ) -> "NDArray[np.bool_]":
-        squared = squared_distances(self.center, xs, ys)
+        dx = xs - self.center.x
+        dy = ys - self.center.y
+        squared = dx * dx + dy * dy
         low = max(self.inner_radius - EPSILON, 0.0)
         high = self.outer_radius + EPSILON
         return (squared >= low * low) & (squared <= high * high)
+
+    def lower(self) -> Dnf:
+        low = max(self.inner_radius - EPSILON, 0.0)
+        high = self.outer_radius + EPSILON
+        row = squared_row(self.center.x, self.center.y)
+        return ((threshold(row, low * low, high * high),),)
 
     def outer_circle(self) -> Circle:
         """The disk bounded by the ring's outer boundary."""

@@ -9,14 +9,10 @@ This module provides that metric:
   (straight inside convex rooms, through the door graph across rooms);
 * :class:`PointDistanceField` — a single-source view precomputed from one
   anchor point (a device center in practice), answering distance queries to
-  many points quickly, including a vectorised per-room fast path used by
-  the presence quadrature.
-
-Batch answers (room assignments, distance vectors) are memoized in
-:data:`repro.geometry.anchor.ANCHOR_MEMO` when the batch is read-only, as
-the presence estimator's POI sample grids are: the distance from a device
-centre to a fixed grid is then computed once and shared by every region
-anchored at that device.
+  many points quickly, including a vectorised per-room fast path;
+* :class:`RoomGrid` — the room layout of one fixed sample batch (a POI's
+  quadrature grid), kept with the batch and answering distance rows from
+  any source.
 
 Indoor distance always dominates Euclidean distance, so constraining a
 region by indoor distance only tightens it — which is exactly what the
@@ -25,20 +21,21 @@ topology check is meant to do.
 
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..geometry import Mbr, Point
-from ..geometry.anchor import ANCHOR_MEMO
 from .floorplan import FloorPlan
 from .topology import DoorGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import NDArray
 
-__all__ = ["IndoorDistanceOracle", "PointDistanceField"]
+__all__ = ["IndoorDistanceOracle", "PointDistanceField", "RoomGrid"]
 
 
 class IndoorDistanceOracle:
@@ -64,16 +61,7 @@ class IndoorDistanceOracle:
         Boundary points may appear in several groups (both rooms give valid
         shortest-path bounds; callers take the minimum).  Points in no room
         are returned under the ``None`` key for scalar fallback handling.
-        The groups of a read-only batch are computed once and shared
-        (:mod:`repro.geometry.anchor`); callers must not mutate them.
         """
-        return ANCHOR_MEMO.get(
-            ("rooms", self), xs, ys, lambda: self._room_groups(xs, ys)
-        )
-
-    def _room_groups(
-        self, xs: "NDArray[np.float64]", ys: "NDArray[np.float64]"
-    ) -> list[tuple[str | None, "NDArray[np.intp]"]]:
         groups: list[tuple[str | None, "NDArray[np.intp]"]] = []
         if len(xs) == 0:
             return groups
@@ -108,17 +96,31 @@ class IndoorDistanceOracle:
         return groups
 
 
+_TOKENS = itertools.count()
+_LIVE_FIELDS: "weakref.WeakValueDictionary[int, PointDistanceField]" = (
+    weakref.WeakValueDictionary()
+)
+
+
 class PointDistanceField:
     """Walking distances from one fixed source point.
 
     Precomputes the distance from the source to every door reachable from
     the source's room(s); distances to arbitrary targets then cost one
-    min-over-doors of the *target's* room.
+    min-over-doors of the *target's* room.  An unreachable door counts as
+    ``inf``, which never wins a minimum.
+
+    ``token`` is a process-unique integer naming the field while it is
+    alive (:meth:`from_token`), so a plain tuple of numbers can refer to
+    it without holding it: lowered region programs stay free of tracked
+    objects and the garbage collector never scans them.
     """
 
     def __init__(self, oracle: IndoorDistanceOracle, source: Point):
         self.oracle = oracle
         self.source = source
+        self.token = next(_TOKENS)
+        _LIVE_FIELDS[self.token] = self
         floorplan = oracle.floorplan
         self.source_rooms = frozenset(
             room.room_id for room in floorplan.rooms_at(source)
@@ -132,11 +134,16 @@ class PointDistanceField:
                     candidate = direct + through
                     if candidate < self._door_distances.get(door_id, math.inf):
                         self._door_distances[door_id] = candidate
-        # Per-room arrays of (door distance, door x, door y) for the
-        # vectorised path.
+        # Per-room arrays of (door distance, door x, door y) over the
+        # room's doors in floor-plan order, for the vectorised path.
         self._room_door_arrays: dict[
             str, tuple["NDArray[np.float64]", "NDArray[np.float64]", "NDArray[np.float64]"]
         ] = {}
+
+    @staticmethod
+    def from_token(token: int) -> "PointDistanceField":
+        """The live field whose :attr:`token` is ``token``."""
+        return _LIVE_FIELDS[token]
 
     def door_distance(self, door_id: str) -> float:
         """Distance from the source to the door (inf when unreachable)."""
@@ -168,17 +175,11 @@ class PointDistanceField:
         if cached is not None:
             return cached
         doors = self.oracle.floorplan.doors_of_room(room_id)
-        reachable = [
-            door
-            for door in doors
-            if door.door_id in self._door_distances
-        ]
         through = np.array(
-            [self._door_distances[door.door_id] for door in reachable],
-            dtype=float,
+            [self.door_distance(door.door_id) for door in doors], dtype=float
         )
-        xs = np.array([door.position.x for door in reachable], dtype=float)
-        ys = np.array([door.position.y for door in reachable], dtype=float)
+        xs = np.array([door.position.x for door in doors], dtype=float)
+        ys = np.array([door.position.y for door in doors], dtype=float)
         arrays = (through, xs, ys)
         self._room_door_arrays[room_id] = arrays
         return arrays
@@ -208,6 +209,7 @@ class PointDistanceField:
         self,
         xs: "NDArray[np.float64]",
         ys: "NDArray[np.float64]",
+        groups: list[tuple[str | None, "NDArray[np.intp]"]] | None = None,
     ) -> "NDArray[np.float64]":
         """Distances from the source to arbitrary points (vectorised).
 
@@ -216,20 +218,15 @@ class PointDistanceField:
         Boundary points may belong to several rooms — each assignment is a
         valid shortest-path upper bound, and the minimum over the rooms a
         point belongs to is taken implicitly by keeping the smaller value.
+        ``groups`` passes the batch's :meth:`IndoorDistanceOracle.room_groups`
+        when the caller already has them.
         """
-        return ANCHOR_MEMO.get(
-            ("indoor", self), xs, ys, lambda: self._distances_to_many(xs, ys)
-        )
-
-    def _distances_to_many(
-        self,
-        xs: "NDArray[np.float64]",
-        ys: "NDArray[np.float64]",
-    ) -> "NDArray[np.float64]":
         result = np.full(len(xs), math.inf, dtype=float)
         if len(xs) == 0:
             return result
-        for room_id, indices in self.oracle.room_groups(xs, ys):
+        if groups is None:
+            groups = self.oracle.room_groups(xs, ys)
+        for room_id, indices in groups:
             if room_id is None:
                 # Points the vectorised ray-cast left unassigned (typically
                 # exactly on a room boundary, e.g. in a doorway): fall back
@@ -242,3 +239,53 @@ class PointDistanceField:
             distances = self.distances_in_room(room_id, xs[indices], ys[indices])
             result[indices] = np.minimum(result[indices], distances)
         return result
+
+
+class RoomGrid:
+    """The room layout of one fixed sample batch.
+
+    Answers distance rows from :class:`PointDistanceField` sources.
+    When the whole batch lies in one room (a POI grid), the door→sample
+    distances of that room are computed once here, and a source's row is
+    ``min(through_door + door→sample)`` over the room's doors (and the
+    straight line when the source shares the room) — the same additions
+    and minima :meth:`PointDistanceField.distances_in_room` performs.  Any
+    other batch falls back to :meth:`PointDistanceField.distances_to_many`.
+    """
+
+    __slots__ = ("xs", "ys", "groups", "room_id", "door_rows")
+
+    def __init__(
+        self,
+        oracle: IndoorDistanceOracle,
+        xs: "NDArray[np.float64]",
+        ys: "NDArray[np.float64]",
+    ):
+        self.xs = xs
+        self.ys = ys
+        self.groups = oracle.room_groups(xs, ys)
+        self.room_id: str | None = None
+        self.door_rows: "NDArray[np.float64] | None" = None
+        if len(self.groups) == 1:
+            room_id, indices = self.groups[0]
+            if room_id is not None and len(indices) == len(xs):
+                doors = oracle.floorplan.doors_of_room(room_id)
+                door_xs = np.array([door.position.x for door in doors], dtype=float)
+                door_ys = np.array([door.position.y for door in doors], dtype=float)
+                self.room_id = room_id
+                self.door_rows = np.hypot(
+                    xs - door_xs[:, np.newaxis], ys - door_ys[:, np.newaxis]
+                )
+
+    def row(self, field: PointDistanceField) -> "NDArray[np.float64]":
+        """Walking distances from ``field``'s source to every sample."""
+        xs, ys = self.xs, self.ys
+        room_id, door_rows = self.room_id, self.door_rows
+        if room_id is None or door_rows is None or not len(door_rows):
+            return field.distances_to_many(xs, ys, self.groups)
+        through = field._arrays_for_room(room_id)[0]
+        row: "NDArray[np.float64]" = (through[:, np.newaxis] + door_rows).min(axis=0)
+        if room_id in field.source_rooms:
+            source = field.source
+            np.minimum(row, np.hypot(xs - source.x, ys - source.y), out=row)
+        return row

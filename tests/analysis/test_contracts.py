@@ -9,18 +9,17 @@ an invariant.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
     ContractViolation,
-    check_anchor_vector,
     check_area,
     check_cached_value,
     check_flow,
     check_presence,
+    check_quadrature,
     check_region_fingerprint,
     check_upper_bound,
     contracts_enabled,
@@ -28,7 +27,9 @@ from repro.analysis import (
 )
 from repro.core.presence import PresenceEstimator
 from repro.core.states import snapshot_contexts
-from repro.geometry.anchor import AnchorMemo
+from repro.geometry import Circle, Point, Polygon
+from repro.geometry.program import Literal
+from repro.indoor import Poi
 
 
 @pytest.fixture()
@@ -47,12 +48,15 @@ def contracts_on():
 
 class TestEnablement:
     def test_env_flag(self, monkeypatch):
-        set_contracts(None)
+        # The flag is read at import and re-read by set_contracts(None).
         monkeypatch.delenv("REPRO_CONTRACTS", raising=False)
+        set_contracts(None)
         assert not contracts_enabled()
         monkeypatch.setenv("REPRO_CONTRACTS", "1")
+        set_contracts(None)
         assert contracts_enabled()
         monkeypatch.setenv("REPRO_CONTRACTS", "0")
+        set_contracts(None)
         assert not contracts_enabled()
 
     def test_override_beats_env(self, monkeypatch):
@@ -72,7 +76,7 @@ class TestEnablement:
             assert check_upper_bound(1.0, 5.0) == 5.0
             assert check_cached_value(1.0, 2.0) == 1.0
             check_region_fingerprint((0.0, 0.0, 1.0, 1.0), None)
-            check_anchor_vector(np.zeros(2), np.ones(2))
+            check_quadrature(1, 2)
         finally:
             set_contracts(None)
 
@@ -121,44 +125,22 @@ class TestViolations:
         with pytest.raises(ContractViolation, match="empty"):
             check_region_fingerprint(None, (0.0, 0.0, 1.0, 1.0))
 
-    def test_anchor_vector_differs(self, contracts_on):
-        with pytest.raises(ContractViolation, match="anchor vector"):
-            check_anchor_vector(np.array([1.0, 2.0]), np.array([1.0, 2.5]), key="k")
+    def test_quadrature_count_differs(self, contracts_on):
+        with pytest.raises(ContractViolation, match="contains_many"):
+            check_quadrature(5, 6, where="presence in POI 'p1'")
+        check_quadrature(6, 6)
 
-    def test_anchor_vector_dtype_differs(self, contracts_on):
-        with pytest.raises(ContractViolation, match="anchor vector"):
-            check_anchor_vector(np.array([1, 2]), np.array([1.0, 2.0]))
-
-    def test_anchor_room_groups_differ(self, contracts_on):
-        cached = [("a", np.array([0, 1])), (None, np.array([2]))]
-        fresh = [("a", np.array([0])), (None, np.array([1, 2]))]
-        with pytest.raises(ContractViolation, match="anchor vector"):
-            check_anchor_vector(cached, fresh)
-
-    def test_anchor_values_that_match_pass(self, contracts_on):
-        check_anchor_vector(np.array([1.0, np.inf]), np.array([1.0, np.inf]))
-        check_anchor_vector((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 3.0))
-        check_anchor_vector(
-            [("a", np.array([0, 1]))], [("a", np.array([0, 1]))]
-        )
-
-    def test_corrupted_anchor_memo_entry_is_caught(self, contracts_on):
-        memo = AnchorMemo()
-        xs = np.array([0.0, 1.0, 2.0])
-        ys = np.array([0.0, 0.0, 0.0])
-        xs.flags.writeable = False
-        ys.flags.writeable = False
-
-        def compute():
-            return xs * 2.0
-
-        stored = memo.get("double", xs, ys, compute)
-        np.testing.assert_array_equal(memo.get("double", xs, ys, compute), stored)
-        # Corrupt the stored vector behind the memo's back.
-        stored.flags.writeable = True
-        stored[1] = 7.0
-        with pytest.raises(ContractViolation, match="anchor vector"):
-            memo.get("double", xs, ys, compute)
+    def test_corrupted_literal_threshold_is_caught(self, contracts_on):
+        region = Circle(Point(2.0, 2.0), 1.0)
+        poi = Poi(poi_id="p", polygon=Polygon.rectangle(0, 0, 4, 4), room_id="r")
+        estimator = PresenceEstimator(resolution=16)
+        assert 0.0 < estimator.presence(region, poi) < 1.0
+        # Widen the lowered circle's threshold behind the region's back.
+        literal = Literal(*region.program()[0][0])
+        corrupted = literal._replace(hi=literal.hi * 4.0, span_hi=literal.span_hi * 4.0)
+        object.__setattr__(region, "_program", ((tuple(corrupted),),))
+        with pytest.raises(ContractViolation, match="batched quadrature"):
+            estimator.presence(region, poi)
 
     def test_violation_is_an_assertion_error(self, contracts_on):
         with pytest.raises(AssertionError):
@@ -187,8 +169,8 @@ class TestEngineIntegration:
         """The seam check fires on a presence outside [0, 1]."""
 
         class _Broken(PresenceEstimator):
-            def presence(self, region, poi):
-                return 1.5
+            def presences(self, poi, regions):
+                return [1.5 for _ in regions]
 
         ctx = synthetic_engine.ctx.replace(estimator=_Broken(resolution=8))
         context = next(iter(snapshot_contexts(synthetic_engine.artree, 300.0)))

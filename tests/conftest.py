@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import set_contracts
 from repro.datagen import (
     CphConfig,
     SyntheticConfig,
@@ -21,6 +22,18 @@ from repro.indoor import (
     office_building,
     partition_rooms_into_pois,
 )
+
+
+@pytest.fixture(autouse=True)
+def _contracts_follow_env():
+    """Re-read ``REPRO_CONTRACTS`` after every test.
+
+    The contract flag is read once at import; a test that forces it or
+    changes the variable would otherwise leave its setting to the tests
+    after it.  Runs after ``monkeypatch`` has restored the environment.
+    """
+    yield
+    set_contracts(None)
 
 
 SMALL_SYNTHETIC = SyntheticConfig(

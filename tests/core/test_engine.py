@@ -103,3 +103,39 @@ class TestResolutionKnob:
         assert sorted(iterative.flows, reverse=True) == pytest.approx(
             sorted(join.flows, reverse=True), abs=1e-6
         )
+
+
+@pytest.fixture(scope="module", params=[1, 2], ids=["N1", "N2"])
+def any_engine(request, synthetic_dataset):
+    return synthetic_dataset.engine(num_shards=request.param)
+
+
+_TOPK_CALLS = {
+    "snapshot_topk": lambda engine, k: engine.snapshot_topk(300.0, k),
+    "interval_topk": lambda engine, k: engine.interval_topk(200.0, 400.0, k),
+    "snapshot_density_topk": lambda engine, k: engine.snapshot_density_topk(
+        300.0, k
+    ),
+    "interval_density_topk": lambda engine, k: engine.interval_density_topk(
+        200.0, 400.0, k
+    ),
+}
+
+
+class TestTopKArgument:
+    """``k`` is checked at the library boundary, at any shard count."""
+
+    @pytest.mark.parametrize("call", sorted(_TOPK_CALLS))
+    @pytest.mark.parametrize("k", [60.5, True, "3"], ids=["float", "bool", "str"])
+    def test_non_int_k_is_a_type_error(self, any_engine, call, k):
+        with pytest.raises(TypeError, match="k"):
+            _TOPK_CALLS[call](any_engine, k)
+
+    @pytest.mark.parametrize("call", sorted(_TOPK_CALLS))
+    def test_zero_k_is_a_value_error(self, any_engine, call):
+        with pytest.raises(ValueError, match="k must be positive"):
+            _TOPK_CALLS[call](any_engine, 0)
+
+    @pytest.mark.parametrize("call", sorted(_TOPK_CALLS))
+    def test_int_k_is_answered(self, any_engine, call):
+        assert len(_TOPK_CALLS[call](any_engine, 3)) == 3

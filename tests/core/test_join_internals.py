@@ -133,9 +133,9 @@ class TestTopKJoin:
         evaluated = []
 
         class CountingEstimator(PresenceEstimator):
-            def presence(self, region, poi):
-                evaluated.append(poi.poi_id)
-                return super().presence(region, poi)
+            def presences(self, poi, regions):
+                evaluated.extend(poi.poi_id for _ in regions)
+                return super().presences(poi, regions)
 
         # Ten objects pile on p0; a single distant object touches p1.
         objects = [join_object(f"a{i}", 0.0, 0.0) for i in range(10)]
@@ -147,6 +147,7 @@ class TestTopKJoin:
         )
         assert result.entries[0].poi.poi_id == "p0"
         # p1's bound (1) can never beat p0's exact flow (~10): not evaluated.
+        assert evaluated.count("p0") == 10
         assert "p1" not in evaluated
 
     def test_flow_ordering_respected_across_tree_levels(self):

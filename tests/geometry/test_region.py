@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.presence import SampleGrid, count_inside
 from repro.geometry import (
     Circle,
     EmptyRegion,
@@ -124,15 +125,10 @@ class TestVectorisedConsistency:
             [region.contains(Point(float(x), float(y))) for x, y in zip(xs, ys)]
         )
         np.testing.assert_array_equal(vector, scalar)
-        # Read-only batches are answered through the anchor memo: the
-        # first (cold) and second (memo hit) evaluation must agree too.
-        frozen_xs, frozen_ys = xs.copy(), ys.copy()
-        frozen_xs.flags.writeable = False
-        frozen_ys.flags.writeable = False
-        for _ in range(2):
-            np.testing.assert_array_equal(
-                region.contains_many(frozen_xs, frozen_ys), scalar
-            )
+        # The lowered program, evaluated by batched quadrature on the same
+        # samples, counts exactly the points contains_many accepts.
+        grid = SampleGrid(xs.copy(), ys.copy())
+        assert count_inside(grid, [region.program()]) == [int(scalar.sum())]
 
     def test_intersection(self):
         self._check(Circle(Point(0, 0), 30.0) & Circle(Point(20, 5), 25.0))

@@ -13,6 +13,7 @@ from repro.indoor import (
     IndoorDistanceOracle,
     Room,
 )
+from repro.indoor.distance import RoomGrid
 
 
 @pytest.fixture(scope="module")
@@ -125,15 +126,6 @@ class TestRoomGroups:
             covered.update(int(i) for i in indices)
         assert covered == set(range(50))
 
-    def test_cache_hit_by_identity(self, corridor_oracle):
-        xs = np.array([5.0, 15.0])
-        ys = np.array([5.0, 5.0])
-        xs.flags.writeable = False
-        ys.flags.writeable = False
-        first = corridor_oracle.room_groups(xs, ys)
-        second = corridor_oracle.room_groups(xs, ys)
-        assert first is second
-
     def test_writable_batch_mutated_in_place_regroups(self, corridor_oracle):
         # A writable batch can change between calls, so its groups must
         # follow the current values, never an earlier call's.
@@ -167,3 +159,34 @@ class TestRoomGroups:
         )
         assert 0 in groups.get(None, set())
         assert 1 in groups.get("a", set())
+
+
+class TestRoomGrid:
+    """Rows from many sources over one fixed batch equal each source's own
+    ``distances_to_many`` bit for bit."""
+
+    SOURCES = [Point(5, 5), Point(15, 5), Point(25, 2), Point(10, 5)]
+
+    def _check(self, oracle, xs, ys):
+        grid = RoomGrid(oracle, xs, ys)
+        for source in self.SOURCES:
+            field = oracle.field_from(source)
+            np.testing.assert_array_equal(
+                grid.row(field), field.distances_to_many(xs, ys)
+            )
+        return grid
+
+    def test_single_room_batch_uses_door_rows(self, corridor_oracle):
+        rng = np.random.default_rng(4)
+        xs = rng.uniform(10.5, 19.5, 50)
+        ys = rng.uniform(0.5, 9.5, 50)
+        grid = self._check(corridor_oracle, xs, ys)
+        assert grid.room_id == "b"
+        assert grid.door_rows is not None and grid.door_rows.shape == (2, 50)
+
+    def test_batch_across_rooms_falls_back(self, corridor_oracle):
+        rng = np.random.default_rng(5)
+        xs = np.concatenate([rng.uniform(5, 25, 40), [10.0, 20.0, -1.0]])
+        ys = np.concatenate([rng.uniform(0.5, 9.5, 40), [5.0, 5.0, 5.0]])
+        grid = self._check(corridor_oracle, xs, ys)
+        assert grid.room_id is None

@@ -18,6 +18,7 @@ import threading
 
 import pytest
 
+from repro.analysis import set_contracts
 from repro.core.queries import IntervalTopKQuery, SnapshotTopKQuery
 from repro.datagen.config import SyntheticConfig
 from repro.serve.app import ServeConfig, ServerHandle
@@ -72,9 +73,11 @@ def reference_engine(workload):
 @pytest.mark.parametrize("method", ["join", "iterative"])
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_concurrent_ingest_and_query_is_bit_identical_to_serial(
-    workload, reference_engine, method, backend, tmp_path, monkeypatch
+    workload, reference_engine, method, backend, tmp_path
 ):
-    monkeypatch.setenv("REPRO_CONTRACTS", "1")
+    # The contract flag is read at import; the suite's autouse fixture
+    # re-reads the environment after the test.
+    set_contracts(True)
 
     storage = tmp_path / "venue.sqlite" if backend == "sqlite" else None
     engine = build_engine(build_venue(CONFIG), storage=storage)
