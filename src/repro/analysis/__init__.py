@@ -36,6 +36,7 @@ from .contracts import (
     check_quadrature,
     check_region_fingerprint,
     check_upper_bound,
+    check_window,
     contracts_enabled,
     set_contracts,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "check_quadrature",
     "check_region_fingerprint",
     "check_upper_bound",
+    "check_window",
     "checkers_by_name",
     "contracts_enabled",
     "lint_paths",

@@ -10,8 +10,9 @@ type checker can see:
 * join upper bounds dominate refined flows — the count-based priorities
   that drive Algorithms 2/5 must never undercut an exact flow, or the
   best-first termination test returns wrong top-k sets (Section 4.2);
-* cached == fresh — a memoized region/presence must agree with a from-
-  scratch recomputation (the PR 1 cache-coherence invariant).
+* cached == fresh — a memoized region/presence/interval window must
+  agree with a from-scratch recomputation (the cache-coherence
+  invariant).
 * batched quadrature counts equal the reference ``Region.contains_many``
   count on the same sample grid.
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+from typing import Sequence
 
 __all__ = [
     "ContractViolation",
@@ -40,6 +42,7 @@ __all__ = [
     "check_region_fingerprint",
     "check_storage_generation",
     "check_upper_bound",
+    "check_window",
     "contracts_enabled",
     "set_contracts",
 ]
@@ -194,6 +197,36 @@ def check_region_fingerprint(
             f"cached region MBR {cached_mbr!r} != fresh rebuild MBR "
             f"{fresh_mbr!r} (key {key!r})"
         )
+
+
+#: One episode of an interval window as the window check sees it: its
+#: region-cache key and its MBR fingerprint.
+EpisodeFingerprint = tuple[object, tuple[float, float, float, float] | None]
+
+
+def check_window(
+    cached: Sequence[EpisodeFingerprint],
+    fresh: Sequence[EpisodeFingerprint],
+    *,
+    key: object = None,
+) -> None:
+    """Window memo coherence: a memoized interval region matches a rebuild.
+
+    A memoized ``UR(o, [t_s, t_e])`` and one built from scratch for the
+    same window must list the same episode keys in the same order, and
+    each episode's MBR must agree as in :func:`check_region_fingerprint`.
+    """
+    if not contracts_enabled():
+        return
+    cached_keys = [episode_key for episode_key, _ in cached]
+    fresh_keys = [episode_key for episode_key, _ in fresh]
+    if cached_keys != fresh_keys:
+        _fail(
+            f"memoized window {key!r} has episode keys {cached_keys!r}, "
+            f"a fresh build has {fresh_keys!r}"
+        )
+    for (_, cached_mbr), (_, fresh_mbr) in zip(cached, fresh):
+        check_region_fingerprint(cached_mbr, fresh_mbr, key=key)
 
 
 def check_storage_generation(table_generation: int, backend_generation: int) -> None:

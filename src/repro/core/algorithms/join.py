@@ -20,49 +20,68 @@ stores a series of tight per-episode MBRs with each object and requires at
 least one of them — not just the large overall trajectory box, which is
 mostly dead space — to intersect a POI before the object enters its join
 list.
+
+Which objects may enter which POI entry's join list is decided for all
+pairs at once when ``R_I`` is built (:class:`_Admission`): every box of
+the POI tree is tested against every object's boxes with whole-array
+comparisons, so the best-first loop only reads a precomputed row per POI
+entry.  An object's join state (its presence-cache row) is resolved once
+per query, at its first refinement.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import count
-from typing import Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+
+import numpy as np
 
 from ...analysis.contracts import check_flow, check_upper_bound, contracts_enabled
-from ...geometry import Mbr, Region
+from ...geometry import Mbr, Region, mbr_array
 from ...index import ARTree, AggregateRTree, RTree, RTreeEntry
 from ...indoor.poi import Poi
 from ...obs import counter, obs_enabled, span
-from ..context import EvaluationContext
+from ..context import EvaluationContext, PresenceRow
 from ..presence import PresenceEstimator
 from ..queries import RankedPoi, TopKResult, rank_top_k
 from ..states import interval_contexts, snapshot_contexts
 from ..uncertainty import snapshot_mbr
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.typing import NDArray
+
 __all__ = ["JoinObject", "join_snapshot", "join_interval"]
 
 
 class JoinObject:
-    """An object as seen by the join: a cheap MBR plus a lazy region.
+    """An object as seen by the join: cheap boxes plus a lazy region.
 
     The region (and with it the topology-checked constraints) is only
     built when some presence actually needs it — this laziness is the
-    entire point of the join algorithms.  ``segment_mbrs`` carries the
-    improved interval join's fine-grained boxes (``None`` for snapshot
-    queries or when the improvement is disabled).  ``region_key`` is the
-    region's presence-cache fingerprint, when known.  ``order_key`` is the
-    object's position in the canonical candidate enumeration (the AR-tree
-    entry order); leaf flows are accumulated in this order so the join sums
-    presences exactly like the iterative baseline — and like the sharded
-    merge — making all three paths bitwise comparable.
+    entire point of the join algorithms.  ``boxes`` carries the improved
+    interval join's fine-grained per-episode MBRs as an ``(n, 4)``
+    float64 array of ``(min_x, min_y, max_x, max_y)`` rows (``None`` for
+    snapshot queries or when the improvement is disabled: the object's
+    one ``mbr`` is then its only box).  Every box must lie inside
+    ``mbr``.  ``region_key`` is the region's presence-cache fingerprint,
+    when known; ``presence_row`` is its cached row, resolved at the
+    object's first refinement.  ``order_key`` is the object's position in
+    the canonical candidate enumeration (the AR-tree entry order); leaf
+    flows are accumulated in this order so the join sums presences
+    exactly like the iterative baseline — and like the sharded merge —
+    making all three paths bitwise comparable.  ``column`` is the
+    object's position in the query's object list, set by the join.
     """
 
     __slots__ = (
         "object_id",
         "mbr",
-        "segment_mbrs",
+        "boxes",
         "region_key",
         "order_key",
+        "column",
+        "presence_row",
         "_factory",
         "_region",
     )
@@ -72,15 +91,21 @@ class JoinObject:
         object_id: str,
         mbr: Mbr,
         region_factory: Callable[[], Region],
-        segment_mbrs: tuple[Mbr, ...] | None = None,
+        boxes: NDArray[np.float64] | None = None,
         region_key: Hashable | None = None,
         order_key: int = 0,
     ):
+        if boxes is not None and (
+            boxes.ndim != 2 or boxes.shape[1] != 4 or not len(boxes)
+        ):
+            raise ValueError("boxes must be a non-empty (n, 4) array")
         self.object_id = object_id
         self.mbr = mbr
-        self.segment_mbrs = segment_mbrs
+        self.boxes = boxes
         self.region_key = region_key
         self.order_key = order_key
+        self.column = 0
+        self.presence_row: PresenceRow | None = None
         self._factory = region_factory
         self._region: Region | None = None
 
@@ -90,27 +115,87 @@ class JoinObject:
             self._region = self._factory()
         return self._region
 
-    def matches(self, mbr: Mbr, use_segment_mbrs: bool) -> bool:
-        """MBR test against a POI box, with the finer segment-MBR check."""
-        if not self.mbr.intersects(mbr):
-            return False
-        if use_segment_mbrs and self.segment_mbrs is not None:
-            return any(segment.intersects(mbr) for segment in self.segment_mbrs)
-        return True
+
+#: Turns a POI box ``(min_x, min_y, max_x, max_y)`` into its limits
+#: ``(min_x, min_y, -max_x, -max_y)``, and an object box, reordered to
+#: ``(max_x, max_y, min_x, min_y)``, into its values.  Negation is exact
+#: and reverses ``<`` exactly, so :meth:`Mbr.intersects`'s four miss
+#: tests become "value < limit" on the same floats: ``box.max_x <
+#: poi.min_x``, ``box.max_y < poi.min_y``, ``-box.min_x < -poi.max_x``
+#: and ``-box.min_y < -poi.max_y``.
+_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
+
+class _Admission:
+    """Which objects each POI-tree entry admits into its join list.
+
+    Built with ``R_I``: every box of the POI tree against every object's
+    boxes in one broadcast float64 comparison of the four miss tests
+    :meth:`Mbr.intersects` makes (see ``_SIGNS``), then, for objects with
+    several boxes, one ``logical_and.reduceat`` per object over its
+    boxes' misses.  An object is admitted when one of its boxes
+    intersects the POI box.  That equals the per-pair rule "``mbr``
+    intersects and, with segment boxes, one segment intersects",
+    because every box lies inside ``mbr``: a box hit implies an ``mbr``
+    hit.  The miss matrix is kept as Python lists, one row per POI-tree
+    entry, so the join loop reads plain list items.
+    """
+
+    __slots__ = ("_misses", "_rows")
+
+    def __init__(self, poi_tree: RTree, objects: Sequence[JoinObject]):
+        poi_boxes, self._rows = poi_tree.entry_boxes()
+        for column, obj in enumerate(objects):
+            obj.column = column
+        starts: NDArray[np.intp] | None = None
+        if all(obj.boxes is None for obj in objects):
+            values = np.array(
+                [
+                    (box.max_x, box.max_y, -box.min_x, -box.min_y)
+                    for box in (obj.mbr for obj in objects)
+                ],
+                dtype=np.float64,
+            )
+        else:
+            parts = [
+                obj.boxes if obj.boxes is not None else mbr_array((obj.mbr,))
+                for obj in objects
+            ]
+            values = np.concatenate(parts)[:, [2, 3, 0, 1]] * _SIGNS
+            starts = np.zeros(len(parts), dtype=np.intp)
+            np.cumsum([len(part) for part in parts[:-1]], out=starts[1:])
+        limits = (poi_boxes * _SIGNS).T[:, :, np.newaxis]  # (4, E, 1)
+        misses = np.logical_or.reduce(
+            np.less(values.T[:, np.newaxis, :], limits), axis=0
+        )  # (E, M): the POI box misses the object box
+        if starts is not None:
+            misses = np.logical_and.reduceat(misses, starts, axis=1)
+        self._misses: list[list[bool]] = misses.tolist()
+
+    def misses(self, poi_entry: RTreeEntry) -> list[bool]:
+        """``misses[obj.column]``: whether ``poi_entry`` keeps the object out."""
+        return self._misses[self._rows[id(poi_entry)]]
 
 
 def _match_entries(
-    poi_mbr: Mbr,
+    poi_entry: RTreeEntry,
     candidates: Sequence[RTreeEntry],
     tree: AggregateRTree,
-    use_segment_mbrs: bool,
+    admission: _Admission,
 ) -> tuple[list[RTreeEntry], int]:
-    """Filter R_I entries against a POI box; return (join list, count bound)."""
+    """Filter R_I entries against a POI entry; return (join list, count bound).
+
+    Leaf entries (objects) are looked up in the entry's admission row;
+    internal entries are kept when their box intersects the POI box and
+    count every object below them.
+    """
+    misses = admission.misses(poi_entry)
+    poi_mbr = poi_entry.mbr
     matched: list[RTreeEntry] = []
     upper_bound = 0
     for entry in candidates:
-        if entry.is_leaf_entry:
-            if entry.item.matches(poi_mbr, use_segment_mbrs):
+        if entry.child is None:
+            if not misses[entry.item.column]:
                 matched.append(entry)
                 upper_bound += 1
         elif entry.mbr.intersects(poi_mbr):
@@ -129,7 +214,6 @@ def _topk_join(
     objects: Sequence[JoinObject],
     k: int,
     estimator: PresenceEstimator | None = None,
-    use_segment_mbrs: bool = False,
     rtree_fanout: int = 8,
     presences: Presences | None = None,
 ) -> TopKResult:
@@ -154,6 +238,7 @@ def _topk_join(
         object_tree = AggregateRTree.build(
             [(obj.mbr, obj) for obj in objects], max_entries=rtree_fanout
         )
+        admission = _Admission(poi_tree, objects)
     sequence = count()
     heap: list[
         tuple[float, int, str, int, RTreeEntry, list[RTreeEntry] | None]
@@ -178,20 +263,13 @@ def _topk_join(
 
     for poi_entry in poi_tree.root.entries:
         join_list, upper_bound = _match_entries(
-            poi_entry.mbr, object_tree.root.entries, object_tree, use_segment_mbrs
+            poi_entry, object_tree.root.entries, object_tree, admission
         )
         if join_list:
             push(poi_entry, join_list, upper_bound)
 
     with span("join.bound_refine"):
-        confirmed = _drain_heap(
-            heap,
-            push,
-            object_tree,
-            k,
-            use_segment_mbrs,
-            presences,
-        )
+        confirmed = _drain_heap(heap, push, object_tree, admission, k, presences)
 
     if len(confirmed) < k:
         # Queue exhausted: every remaining POI has zero flow; fill the
@@ -209,8 +287,8 @@ def _drain_heap(
     heap: list[tuple[float, int, str, int, RTreeEntry, list[RTreeEntry] | None]],
     push: Callable[[RTreeEntry, list[RTreeEntry] | None, float], None],
     object_tree: AggregateRTree,
+    admission: _Admission,
     k: int,
-    use_segment_mbrs: bool,
     presences: Presences,
 ) -> list[RankedPoi]:
     """The best-first refinement loop of Algorithms 2/3/5.
@@ -265,7 +343,7 @@ def _drain_heap(
                     for child in object_entry.child.entries
                 ]
                 refined, upper_bound = _match_entries(
-                    poi_entry.mbr, children, object_tree, use_segment_mbrs
+                    poi_entry, children, object_tree, admission
                 )
                 if refined:
                     push(poi_entry, refined, upper_bound)
@@ -280,7 +358,7 @@ def _drain_heap(
                 ]
             for child_entry in poi_entry.child.entries:
                 refined, upper_bound = _match_entries(
-                    child_entry.mbr, candidates, object_tree, use_segment_mbrs
+                    child_entry, candidates, object_tree, admission
                 )
                 if refined:
                     push(child_entry, refined, upper_bound)
@@ -295,12 +373,24 @@ def _drain_heap(
 def _ctx_presences(ctx: EvaluationContext) -> Presences:
     """Batched presence through the context's memo layer.
 
-    Regions are derived (the paper's H_U) before the batch is evaluated,
-    in the join list's canonical order.
+    Each object's presence row is resolved once, at its first refinement
+    in the query (again while it has none), so a warm pair costs one
+    dict read.  Regions are derived (the paper's H_U) only for the
+    pairs the cache misses.
     """
-    return lambda poi, batch: ctx.presences(
-        poi, [(obj.region(), obj.region_key) for obj in batch]
-    )
+
+    def presences(poi: Poi, batch: Sequence[JoinObject]) -> list[float]:
+        rows: list[PresenceRow | None] = []
+        for obj in batch:
+            row = obj.presence_row
+            if row is None:
+                row = obj.presence_row = ctx.presence_row(obj.region_key)
+            rows.append(row)
+        return ctx.presences(
+            poi, [(obj.region, obj.region_key) for obj in batch], rows
+        )
+
+    return presences
 
 
 def join_snapshot(
@@ -367,15 +457,12 @@ def join_interval(
             overall_mbr = uncertainty.mbr
             if overall_mbr is None:
                 continue
-            segments = (
-                tuple(uncertainty.segment_mbrs()) if use_segment_mbrs else None
-            )
             objects.append(
                 JoinObject(
                     object_id=context.object_id,
                     mbr=overall_mbr,
                     region_factory=lambda u=uncertainty: u.region,
-                    segment_mbrs=segments,
+                    boxes=uncertainty.segment_boxes if use_segment_mbrs else None,
                     region_key=ctx.interval_fingerprint(uncertainty),
                     order_key=order,
                 )
@@ -385,7 +472,6 @@ def join_interval(
         pois,
         objects,
         k,
-        use_segment_mbrs=use_segment_mbrs,
         rtree_fanout=ctx.rtree_fanout,
         presences=_ctx_presences(ctx),
     )

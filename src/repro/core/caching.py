@@ -7,6 +7,11 @@ least-recently-used mapping whose capacity caps memory while keeping the
 hot working set (the regions and POIs a monitor touches every tick)
 resident.  A capacity of ``0`` disables a cache entirely, which the
 correctness tests use to compare cached against uncached evaluation.
+
+Presence values are cached in a :class:`RowCache`: one row (a small
+``{column: value}`` dict) per key, bounded by the total number of values
+and evicted row by row, so a reader can resolve a row once and then read
+many columns of it without hashing the key again.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Generic, Hashable, TypeVar
 
-__all__ = ["LruCache", "shard_cache_capacity"]
+__all__ = ["LruCache", "RowCache", "shard_cache_capacity"]
 
 V = TypeVar("V")
 
@@ -99,3 +104,57 @@ class LruCache(Generic[V]):
 
     def clear(self) -> None:
         self._entries.clear()
+
+
+class RowCache(Generic[V]):
+    """An LRU of rows, bounded by the total number of values they hold.
+
+    Each key maps to a row ``{column: value}``.  :meth:`row` hands out the
+    resident row itself, so a caller that reads many columns of one key
+    hashes the key once; :meth:`put` adds one value.  When the values
+    exceed ``capacity``, whole rows are evicted, least recently used
+    first.  A row handed out earlier stays a valid (if no longer cached)
+    mapping after its eviction: values are never changed in place, only
+    added.  ``capacity <= 0`` disables storage.
+    """
+
+    __slots__ = ("capacity", "_rows", "_values")
+
+    def __init__(self, capacity: int):
+        self.capacity = int(capacity)
+        self._rows: OrderedDict[Hashable, dict[Hashable, V]] = OrderedDict()
+        self._values = 0
+
+    def __len__(self) -> int:
+        """The number of cached values (not rows)."""
+        return self._values
+
+    def row(self, key: Hashable) -> dict[Hashable, V] | None:
+        """The resident row of ``key`` (refreshed as most recently used)."""
+        rows = self._rows
+        found = rows.get(key)
+        if found is not None:
+            rows.move_to_end(key)
+        return found
+
+    def put(self, key: Hashable, column: Hashable, value: V) -> None:
+        """Store one value, evicting least-recently-used rows when over capacity."""
+        if self.capacity <= 0:
+            return
+        rows = self._rows
+        found = rows.get(key)
+        if found is None:
+            found = {}
+            rows[key] = found
+        else:
+            rows.move_to_end(key)
+        if column not in found:
+            self._values += 1
+        found[column] = value
+        while self._values > self.capacity:
+            _, evicted = rows.popitem(last=False)
+            self._values -= len(evicted)
+
+    def clear(self) -> None:
+        self._rows.clear()
+        self._values = 0

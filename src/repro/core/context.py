@@ -5,7 +5,7 @@ Every query entry point used to thread six loose parameters (deployment,
 fanout) through engine → algorithms → states → uncertainty, and every call
 re-derived each object's uncertainty region from scratch.  An
 :class:`EvaluationContext` bundles those parameters into one long-lived
-object that additionally owns two bounded LRU memo layers:
+object that additionally owns bounded LRU memo layers:
 
 * the **region cache** — keyed on ``(object_id, kind, quantized time
   window, params-epoch)``, it returns previously constructed uncertainty
@@ -14,11 +14,18 @@ object that additionally owns two bounded LRU memo layers:
   the episodes whose effective time window actually changed — interior
   detection disks and fully covered gap ellipses are reused tick after
   tick;
-* the **presence cache** — keyed on ``(region fingerprint, poi_id)``, it
-  skips the grid quadrature for (region, POI) pairs already evaluated.  A
-  region's fingerprint is its region-cache key (snapshot) or the tuple of
-  its episode keys (interval), so identical regions share presence values
-  across queries and across the iterative/join strategies.
+* the **window memo** — keyed on ``(object_id, t_start, t_end, tail
+  epoch, params-epoch)``, it returns the assembled
+  :class:`IntervalUncertainty` of a window asked before (its union
+  region and MBRs included), so a repeated interval query makes no
+  region-cache lookups at all;
+* the **presence cache** — one row ``{poi_id: presence}`` per region
+  fingerprint, so the grid quadrature runs once per (region, POI) pair.
+  A region's fingerprint is its region-cache key (snapshot) or the tuple
+  of its episode keys (interval), so identical regions share presence
+  values across queries and across the iterative/join strategies.  A
+  reader asking one region about many POIs resolves its row once
+  (:meth:`EvaluationContext.presence_row`).
 
 The context also counts what the caches save: ``regions_computed``,
 ``region_cache_hits``, ``presence_evaluations``, ``presence_cache_hits``
@@ -49,15 +56,20 @@ from ..analysis.contracts import (
     check_cached_value,
     check_presence,
     check_region_fingerprint,
+    check_window,
     contracts_enabled,
 )
 from ..geometry import DEFAULT_RESOLUTION, Mbr, Region
 from ..indoor.devices import Deployment, Device
 from ..obs import counter, obs_enabled, span
-from .caching import LruCache
+from .caching import LruCache, RowCache
 from .presence import PresenceEstimator
 from .stats import merge_component_stats
-from .uncertainty.interval import IntervalUncertainty, interval_uncertainty
+from .uncertainty.interval import (
+    IntervalUncertainty,
+    RegionMemo,
+    interval_uncertainty,
+)
 from .uncertainty.snapshot import snapshot_region, snapshot_region_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,6 +80,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["EvaluationContext", "EvaluationStats"]
 
 _R = TypeVar("_R")
+
+#: One region's cached presences, ``{poi_id: presence}``.
+PresenceRow = dict[Hashable, float]
 
 #: Default capacities; sized for monitor workloads (thousands of objects,
 #: tens of POIs per region) while keeping worst-case memory modest.
@@ -166,7 +181,10 @@ class EvaluationContext:
     resolution:
         Presence quadrature resolution, used when ``estimator`` is omitted.
     region_cache_size, presence_cache_size:
-        LRU capacities of the two memo layers; ``0`` disables a layer.
+        LRU capacities of the memo layers; ``0`` disables a layer.
+        ``region_cache_size`` bounds the episode regions and, separately,
+        the memoized interval windows; ``presence_cache_size`` bounds the
+        number of cached (region, POI) presence values.
     """
 
     def __init__(
@@ -197,7 +215,10 @@ class EvaluationContext:
         self.rtree_fanout = rtree_fanout
         self.stats = EvaluationStats()
         self._region_cache: LruCache[object] = LruCache(region_cache_size)
-        self._presence_cache: LruCache[float] = LruCache(presence_cache_size)
+        self._window_cache: LruCache[IntervalUncertainty] = LruCache(
+            region_cache_size
+        )
+        self._presence_cache: RowCache[float] = RowCache(presence_cache_size)
         # Generation counters for live ingestion (see note_append): a total
         # data generation plus a per-object tail epoch stamped into the
         # cache keys of the object's open-ended tail episodes.
@@ -254,8 +275,9 @@ class EvaluationContext:
         return EvaluationContext(**settings)
 
     def clear_caches(self) -> None:
-        """Drop both memo layers (counters are kept; see ``reset_stats``)."""
+        """Drop every memo layer (counters are kept; see ``reset_stats``)."""
         self._region_cache.clear()
+        self._window_cache.clear()
         self._presence_cache.clear()
 
     def reset_stats(self) -> None:
@@ -267,8 +289,9 @@ class EvaluationContext:
 
         Returns:
             The :class:`EvaluationStats` counters plus
-            ``region_cache_entries``, ``presence_cache_entries`` and
-            ``data_generation``.
+            ``region_cache_entries`` (episode and snapshot regions, not
+            memoized windows), ``presence_cache_entries`` (cached
+            presence values, over all rows) and ``data_generation``.
         """
         return merge_component_stats(
             self.stats.as_dict(),
@@ -415,12 +438,23 @@ class EvaluationContext:
         )
 
     def interval_uncertainty(self, context: "IntervalContext") -> IntervalUncertainty:
-        """``UR(o, [t_s, t_e])`` with per-episode memoization.
+        """``UR(o, [t_s, t_e])``, memoized per window and per episode.
 
-        The episode list is reassembled per call (cheap), but each
-        episode's region construction goes through the region cache — a
-        sliding window therefore only computes the episodes whose effective
-        window changed.
+        A window asked before — same object, same ``t_start`` and
+        ``t_end``, same tail epoch — returns the memoized
+        :class:`IntervalUncertainty` (its union region and MBRs
+        included) without touching the region cache.  That is sound: a
+        window's record chain depends only on the object's own records,
+        and every live mutation of them rolls the object's tail epoch
+        (:meth:`note_append`).  Otherwise the episode list is assembled
+        and each episode's region goes through the region cache, so a
+        sliding window only computes the episodes whose effective window
+        changed.
+
+        With :mod:`repro.obs` enabled, window hits and misses are counted
+        in ``ctx.window.hits`` / ``ctx.window.misses``.  Under
+        ``REPRO_CONTRACTS=1`` every window hit is checked against a build
+        from scratch (same episode keys, same MBR fingerprints).
 
         Args:
             context: The object's interval state (records overlapping the
@@ -429,13 +463,42 @@ class EvaluationContext:
         Returns:
             The object's :class:`IntervalUncertainty`.
         """
+        object_id = context.object_id
+        key = (
+            object_id,
+            context.t_start,
+            context.t_end,
+            self.tail_epoch(object_id),
+            self.params_epoch,
+        )
+        windows = self._window_cache
+        found = windows.get(key)
+        if found is not None:
+            if obs_enabled():
+                counter("ctx.window.hits", unit="windows").inc()
+            if contracts_enabled():
+                check_window(
+                    _episode_fingerprints(found),
+                    _episode_fingerprints(self._build_interval(context, None)),
+                    key=key,
+                )
+            return found
+        if obs_enabled():
+            counter("ctx.window.misses", unit="windows").inc()
+        built = self._build_interval(context, self.memo_region)
+        windows.put(key, built)
+        return built
+
+    def _build_interval(
+        self, context: "IntervalContext", memo: RegionMemo | None
+    ) -> IntervalUncertainty:
         return interval_uncertainty(
             context,
             self.deployment,
             self.v_max,
             self._counted_topology,
             self.inner_allowance,
-            memo=self.memo_region,
+            memo=memo,
             tail_token=self.tail_epoch(context.object_id),
         )
 
@@ -458,10 +521,21 @@ class EvaluationContext:
         with identical episodes are geometrically identical, however the
         query windows producing them were positioned.
         """
-        keys = tuple(episode.key for episode in uncertainty.episodes)
-        if any(key is None for key in keys):
+        return uncertainty.fingerprint
+
+    def presence_row(self, fingerprint: Hashable | None) -> PresenceRow | None:
+        """The cached presences of one region: ``{poi_id: presence}``.
+
+        ``None`` when nothing is cached for the fingerprint (or it is
+        ``None``).  The row is the cache's own: later evaluations of the
+        region add to it, and a caller may keep it to read many POIs
+        with one key lookup, as the join does for each object it
+        refines.  Reading the row is not counted; :meth:`presences`
+        counts hits and evaluations per pair.
+        """
+        if fingerprint is None:
             return None
-        return ("interval",) + keys
+        return self._presence_cache.row((fingerprint, self.params_epoch))
 
     def presence(
         self, region: Region, poi: "Poi", fingerprint: Hashable | None = None
@@ -479,20 +553,25 @@ class EvaluationContext:
         Returns:
             The presence value in ``[0, 1]``.
         """
-        return self.presences(poi, ((region, fingerprint),))[0]
+        return self.presences(poi, ((lambda: region, fingerprint),))[0]
 
     def presences(
         self,
         poi: "Poi",
-        batch: Sequence[tuple[Region, Hashable | None]],
+        batch: Sequence[tuple[Callable[[], Region], Hashable | None]],
+        rows: Sequence[PresenceRow | None] | None = None,
     ) -> list[float]:
         """Memoized presences of many regions in one POI.
 
-        Each item is ``(region, fingerprint)``; the fingerprint identifies
-        the region's geometry (``None`` for regions not built through this
-        context: no caching, still counted).  Cache hits are resolved
-        first; the misses are evaluated together in one batched quadrature
-        pass over the POI's grid (:meth:`PresenceEstimator.presences`).
+        Each item is ``(derive, fingerprint)``: a zero-argument callable
+        returning the region, called only when its presence is not
+        cached, and the fingerprint identifying the region's geometry
+        (``None`` for regions not built through this context: no caching,
+        still counted).  ``rows``, when given, holds each item's
+        :meth:`presence_row` resolved by the caller, so hits cost one
+        dict read each.  Cache hits are resolved first; the misses are
+        evaluated together in one batched quadrature pass over the POI's
+        grid (:meth:`PresenceEstimator.presences`).
 
         With :mod:`repro.obs` enabled, that pass is timed under one
         ``presence.quadrature`` span and hits/misses are mirrored into the
@@ -500,7 +579,8 @@ class EvaluationContext:
 
         Args:
             poi: The POI to intersect the regions with.
-            batch: ``(region, fingerprint)`` pairs.
+            batch: ``(derive, fingerprint)`` pairs.
+            rows: Optional pre-resolved presence rows, one per item.
 
         Returns:
             The presence values in ``[0, 1]``, in batch order.
@@ -511,27 +591,22 @@ class EvaluationContext:
                 ``contains_many`` or a cached value diverges from a fresh
                 evaluation.
         """
-        values: list[float] = [0.0] * len(batch)
-        misses: list[int] = []
-        hits: list[int] = []
-        cache = self._presence_cache
         poi_id = poi.poi_id
-        for index, (_, fingerprint) in enumerate(batch):
-            if fingerprint is not None:
-                cached = cache.get((fingerprint, poi_id, self.params_epoch))
-                if cached is not None:
-                    values[index] = cached
-                    hits.append(index)
-                    continue
-            misses.append(index)
+        if rows is None:
+            rows = [self.presence_row(fingerprint) for _, fingerprint in batch]
+        found = [None if row is None else row.get(poi_id) for row in rows]
+        misses = [index for index, value in enumerate(found) if value is None]
+        values = cast(list[float], found)
+        hit_count = len(batch) - len(misses)
         instrumented = obs_enabled()
-        if hits:
-            self.stats.presence_cache_hits += len(hits)
+        if hit_count:
+            self.stats.presence_cache_hits += hit_count
             if instrumented:
-                counter("ctx.presence.hits", unit="evaluations").inc(len(hits))
+                counter("ctx.presence.hits", unit="evaluations").inc(hit_count)
             if contracts_enabled():
+                hits = [i for i, value in enumerate(found) if value is not None]
                 fresh = self.estimator.presences(
-                    poi, [batch[index][0] for index in hits]
+                    poi, [batch[index][0]() for index in hits]
                 )
                 for index, value in zip(hits, fresh):
                     check_cached_value(
@@ -543,7 +618,7 @@ class EvaluationContext:
         if not misses:
             return values
         self.stats.presence_evaluations += len(misses)
-        regions = [batch[index][0] for index in misses]
+        regions = [batch[index][0]() for index in misses]
         if instrumented:
             counter("ctx.presence.misses", unit="evaluations").inc(len(misses))
             with span("presence.quadrature"):
@@ -551,9 +626,20 @@ class EvaluationContext:
         else:
             fresh = self.estimator.presences(poi, regions)
         where = f"presence in POI {poi_id!r}"
+        cache = self._presence_cache
         for index, value in zip(misses, fresh):
             values[index] = check_presence(value, where=where)
             fingerprint = batch[index][1]
             if fingerprint is not None:
-                cache.put((fingerprint, poi_id, self.params_epoch), value)
+                cache.put((fingerprint, self.params_epoch), poi_id, value)
         return values
+
+
+def _episode_fingerprints(
+    uncertainty: IntervalUncertainty,
+) -> list[tuple[object, tuple[float, float, float, float] | None]]:
+    """Each episode's key and MBR fingerprint (the window contract's view)."""
+    return [
+        (episode.key, _mbr_fingerprint(episode.region))
+        for episode in uncertainty.episodes
+    ]

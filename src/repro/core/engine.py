@@ -41,6 +41,8 @@ owning shard, and join queries skip shards whose count bounds are zero::
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -91,6 +93,18 @@ def _checked_k(k: object) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     return k
+
+
+def _checked_time(value: object, name: str) -> float:
+    """``value`` as a float if it is a finite real (``bool`` is not a time)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise TypeError(
+            f"{name} must be a real number, got {value!r} ({type(value).__name__})"
+        )
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return result
 
 
 class FlowEngine:
@@ -583,10 +597,12 @@ class FlowEngine:
             exact for every returned POI.
 
         Raises:
-            TypeError: If ``k`` is not an ``int`` (or is a ``bool``).
-            ValueError: If ``method`` is unknown, ``k < 1``, or an empty
-                ``pois`` sequence is passed.
+            TypeError: If ``k`` is not an ``int`` or ``t`` not a real
+                number (either a ``bool``).
+            ValueError: If ``method`` is unknown, ``k < 1``, ``t`` is not
+                finite, or an empty ``pois`` sequence is passed.
         """
+        t = _checked_time(t, "t")
         k = _checked_k(k)
         if method not in _METHODS:
             raise ValueError(
@@ -636,10 +652,14 @@ class FlowEngine:
             The ranked :class:`~repro.core.queries.TopKResult`.
 
         Raises:
-            TypeError: If ``k`` is not an ``int`` (or is a ``bool``).
-            ValueError: If ``method`` is unknown, ``k < 1``, the window
-                is inverted, or an empty ``pois`` sequence is passed.
+            TypeError: If ``k`` is not an ``int`` or a window end not a
+                real number (either a ``bool``).
+            ValueError: If ``method`` is unknown, ``k < 1``, a window end
+                is not finite, the window is inverted, or an empty
+                ``pois`` sequence is passed.
         """
+        t_start = _checked_time(t_start, "t_start")
+        t_end = _checked_time(t_end, "t_end")
         k = _checked_k(k)
         if method not in _METHODS:
             raise ValueError(
@@ -695,7 +715,13 @@ class FlowEngine:
 
         Returns:
             ``{poi_id: flow}`` containing only POIs with positive flow.
+
+        Raises:
+            TypeError: If ``t`` is not a real number (or is a ``bool``).
+            ValueError: If ``t`` is not finite or an empty ``pois`` is
+                passed.
         """
+        t = _checked_time(t, "t")
         query_pois, poi_tree = self._query_pois(pois)
         if self.num_shards > 1:
             flows, _ = merge_partials(
@@ -717,7 +743,15 @@ class FlowEngine:
 
         Returns:
             ``{poi_id: flow}`` containing only POIs with positive flow.
+
+        Raises:
+            TypeError: If a window end is not a real number (or is a
+                ``bool``).
+            ValueError: If a window end is not finite, the window is
+                inverted, or an empty ``pois`` is passed.
         """
+        t_start = _checked_time(t_start, "t_start")
+        t_end = _checked_time(t_end, "t_end")
         query_pois, poi_tree = self._query_pois(pois)
         if self.num_shards > 1:
             if t_end < t_start:
@@ -751,9 +785,12 @@ class FlowEngine:
             The ranked result; each entry's ``flow`` is flow per m².
 
         Raises:
-            TypeError: If ``k`` is not an ``int`` (or is a ``bool``).
-            ValueError: If ``k < 1`` or an empty ``pois`` is passed.
+            TypeError: If ``k`` is not an ``int`` or ``t`` not a real
+                number (either a ``bool``).
+            ValueError: If ``k < 1``, ``t`` is not finite or an empty
+                ``pois`` is passed.
         """
+        t = _checked_time(t, "t")
         k = _checked_k(k)
         query_pois, _ = self._query_pois(pois)
         flows = self.snapshot_flows(t, pois=query_pois)
@@ -778,9 +815,13 @@ class FlowEngine:
             The ranked result; each entry's ``flow`` is flow per m².
 
         Raises:
-            TypeError: If ``k`` is not an ``int`` (or is a ``bool``).
-            ValueError: If ``k < 1`` or an empty ``pois`` is passed.
+            TypeError: If ``k`` is not an ``int`` or a window end not a
+                real number (either a ``bool``).
+            ValueError: If ``k < 1``, a window end is not finite, the
+                window is inverted, or an empty ``pois`` is passed.
         """
+        t_start = _checked_time(t_start, "t_start")
+        t_end = _checked_time(t_end, "t_end")
         k = _checked_k(k)
         query_pois, _ = self._query_pois(pois)
         flows = self.interval_flows(t_start, t_end, pois=query_pois)

@@ -38,6 +38,7 @@ from ...geometry import (
     Region,
     Ring,
     intersect_all,
+    mbr_array,
     union_all,
 )
 from ...indoor.devices import Deployment, Device
@@ -74,7 +75,13 @@ class Episode:
 
 
 class IntervalUncertainty:
-    """``UR(o, [t_s, t_e])`` as a union of episodes."""
+    """``UR(o, [t_s, t_e])`` as a union of episodes.
+
+    The overall MBR, the per-episode MBRs (also as an ``(n, 4)`` array,
+    :attr:`segment_boxes`, for the join's whole-array box test) and the
+    presence-cache :attr:`fingerprint` are computed once, here; the union
+    region is built on first use and kept.
+    """
 
     def __init__(
         self,
@@ -87,6 +94,20 @@ class IntervalUncertainty:
         self.t_start = t_start
         self.t_end = t_end
         self.episodes = tuple(episodes)
+        boxes = (episode.mbr for episode in self.episodes)
+        self._segment_mbrs = tuple(box for box in boxes if box is not None)
+        #: One overall bounding box (the coarse pre-improvement MBR).
+        self.mbr: Mbr | None = (
+            Mbr.union_all(self._segment_mbrs) if self._segment_mbrs else None
+        )
+        self.segment_boxes = mbr_array(self._segment_mbrs)
+        keys = tuple(episode.key for episode in self.episodes)
+        #: The tuple of episode keys (``None`` if an episode has no key):
+        #: identical episodes are identical geometry, whatever window
+        #: produced them.
+        self.fingerprint: tuple[Hashable, ...] | None = (
+            None if any(key is None for key in keys) else ("interval",) + keys
+        )
         self._region: Region | None = None
 
     @property
@@ -97,15 +118,9 @@ class IntervalUncertainty:
             self._region = union_all(parts) if parts else EmptyRegion()
         return self._region
 
-    @property
-    def mbr(self) -> Mbr | None:
-        """One overall bounding box (the coarse pre-improvement MBR)."""
-        boxes = self.segment_mbrs()
-        return Mbr.union_all(boxes) if boxes else None
-
     def segment_mbrs(self) -> list[Mbr]:
         """Per-episode MBRs — the finer boxes of the improved join."""
-        return [episode.mbr for episode in self.episodes if episode.mbr is not None]
+        return list(self._segment_mbrs)
 
 
 def interval_uncertainty(

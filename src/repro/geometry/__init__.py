@@ -18,7 +18,7 @@ from .area import (
 )
 from .circle import Circle
 from .ellipse import ExtendedEllipse
-from .mbr import Mbr
+from .mbr import Mbr, mbr_array
 from .point import EPSILON, Point
 from .polygon import Polygon
 from .region import (
@@ -41,6 +41,7 @@ __all__ = [
     "EmptyRegion",
     "ExtendedEllipse",
     "Mbr",
+    "mbr_array",
     "Point",
     "Polygon",
     "Region",

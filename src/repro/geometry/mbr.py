@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+import numpy as np
 
 from .point import EPSILON, Point
 
-__all__ = ["Mbr"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.typing import NDArray
+
+__all__ = ["Mbr", "mbr_array"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,3 +183,12 @@ class Mbr:
         for mbr in iterator:
             result = result.union(mbr)
         return result
+
+
+def mbr_array(mbrs: Iterable[Mbr]) -> NDArray[np.float64]:
+    """The boxes as one ``(n, 4)`` float64 array of
+    ``(min_x, min_y, max_x, max_y)`` rows, for whole-array box tests."""
+    return np.array(
+        [(box.min_x, box.min_y, box.max_x, box.max_y) for box in mbrs],
+        dtype=np.float64,
+    ).reshape(-1, 4)

@@ -14,9 +14,14 @@ search method.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, Self, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Self, Sequence
 
-from ..geometry import Mbr
+import numpy as np
+
+from ..geometry import Mbr, mbr_array
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.typing import NDArray
 
 __all__ = ["RTree", "RTreeNode", "RTreeEntry"]
 
@@ -85,6 +90,7 @@ class RTree:
         self.root = RTreeNode([], is_leaf=True)
         self._size = 0
         self._height = 1
+        self._boxes: tuple[NDArray[np.float64], dict[int, int]] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -92,6 +98,7 @@ class RTree:
 
     def insert(self, mbr: Mbr, item: Any) -> None:
         """Insert ``item`` with bounding box ``mbr``."""
+        self._boxes = None
         entry = RTreeEntry(mbr, item=item)
         split = self._insert_entry(self.root, entry, level=self._height - 1)
         if split is not None:
@@ -194,6 +201,30 @@ class RTree:
                 else:
                     assert entry.child is not None
                     stack.append(entry.child)
+
+    def entry_boxes(self) -> tuple[NDArray[np.float64], dict[int, int]]:
+        """Every entry's box as one array, and each entry's row in it.
+
+        Returns ``(boxes, rows)``: an ``(E, 4)`` float64 array of
+        ``(min_x, min_y, max_x, max_y)`` rows over all entries, internal
+        and leaf, and ``{id(entry): row}``.  Built on first use and kept
+        until the next :meth:`insert`, so a tree joined against many
+        times (the POI tree ``R_P``) pays for it once.
+        """
+        if self._boxes is None:
+            entries: list[RTreeEntry] = []
+            stack = [self.root]
+            while stack:
+                node = stack.pop()
+                for entry in node.entries:
+                    entries.append(entry)
+                    if entry.child is not None:
+                        stack.append(entry.child)
+            self._boxes = (
+                mbr_array(entry.mbr for entry in entries),
+                {id(entry): row for row, entry in enumerate(entries)},
+            )
+        return self._boxes
 
     def __len__(self) -> int:
         return self._size

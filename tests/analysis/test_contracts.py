@@ -22,11 +22,12 @@ from repro.analysis import (
     check_quadrature,
     check_region_fingerprint,
     check_upper_bound,
+    check_window,
     contracts_enabled,
     set_contracts,
 )
 from repro.core.presence import PresenceEstimator
-from repro.core.states import snapshot_contexts
+from repro.core.states import interval_contexts, snapshot_contexts
 from repro.geometry import Circle, Point, Polygon
 from repro.geometry.program import Literal
 from repro.indoor import Poi
@@ -77,6 +78,7 @@ class TestEnablement:
             assert check_cached_value(1.0, 2.0) == 1.0
             check_region_fingerprint((0.0, 0.0, 1.0, 1.0), None)
             check_quadrature(1, 2)
+            check_window([("a", None)], [("b", None)])
         finally:
             set_contracts(None)
 
@@ -141,6 +143,31 @@ class TestViolations:
         object.__setattr__(region, "_program", ((tuple(corrupted),),))
         with pytest.raises(ContractViolation, match="batched quadrature"):
             estimator.presence(region, poi)
+
+    def test_window_episode_keys_differ(self, contracts_on):
+        box = (0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ContractViolation, match="episode keys"):
+            check_window([("gap", box)], [("gap", box), ("trail", box)], key="w")
+        check_window([("gap", box)], [("gap", box)], key="w")
+
+    def test_window_episode_mbr_differs(self, contracts_on):
+        with pytest.raises(ContractViolation, match="MBR"):
+            check_window(
+                [("gap", (0.0, 0.0, 1.0, 1.0))],
+                [("gap", (0.0, 0.0, 3.0, 1.0))],
+            )
+
+    def test_corrupted_window_memo_entry_is_caught(self, synthetic_dataset, contracts_on):
+        """A memoized window serving another window's region trips the check."""
+        engine = synthetic_dataset.engine()
+        ctx = engine.ctx
+        contexts = interval_contexts(engine.artree, 100.0, 400.0)
+        first, second = contexts[0], contexts[1]
+        ctx.interval_uncertainty(first)
+        key = next(iter(ctx._window_cache._entries))
+        ctx._window_cache.put(key, ctx.interval_uncertainty(second))
+        with pytest.raises(ContractViolation, match="memoized window"):
+            ctx.interval_uncertainty(first)
 
     def test_violation_is_an_assertion_error(self, contracts_on):
         with pytest.raises(AssertionError):

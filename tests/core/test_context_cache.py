@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import EvaluationContext, LruCache
+from repro.core.caching import RowCache
 from repro.core.monitor import SlidingIntervalTopKMonitor, SnapshotTopKMonitor
 
 COUNTER_KEYS = (
@@ -62,6 +63,35 @@ class TestLruCache:
         assert (value, hit) == (41, False)
         value, hit = cache.get_or_build("k", lambda: 42)
         assert (value, hit) == (41, True)
+
+
+class TestRowCache:
+    def test_counts_values_and_evicts_whole_rows(self):
+        cache = RowCache(3)
+        cache.put("a", "p", 0.1)
+        cache.put("a", "q", 0.2)
+        cache.put("b", "p", 0.3)
+        assert len(cache) == 3
+        assert cache.row("a") == {"p": 0.1, "q": 0.2}  # refreshes "a"
+        cache.put("c", "p", 0.4)  # over capacity: evicts row "b"
+        assert cache.row("b") is None
+        assert len(cache) == 3
+        cache.put("c", "q", 0.5)  # evicts row "a" (two values)
+        assert cache.row("a") is None
+        assert len(cache) == 2
+
+    def test_handed_out_row_sees_later_values(self):
+        cache = RowCache(8)
+        cache.put("a", "p", 0.1)
+        row = cache.row("a")
+        cache.put("a", "q", 0.2)
+        assert row == {"p": 0.1, "q": 0.2}
+
+    def test_zero_capacity_disables_storage(self):
+        cache = RowCache(0)
+        cache.put("a", "p", 0.1)
+        assert cache.row("a") is None
+        assert len(cache) == 0
 
 
 class TestFlowEquivalence:

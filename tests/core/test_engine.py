@@ -139,3 +139,60 @@ class TestTopKArgument:
     @pytest.mark.parametrize("call", sorted(_TOPK_CALLS))
     def test_int_k_is_answered(self, any_engine, call):
         assert len(_TOPK_CALLS[call](any_engine, 3)) == 3
+
+
+_TIME_CALLS = {
+    "snapshot_topk.t": lambda engine, t: engine.snapshot_topk(t, 3),
+    "interval_topk.t_start": lambda engine, t: engine.interval_topk(t, 400.0, 3),
+    "interval_topk.t_end": lambda engine, t: engine.interval_topk(200.0, t, 3),
+    "snapshot_density_topk.t": lambda engine, t: engine.snapshot_density_topk(
+        t, 3
+    ),
+    "interval_density_topk.t_start": (
+        lambda engine, t: engine.interval_density_topk(t, 400.0, 3)
+    ),
+    "interval_density_topk.t_end": (
+        lambda engine, t: engine.interval_density_topk(200.0, t, 3)
+    ),
+    "snapshot_flows.t": lambda engine, t: engine.snapshot_flows(t),
+    "interval_flows.t_start": lambda engine, t: engine.interval_flows(t, 400.0),
+    "interval_flows.t_end": lambda engine, t: engine.interval_flows(200.0, t),
+}
+
+
+def _argument(call):
+    return call.rsplit(".", 1)[1]
+
+
+class TestTimeArguments:
+    """Query times are checked at the library boundary, at any shard count.
+
+    NaN used to rank every POI at zero flow (it compares false with every
+    record time), ``True`` was taken as 1 and a string failed deep inside
+    the index.
+    """
+
+    @pytest.mark.parametrize("call", sorted(_TIME_CALLS))
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_time_is_a_value_error(self, any_engine, call, value):
+        with pytest.raises(ValueError, match=f"{_argument(call)} must be finite"):
+            _TIME_CALLS[call](any_engine, value)
+
+    @pytest.mark.parametrize("call", sorted(_TIME_CALLS))
+    @pytest.mark.parametrize(
+        "value", [True, "300", None, 300j], ids=["bool", "str", "none", "complex"]
+    )
+    def test_non_real_time_is_a_type_error(self, any_engine, call, value):
+        with pytest.raises(TypeError, match=f"{_argument(call)} must be a real"):
+            _TIME_CALLS[call](any_engine, value)
+
+    @pytest.mark.parametrize("call", sorted(_TIME_CALLS))
+    def test_int_and_numpy_times_answer_like_floats(self, any_engine, call):
+        import numpy as np
+
+        reference = _TIME_CALLS[call](any_engine, 300.0)
+        assert _TIME_CALLS[call](any_engine, 300) == reference
+        assert _TIME_CALLS[call](any_engine, np.float64(300.0)) == reference
+        assert _TIME_CALLS[call](any_engine, np.int64(300)) == reference

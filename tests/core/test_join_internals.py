@@ -1,11 +1,19 @@
 """White-box tests for the join machinery (Algorithms 2/3/5 internals)."""
 
+import random
+
+import numpy as np
 import pytest
 
-from repro.core.algorithms.join import JoinObject, _match_entries, _topk_join
+from repro.core.algorithms.join import (
+    JoinObject,
+    _Admission,
+    _match_entries,
+    _topk_join,
+)
 from repro.core.presence import PresenceEstimator
-from repro.geometry import Circle, Mbr, Point, Polygon
-from repro.index import AggregateRTree
+from repro.geometry import Circle, Mbr, Point, Polygon, mbr_array
+from repro.index import AggregateRTree, RTree
 from repro.indoor import Poi, build_poi_index
 
 
@@ -15,8 +23,23 @@ def join_object(object_id, x, y, half=2.0, segments=None):
         object_id=object_id,
         mbr=Mbr.around(Point(x, y), half),
         region_factory=lambda: Circle(Point(x, y), half),
-        segment_mbrs=segments,
+        boxes=None if segments is None else mbr_array(segments),
     )
+
+
+def admitted(obj, box):
+    """Whether a POI with box ``box`` admits ``obj`` into its join list."""
+    tree = RTree.bulk_load([(box, "p")])
+    return not _Admission(tree, [obj]).misses(tree.root.entries[0])[obj.column]
+
+
+def reference_admits(obj, box, use_segment_mbrs):
+    """The per-pair rule the admission matrix replaces."""
+    if not obj.mbr.intersects(box):
+        return False
+    if use_segment_mbrs and obj.boxes is not None:
+        return any(Mbr(*row).intersects(box) for row in obj.boxes.tolist())
+    return True
 
 
 def poi_at(poi_id, x, y, half=3.0):
@@ -44,24 +67,36 @@ class TestJoinObject:
 
     def test_matches_coarse(self):
         obj = join_object("o", 0.0, 0.0, half=2.0)
-        assert obj.matches(Mbr(1, 1, 5, 5), use_segment_mbrs=False)
-        assert not obj.matches(Mbr(10, 10, 12, 12), use_segment_mbrs=False)
+        assert admitted(obj, Mbr(1, 1, 5, 5))
+        assert not admitted(obj, Mbr(10, 10, 12, 12))
 
     def test_segment_mbrs_refine(self):
         # Overall box covers [-10, 10] but the actual episodes only touch
         # the two ends; the middle POI is pruned only with segments on.
         segments = (Mbr(-10, -1, -6, 1), Mbr(6, -1, 10, 1))
-        obj = JoinObject(
-            "o",
-            Mbr(-10, -1, 10, 1),
-            region_factory=lambda: Circle(Point(0, 0), 0.1),
-            segment_mbrs=segments,
-        )
+
+        def obj(boxes):
+            return JoinObject(
+                "o",
+                Mbr(-10, -1, 10, 1),
+                region_factory=lambda: Circle(Point(0, 0), 0.1),
+                boxes=boxes,
+            )
+
         middle = Mbr(-1, -1, 1, 1)
-        assert obj.matches(middle, use_segment_mbrs=False)
-        assert not obj.matches(middle, use_segment_mbrs=True)
+        assert admitted(obj(None), middle)
+        assert not admitted(obj(mbr_array(segments)), middle)
         end = Mbr(7, -1, 8, 1)
-        assert obj.matches(end, use_segment_mbrs=True)
+        assert admitted(obj(mbr_array(segments)), end)
+
+    def test_rejects_empty_boxes(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            JoinObject(
+                "o",
+                Mbr(0, 0, 1, 1),
+                region_factory=lambda: Circle(Point(0, 0), 0.1),
+                boxes=np.empty((0, 4)),
+            )
 
 
 class TestMatchEntries:
@@ -71,14 +106,156 @@ class TestMatchEntries:
             [(o.mbr, o) for o in objects], max_entries=4
         )
         probe = Mbr(0, -1, 30, 1)
+        poi_tree = RTree.bulk_load([(probe, "p")])
+        poi_entry = poi_tree.root.entries[0]
         matched, upper_bound = _match_entries(
-            probe, tree.root.entries, tree, use_segment_mbrs=False
+            poi_entry, tree.root.entries, tree, _Admission(poi_tree, objects)
         )
         # The bound equals the number of objects under the matched entries,
         # which is at least the number that truly intersect.
         truly = sum(1 for o in objects if o.mbr.intersects(probe))
         assert upper_bound >= truly
         assert upper_bound == sum(tree.count(e) for e in matched)
+
+
+    def test_leaf_candidates_follow_the_admission_row(self):
+        # Segment boxes prune an object whose overall box still reaches
+        # the POI: a leaf candidate's fate is its admission row entry.
+        near = join_object("near", 0.0, 0.0, half=1.0)
+        far = JoinObject(
+            "far",
+            Mbr(-10, -1, 10, 1),
+            region_factory=lambda: Circle(Point(0, 0), 0.1),
+            boxes=mbr_array((Mbr(-10, -1, -6, 1), Mbr(6, -1, 10, 1))),
+        )
+        tree = AggregateRTree.build([(o.mbr, o) for o in (near, far)], max_entries=4)
+        poi_tree = RTree.bulk_load([(Mbr(-1, -1, 1, 1), "p")])
+        matched, upper_bound = _match_entries(
+            poi_tree.root.entries[0],
+            tree.root.entries,
+            tree,
+            _Admission(poi_tree, [near, far]),
+        )
+        assert [entry.item.object_id for entry in matched] == ["near"]
+        assert upper_bound == 1
+
+
+def _random_box(rng, span=12, zero_width=0.2):
+    """An integer-aligned box (so edges often touch), sometimes degenerate."""
+    x, y = rng.randint(0, span), rng.randint(0, span)
+    w = 0 if rng.random() < zero_width else rng.randint(1, 4)
+    h = 0 if rng.random() < zero_width else rng.randint(1, 4)
+    return Mbr(float(x), float(y), float(x + w), float(y + h))
+
+
+def _random_objects(rng, count, use_segment_mbrs):
+    objects = []
+    for index in range(count):
+        segments = [_random_box(rng) for _ in range(rng.randint(1, 5))]
+        objects.append(
+            JoinObject(
+                f"o{index}",
+                Mbr.union_all(segments),
+                region_factory=lambda: Circle(Point(0, 0), 0.1),
+                boxes=mbr_array(segments) if use_segment_mbrs else None,
+                order_key=index,
+            )
+        )
+    return objects
+
+
+def _all_entries(tree):
+    stack, entries = [tree.root], []
+    while stack:
+        node = stack.pop()
+        for entry in node.entries:
+            entries.append(entry)
+            if entry.child is not None:
+                stack.append(entry.child)
+    return entries
+
+
+class TestAdmissionEquivalence:
+    """The admission matrix equals the per-pair rule on every tree entry."""
+
+    def _check(self, poi_tree, objects, use_segment_mbrs):
+        admission = _Admission(poi_tree, objects)
+        for entry in _all_entries(poi_tree):
+            misses = admission.misses(entry)
+            assert len(misses) == len(objects)
+            for obj in objects:
+                assert (not misses[obj.column]) == reference_admits(
+                    obj, entry.mbr, use_segment_mbrs
+                ), (entry.mbr, obj.object_id)
+
+    @pytest.mark.parametrize("use_segment_mbrs", [True, False], ids=["segments", "coarse"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_boxes(self, seed, use_segment_mbrs):
+        rng = random.Random(seed)
+        objects = _random_objects(rng, rng.randint(1, 40), use_segment_mbrs)
+        poi_boxes = [_random_box(rng) for _ in range(rng.randint(1, 30))]
+        poi_tree = RTree.bulk_load(
+            [(box, f"p{i}") for i, box in enumerate(poi_boxes)], max_entries=4
+        )
+        self._check(poi_tree, objects, use_segment_mbrs)
+
+    def test_touching_edges_and_points(self):
+        segments = [Mbr(0, 0, 2, 2), Mbr(5, 5, 5, 5)]
+        obj = JoinObject(
+            "o",
+            Mbr.union_all(segments),
+            region_factory=lambda: Circle(Point(0, 0), 0.1),
+            boxes=mbr_array(segments),
+        )
+        touching = [
+            Mbr(2, 0, 3, 2),  # shares the right edge
+            Mbr(-1, 2, 0, 3),  # shares one corner
+            Mbr(5, 5, 5, 5),  # the same point
+            Mbr(5, 0, 5, 9),  # a zero-width box through the point
+        ]
+        for box in touching:
+            assert admitted(obj, box) and reference_admits(obj, box, True)
+        apart = [Mbr(2.5, 2.5, 4.5, 4.5), Mbr(5.0000001, 5, 6, 6)]
+        for box in apart:
+            assert not admitted(obj, box)
+            assert not reference_admits(obj, box, True)
+
+    @pytest.mark.parametrize("use_segment_mbrs", [True, False], ids=["segments", "coarse"])
+    def test_poi_subset_trees(self, office_pois, use_segment_mbrs):
+        rng = random.Random(5)
+        boxes = [poi.polygon.mbr for poi in office_pois]
+        lo_x = min(b.min_x for b in boxes)
+        lo_y = min(b.min_y for b in boxes)
+        hi_x = max(b.max_x for b in boxes)
+        hi_y = max(b.max_y for b in boxes)
+        objects = []
+        for index in range(30):
+            segments = []
+            for _ in range(rng.randint(1, 6)):
+                x = rng.uniform(lo_x, hi_x)
+                y = rng.uniform(lo_y, hi_y)
+                segments.append(Mbr(x, y, x + rng.uniform(0, 6), y + rng.uniform(0, 6)))
+            # Exact POI edges as boxes: touching must count as intersecting.
+            segments.append(rng.choice(boxes))
+            objects.append(
+                JoinObject(
+                    f"o{index}",
+                    Mbr.union_all(segments),
+                    region_factory=lambda: Circle(Point(0, 0), 0.1),
+                    boxes=mbr_array(segments) if use_segment_mbrs else None,
+                )
+            )
+        for size in (1, 7, len(office_pois)):
+            subset = rng.sample(list(office_pois), size)
+            self._check(build_poi_index(subset, max_entries=4), objects, use_segment_mbrs)
+
+    def test_tree_boxes_are_built_once(self):
+        tree = RTree.bulk_load([(Mbr(0, 0, 1, 1), "p"), (Mbr(2, 2, 3, 3), "q")])
+        assert tree.entry_boxes() is tree.entry_boxes()
+        boxes, rows = tree.entry_boxes()
+        tree.insert(Mbr(5, 5, 6, 6), "r")
+        rebuilt, rebuilt_rows = tree.entry_boxes()
+        assert rebuilt is not boxes and len(rebuilt_rows) > len(rows)
 
 
 class TestTopKJoin:
