@@ -82,11 +82,12 @@ GUARDED_MUTATORS: dict[str, frozenset[str | None]] = {
     "patch_tail": frozenset({"ARTree", None}),
     # Common names: only guarded when the receiver provably is the table.
     "append": frozenset({"LiveTrackingTable"}),
+    "append_batch": frozenset({"LiveTrackingTable"}),
     "extend_episode": frozenset({"LiveTrackingTable"}),
     "close_episode": frozenset({"LiveTrackingTable"}),
     # Storage-backend mutators (PR 8): a direct write desynchronises the
     # durable generation counter from the table/index/cache lockstep.
-    "append_row": frozenset({"SQLiteBackend", "MemoryBackend", None}),
+    "append_rows": frozenset({"SQLiteBackend", "MemoryBackend", None}),
     "rewrite_tail_row": frozenset({"SQLiteBackend", "MemoryBackend", None}),
 }
 

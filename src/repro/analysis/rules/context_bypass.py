@@ -18,7 +18,7 @@ on an AR-tree outside the index/engine layers are flagged too.
 
 The storage seam (PR 8) closes the loop underneath: a
 :class:`~repro.storage.base.StorageBackend` mutated directly — a bare
-``.append_row(...)`` / ``.rewrite_tail_row(...)`` outside the live
+``.append_rows(...)`` / ``.rewrite_tail_row(...)`` outside the live
 table's write-through path — desynchronises the durable generation
 counter from the table, the AR-tree delta and the cache epochs, so a
 later recovery replays history the in-memory layers never saw (or
@@ -85,7 +85,7 @@ _SHARD_MUTATOR_ALLOWED = (
 )
 
 #: Storage-backend mutators owned by the live table's write-through path.
-_GUARDED_STORAGE_MUTATORS = frozenset({"append_row", "rewrite_tail_row"})
+_GUARDED_STORAGE_MUTATORS = frozenset({"append_rows", "rewrite_tail_row"})
 
 #: Path fragments allowed to mutate storage backends directly: the
 #: storage package itself and the table that owns the write-through.
@@ -112,7 +112,7 @@ class ContextBypassRule(Rule):
         "EvaluationContext caching layer, no direct AR-tree "
         "append_record()/patch_tail() outside the shard ingest path, "
         "no ShardState mutation outside the engine's ingest seam, and "
-        "no StorageBackend append_row()/rewrite_tail_row() outside the "
+        "no StorageBackend append_rows()/rewrite_tail_row() outside the "
         "live table's write-through path"
     )
     paper_ref = (

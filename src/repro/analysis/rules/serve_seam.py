@@ -56,7 +56,7 @@ _INTERNALS = frozenset(
         "close_open_episode",
         "append_record",
         "patch_tail",
-        "append_row",
+        "append_rows",
         "rewrite_tail_row",
     }
 )

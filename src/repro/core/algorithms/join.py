@@ -116,24 +116,14 @@ class JoinObject:
         return self._region
 
 
-#: Turns a POI box ``(min_x, min_y, max_x, max_y)`` into its limits
-#: ``(min_x, min_y, -max_x, -max_y)``, and an object box, reordered to
-#: ``(max_x, max_y, min_x, min_y)``, into its values.  Negation is exact
-#: and reverses ``<`` exactly, so :meth:`Mbr.intersects`'s four miss
-#: tests become "value < limit" on the same floats: ``box.max_x <
-#: poi.min_x``, ``box.max_y < poi.min_y``, ``-box.min_x < -poi.max_x``
-#: and ``-box.min_y < -poi.max_y``.
-_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
-
-
 class _Admission:
     """Which objects each POI-tree entry admits into its join list.
 
     Built with ``R_I``: every box of the POI tree against every object's
     boxes in one broadcast float64 comparison of the four miss tests
-    :meth:`Mbr.intersects` makes (see ``_SIGNS``), then, for objects with
-    several boxes, one ``logical_and.reduceat`` per object over its
-    boxes' misses.  An object is admitted when one of its boxes
+    :meth:`Mbr.intersects` makes (:meth:`RTree.entry_misses`), then, for
+    objects with several boxes, one ``logical_and.reduceat`` per object
+    over its boxes' misses.  An object is admitted when one of its boxes
     intersects the POI box.  That equals the per-pair rule "``mbr``
     intersects and, with segment boxes, one segment intersects",
     because every box lies inside ``mbr``: a box hit implies an ``mbr``
@@ -144,30 +134,21 @@ class _Admission:
     __slots__ = ("_misses", "_rows")
 
     def __init__(self, poi_tree: RTree, objects: Sequence[JoinObject]):
-        poi_boxes, self._rows = poi_tree.entry_boxes()
+        _, self._rows = poi_tree.entry_boxes()
         for column, obj in enumerate(objects):
             obj.column = column
         starts: NDArray[np.intp] | None = None
         if all(obj.boxes is None for obj in objects):
-            values = np.array(
-                [
-                    (box.max_x, box.max_y, -box.min_x, -box.min_y)
-                    for box in (obj.mbr for obj in objects)
-                ],
-                dtype=np.float64,
-            )
+            boxes = mbr_array(obj.mbr for obj in objects)
         else:
             parts = [
                 obj.boxes if obj.boxes is not None else mbr_array((obj.mbr,))
                 for obj in objects
             ]
-            values = np.concatenate(parts)[:, [2, 3, 0, 1]] * _SIGNS
+            boxes = np.concatenate(parts)
             starts = np.zeros(len(parts), dtype=np.intp)
             np.cumsum([len(part) for part in parts[:-1]], out=starts[1:])
-        limits = (poi_boxes * _SIGNS).T[:, :, np.newaxis]  # (4, E, 1)
-        misses = np.logical_or.reduce(
-            np.less(values.T[:, np.newaxis, :], limits), axis=0
-        )  # (E, M): the POI box misses the object box
+        misses = poi_tree.entry_misses(boxes)  # (E, M)
         if starts is not None:
             misses = np.logical_and.reduceat(misses, starts, axis=1)
         self._misses: list[list[bool]] = misses.tolist()

@@ -401,11 +401,16 @@ class FlowEngine:
         unchanged instant — see the new data immediately and return exactly
         what a freshly built engine over the union of records would.
 
-        Records are applied one by one: if one fails validation, the
-        records before it remain ingested and the error propagates.  A
-        fleet routes each record to its owning shard (keeping per-shard
-        order) and applies the shards' sub-batches in shard order; only
-        the owning shard's cache epochs roll.
+        The batch is one unit: the live table validates every record
+        (against the table and the batch's earlier records), persists the
+        new ones with one storage write — one SQLite transaction, so an
+        acknowledged call is durable and a crash inside it loses all of
+        its new records — and then applies them in order.  If a record
+        fails validation, the records before it are persisted and
+        ingested and the error propagates.  A fleet routes each record to
+        its owning shard (keeping per-shard order) and applies the
+        shards' sub-batches in shard order, one write per shard store;
+        only the owning shard's cache epochs roll.
 
         Args:
             records: Closed tracking records, in per-object chronological

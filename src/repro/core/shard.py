@@ -48,7 +48,7 @@ from ..indoor.floorplan import FloorPlan
 from ..indoor.poi import Poi, build_poi_index
 from ..analysis.contracts import check_flow, contracts_enabled
 from ..obs import span
-from ..storage.base import Mutation, StorageBackend
+from ..storage.base import Mutation, StorageBackend, StoredRow
 from ..tracking.records import ObjectId, TrackingRecord
 from ..tracking.table import LiveTrackingTable, ObjectTrackingTable
 from .caching import LruCache
@@ -189,8 +189,9 @@ class ShardState:
             # advance exactly as the crashed writer's did.
             self.ctx.sync_generation(storage.snapshot_generation)
             with span("ingest.replay"):
-                for mutation in restored_tail:
-                    self._replay_storage_mutation(mutation)
+                self._require_live().replay(
+                    restored_tail, self._index_append, self._index_rewrite
+                )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -523,6 +524,11 @@ class ShardState:
     def ingest_batch(self, records: Iterable[TrackingRecord]) -> int:
         """Append closed records: table, AR-tree and cache epochs in step.
 
+        The live table validates the whole batch, persists its new
+        records with one backend call and applies them; each applied
+        record then enters the AR-tree and rolls its object's cache
+        epoch, in batch order.
+
         Args:
             records: Closed tracking records in per-object time order.
 
@@ -535,20 +541,14 @@ class ShardState:
 
         Raises:
             RuntimeError: If the shard is frozen-batch.
-            ValueError: If a record fails at-append validation; earlier
-                records of the batch stay ingested.
+            ValueError: If a record fails at-append validation; the
+                records before it stay ingested.
         """
         live = self._require_live()
-        count = 0
         with span("ingest.batch"):
-            for record in records:
-                predecessor = live.last_record(record.object_id)
-                if not live.append(record):
-                    continue
-                self.artree.append_record(record, predecessor)
-                self.ctx.note_append(record.object_id)
-                count += 1
-        return count
+            return live.append_batch(
+                (StoredRow(record) for record in records), self._index_append
+            )
 
     def ingest_open_episode(self, record: TrackingRecord) -> None:
         """Start an open detection episode (``t_e`` still advancing).
@@ -562,10 +562,23 @@ class ShardState:
                 object already has an open episode.
         """
         live = self._require_live()
-        predecessor = live.last_record(record.object_id)
-        if not live.append(record, open=True):
-            return  # idempotent redelivery: episode already stored
-        self.artree.append_record(record, predecessor, open=True)
+        # An idempotent redelivery appends nothing and calls no hook.
+        live.append_batch([StoredRow(record, open=True)], self._index_append)
+
+    # The table's hooks.  Live ingest and recovery's WAL replay both run
+    # through them, so a recovered shard's AR-tree delta and cache epochs
+    # are bitwise those of an uninterrupted run.
+
+    def _index_append(
+        self, row: StoredRow, predecessor: TrackingRecord | None
+    ) -> None:
+        """Index an appended row and roll its object's cache epoch."""
+        self.artree.append_record(row.record, predecessor, open=row.open)
+        self.ctx.note_append(row.record.object_id)
+
+    def _index_rewrite(self, record: TrackingRecord, open: bool) -> None:
+        """Patch an extended or closed tail and roll its object's epoch."""
+        self.artree.patch_tail(record, open=open)
         self.ctx.note_append(record.object_id)
 
     def extend_open_episode(
@@ -584,10 +597,8 @@ class ShardState:
             RuntimeError: If the shard is frozen-batch.
             ValueError: If no episode is open or ``t_e`` retreats.
         """
-        live = self._require_live()
-        updated = live.extend_episode(object_id, t_e)
-        self.artree.patch_tail(updated, open=True)
-        self.ctx.note_append(object_id)
+        updated = self._require_live().extend_episode(object_id, t_e)
+        self._index_rewrite(updated, True)
         return updated
 
     def close_open_episode(
@@ -606,33 +617,9 @@ class ShardState:
             RuntimeError: If the shard is frozen-batch.
             ValueError: If no episode is open or ``t_e`` retreats.
         """
-        live = self._require_live()
-        closed = live.close_episode(object_id, t_e)
-        self.artree.patch_tail(closed, open=False)
-        self.ctx.note_append(object_id)
+        closed = self._require_live().close_episode(object_id, t_e)
+        self._index_rewrite(closed, False)
         return closed
-
-    def _replay_storage_mutation(self, mutation: Mutation) -> None:
-        """Recovery's ingest: one WAL mutation through the live seam.
-
-        Identical effects to the corresponding live mutator — table (via
-        :meth:`~repro.tracking.table.LiveTrackingTable.replay_mutation`,
-        which skips re-persisting), AR-tree delta and cache epochs all
-        advance — so a recovered shard is bitwise the shard an
-        uninterrupted run would have produced.
-        """
-        live = self._require_live()
-        record = mutation.record
-        if mutation.op in ("append", "append_open"):
-            predecessor = live.last_record(record.object_id)
-            live.replay_mutation(mutation)
-            self.artree.append_record(
-                record, predecessor, open=mutation.op == "append_open"
-            )
-        else:
-            live.replay_mutation(mutation)
-            self.artree.patch_tail(record, open=mutation.op == "extend")
-        self.ctx.note_append(record.object_id)
 
     def compact_storage(self) -> int:
         """Checkpoint: fold the live table's WAL tail into its snapshot.

@@ -28,6 +28,7 @@ import sys
 from dataclasses import replace
 from typing import TextIO
 
+from ..storage.base import StoredRow, chunked_rows
 from ..storage.sqlite import SQLiteBackend
 from .config import SyntheticConfig
 from .stream import stream_synthetic_records
@@ -55,21 +56,23 @@ def _write_csv(handle: TextIO, config: SyntheticConfig) -> tuple[int, float]:
 def _write_store(path: str, config: SyntheticConfig) -> tuple[int, float]:
     """Stream the records into a SQLite store; returns (count, max t_e).
 
-    Appends are idempotent on ``record_id`` (the stream is deterministic
-    per seed), so re-running a killed generation resumes; the store is
+    Records are written in chunks, one transaction each.  Appends are
+    idempotent on ``record_id`` (the stream is deterministic per seed),
+    so re-running a killed generation resumes; the store is
     compacted at the end so an engine reopening it bulk-loads everything.
     """
     backend = SQLiteBackend(path)
     count = 0
     t_max = 0.0
     try:
-        for record in stream_synthetic_records(config):
+        rows = (StoredRow(record) for record in stream_synthetic_records(config))
+        for chunk in chunked_rows(rows):
             # Records land in the store first; engines attach to it
             # afterwards via FlowEngine(storage=...).
             # repro: allow(context-bypass): the generator seam is the writer
-            backend.append_row(record)
-            count += 1
-            t_max = max(t_max, record.t_e)
+            backend.append_rows(chunk)
+            count += len(chunk)
+            t_max = max(t_max, max(row.record.t_e for row in chunk))
         backend.compact()
     finally:
         backend.close()

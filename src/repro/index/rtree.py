@@ -25,6 +25,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["RTree", "RTreeNode", "RTreeEntry"]
 
+#: Turns a query box ``(min_x, min_y, max_x, max_y)`` into the values
+#: ``(-min_x, -min_y, max_x, max_y)`` tested against an entry's limits
+#: (see :meth:`RTree.entry_misses`).
+_MISS_SIGNS = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+
 
 class RTreeEntry:
     """A slot in an R-tree node.
@@ -91,6 +96,7 @@ class RTree:
         self._size = 0
         self._height = 1
         self._boxes: tuple[NDArray[np.float64], dict[int, int]] | None = None
+        self._limits: NDArray[np.float64] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -99,6 +105,7 @@ class RTree:
     def insert(self, mbr: Mbr, item: Any) -> None:
         """Insert ``item`` with bounding box ``mbr``."""
         self._boxes = None
+        self._limits = None
         entry = RTreeEntry(mbr, item=item)
         split = self._insert_entry(self.root, entry, level=self._height - 1)
         if split is not None:
@@ -225,6 +232,34 @@ class RTree:
                 {id(entry): row for row, entry in enumerate(entries)},
             )
         return self._boxes
+
+    def entry_misses(self, boxes: NDArray[np.float64]) -> NDArray[np.bool_]:
+        """Which entry boxes miss which query boxes, as one ``(E, M)`` array.
+
+        ``boxes`` is an ``(M, 4)`` array of ``(min_x, min_y, max_x,
+        max_y)`` rows; ``[i, j]`` is ``not entry.mbr.intersects(box j)``
+        for the entry at row ``i`` of :meth:`entry_boxes`, on the same
+        floats.  A query box becomes the values ``(-min_x, -min_y, max_x,
+        max_y)`` and each entry is kept as the limits ``(-max_x, -max_y,
+        min_x, min_y)``.  Negation is exact and reverses ``<`` exactly,
+        so :meth:`Mbr.intersects`'s four miss tests become "value <
+        limit": ``-box.min_x < -entry.max_x``, ``-box.min_y <
+        -entry.max_y``, ``box.max_x < entry.min_x`` and ``box.max_y <
+        entry.min_y``.  The limits are built once and dropped with
+        :meth:`entry_boxes`.
+        """
+        if self._limits is None:
+            entry_boxes, _ = self.entry_boxes()
+            # Contiguous: the broadcast comparison against it runs several
+            # times faster than against the transposed view.
+            self._limits = np.ascontiguousarray(
+                (entry_boxes.T[[2, 3, 0, 1]] * _MISS_SIGNS)[:, :, np.newaxis]
+            )  # (4, E, 1)
+        # Row-major (4, M) values, for the same reason as the limits.
+        values = np.multiply(boxes.T, _MISS_SIGNS, order="C")
+        return np.logical_or.reduce(
+            np.less(values[:, np.newaxis, :], self._limits), axis=0
+        )
 
     def __len__(self) -> int:
         return self._size

@@ -125,15 +125,29 @@ class PointDistanceField:
         self.source_rooms = frozenset(
             room.room_id for room in floorplan.rooms_at(source)
         )
+        # Through each door of a source room, the best walk to every door
+        # is the straight line to it plus its door-graph row; the minimum
+        # over those doors is exact, and unreachable doors stay inf.
         self._door_distances: dict[str, float] = {}
-        for room_id in self.source_rooms:
-            for door in floorplan.doors_of_room(room_id):
-                direct = source.distance_to(door.position)
-                distances, _ = oracle.graph.shortest_from(door.door_id)
-                for door_id, through in distances.items():
-                    candidate = direct + through
-                    if candidate < self._door_distances.get(door_id, math.inf):
-                        self._door_distances[door_id] = candidate
+        source_doors = [
+            door
+            for room_id in self.source_rooms
+            for door in floorplan.doors_of_room(room_id)
+        ]
+        if source_doors:
+            graph = oracle.graph
+            direct = np.array(
+                [source.distance_to(door.position) for door in source_doors]
+            )
+            rows = np.stack(
+                [graph.distance_row(door.door_id) for door in source_doors]
+            )
+            best = (direct[:, np.newaxis] + rows).min(axis=0)
+            self._door_distances = {
+                door_id: distance
+                for door_id, distance in zip(graph.door_ids, best.tolist())
+                if distance != math.inf
+            }
         # Per-room arrays of (door distance, door x, door y) over the
         # room's doors in floor-plan order, for the vectorised path.
         self._room_door_arrays: dict[

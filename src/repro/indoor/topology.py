@@ -12,10 +12,15 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+import numpy as np
 
 from ..geometry import Point
 from .floorplan import Door, FloorPlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from numpy.typing import NDArray
 
 __all__ = ["DoorGraph"]
 
@@ -48,6 +53,10 @@ class DoorGraph:
         self._sssp_cache: dict[
             str, tuple[dict[str, float], dict[str, str | None]]
         ] = {}
+        #: Every door id in floor-plan order: the columns of
+        #: :meth:`distance_row`.
+        self.door_ids: list[str] = [door.door_id for door in floorplan.doors]
+        self._rows: dict[str, NDArray[np.float64]] = {}
 
     # ------------------------------------------------------------------
     # Shortest paths between doors
@@ -78,6 +87,24 @@ class DoorGraph:
         result = (distances, predecessors)
         self._sssp_cache[door_id] = result
         return result
+
+    def distance_row(self, door_id: str) -> NDArray[np.float64]:
+        """Shortest distances from ``door_id`` to every door, as an array.
+
+        Column ``j`` is the distance to ``door_ids[j]`` from the cached
+        :meth:`shortest_from` tree (``inf`` when unreachable).  Built once
+        per door and read-only.
+        """
+        row = self._rows.get(door_id)
+        if row is None:
+            distances, _ = self.shortest_from(door_id)
+            row = np.array(
+                [distances.get(other, math.inf) for other in self.door_ids],
+                dtype=np.float64,
+            )
+            row.flags.writeable = False
+            self._rows[door_id] = row
+        return row
 
     def door_distance(self, from_door: str, to_door: str) -> float:
         """Shortest walking distance between two doors (inf if unreachable)."""

@@ -12,7 +12,7 @@ lost every open episode.  This package puts a storage seam underneath the
   default, keeping the pre-storage behaviour bit for bit
   (:mod:`repro.storage.memory`);
 * :class:`SQLiteBackend` — the durable implementation: SQLite in WAL
-  mode, one transaction per mutation, open episodes as tail rows,
+  mode, one transaction per appended batch, open episodes as tail rows,
   idempotent ``record_id`` upserts (:mod:`repro.storage.sqlite`);
 * :func:`default_live_backend` — the ``REPRO_STORAGE_BACKEND``
   environment switch CI uses to run the whole suite against either

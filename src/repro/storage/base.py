@@ -23,18 +23,24 @@ stays in lockstep with the backend's, the
 from it on restore, and ``replay_since(g)`` hands back exactly the
 mutations a crash cut off after ``g``.
 
-**Idempotency.**  ``append_row`` treats ``record_id`` as the external id
+**Idempotency.**  ``append_rows`` treats ``record_id`` as the external id
 of an ``(source, external_id)``-style upsert: re-delivering a record that
-is already stored is a no-op returning ``False`` (no generation bump),
-while a *conflicting* redelivery — same id, different object/device/start
-— raises.  This is what lets a resumed producer simply re-send its whole
-stream after a crash.
+is already stored (or stored earlier in the same call) is a skipped no-op
+(no generation bump), while a *conflicting* redelivery — same id,
+different object/device/start — raises.  This is what lets a resumed
+producer simply re-send its whole stream after a crash.
+
+**Batches.**  ``append_rows`` persists a whole batch with one write: the
+durable backend commits it as one transaction.  When a row of the batch
+fails its check, the rows before it are persisted and then the error is
+raised; the rows after it are not looked at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Protocol, runtime_checkable
+from itertools import islice
+from typing import Iterable, Iterator, Protocol, runtime_checkable
 
 from ..tracking.records import ObjectId, TrackingRecord
 
@@ -43,6 +49,8 @@ __all__ = [
     "StorageBackend",
     "StoredRow",
     "MUTATION_OPS",
+    "BULK_CHUNK_ROWS",
+    "chunked_rows",
     "row_identity",
 ]
 
@@ -67,6 +75,20 @@ class StoredRow:
     record: TrackingRecord
     #: Whether the episode is still advancing (an open tail row).
     open: bool = False
+
+
+#: Rows per ``append_rows`` call for the bulk writers (table copies, the
+#: CSV importer, the datagen store writer): one transaction per chunk,
+#: with at most one chunk of rows held in memory.
+BULK_CHUNK_ROWS = 4096
+
+
+def chunked_rows(rows: Iterable[StoredRow]) -> Iterator[list[StoredRow]]:
+    """Split a row stream into lists of at most :data:`BULK_CHUNK_ROWS`
+    rows, in order."""
+    iterator = iter(rows)
+    while chunk := list(islice(iterator, BULK_CHUNK_ROWS)):
+        yield chunk
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,21 +132,28 @@ class StorageBackend(Protocol):
         """The generation the bulk snapshot is current as of."""
         ...
 
-    def append_row(self, record: TrackingRecord, *, open: bool = False) -> bool:
-        """Durably append one record (idempotent on ``record_id``).
+    def append_rows(self, rows: Iterable[StoredRow]) -> int:
+        """Durably append a batch of rows (idempotent on ``record_id``).
+
+        The batch is one write: the durable backend commits it as one
+        transaction, so after a crash it is stored whole or not at all.
+        Each row's ``open`` flag says whether it starts an open episode
+        (a tail row).
 
         Args:
-            record: The record to persist.
-            open: Whether this starts an open episode (a tail row).
+            rows: The rows to persist, in stream order.
 
         Returns:
-            ``True`` if the row was appended, ``False`` for an idempotent
-            redelivery of an already-stored ``record_id`` (no-op, no
-            generation bump).
+            The number of rows appended; idempotent redeliveries of an
+            already-stored ``record_id`` are skipped (no generation bump).
 
         Raises:
-            ValueError: If ``record_id`` is already stored with a
-                different ``(object_id, device_id, t_s)`` identity.
+            ValueError: If a row's ``record_id`` is already stored with a
+                different ``(object_id, device_id, t_s)`` identity.  The
+                rows before it are persisted first, one generation each
+                (the owning table applies as many rows as the generation
+                moved), and the same holds for any other row the backend
+                refuses.
         """
         ...
 

@@ -10,7 +10,7 @@ durable backend is supplied.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..tracking.records import ObjectId, TrackingRecord
 from .base import MUTATION_OPS, Mutation, StoredRow, row_identity
@@ -55,20 +55,23 @@ class MemoryBackend:
     # Writes
     # ------------------------------------------------------------------
 
-    def append_row(self, record: TrackingRecord, *, open: bool = False) -> bool:
-        """Log one appended record (idempotent on ``record_id``)."""
-        existing = self._rows.get(record.record_id)
-        if existing is not None:
-            if row_identity(existing.record) != row_identity(record):
-                raise ValueError(
-                    f"record {record.record_id} is already stored as "
-                    f"{existing.record!r}; refusing conflicting redelivery "
-                    f"of {record!r}"
-                )
-            return False
-        op = "append_open" if open else "append"
-        self._log(op, StoredRow(record, open=open))
-        return True
+    def append_rows(self, rows: Iterable[StoredRow]) -> int:
+        """Log a batch of appended rows (idempotent on ``record_id``)."""
+        count = 0
+        for row in rows:
+            record = row.record
+            existing = self._rows.get(record.record_id)
+            if existing is not None:
+                if row_identity(existing.record) != row_identity(record):
+                    raise ValueError(
+                        f"record {record.record_id} is already stored as "
+                        f"{existing.record!r}; refusing conflicting "
+                        f"redelivery of {record!r}"
+                    )
+                continue
+            self._log("append_open" if row.open else "append", row)
+            count += 1
+        return count
 
     def rewrite_tail_row(self, record: TrackingRecord, *, open: bool) -> None:
         """Log an open tail row's new extent (extend or close)."""

@@ -1,4 +1,4 @@
-"""The durable backend: SQLite in WAL mode, crash-safe at record grain.
+"""The durable backend: SQLite in WAL mode, crash-safe at batch grain.
 
 **Schema** (version 1).  Three tables mirror the protocol's two read
 shapes directly:
@@ -14,10 +14,15 @@ shapes directly:
 * ``meta(key, value)`` — ``schema_version`` and ``snapshot_generation``.
 
 **Durability.**  The connection runs ``journal_mode=WAL`` with
-``synchronous=NORMAL`` and autocommit, so every mutation is its own
-transaction: killing the process between two appends loses nothing, and
-killing it *inside* one loses only that row — exactly the record-boundary
-guarantee the crash-recovery tests assert.  Object and device ids are
+``synchronous=NORMAL``.  Each :meth:`SQLiteBackend.append_rows` call is
+one transaction (``BEGIN`` / one ``executemany`` / ``COMMIT``), and each
+episode rewrite is its own autocommitted statement.  A live table hands
+the backend one batch per ingest call, so the durability grain is the
+ingest call: killing the process between two calls loses nothing, and
+killing it *inside* one loses all of that call's new rows and nothing
+else — the call-boundary guarantee the crash-recovery tests assert.  One
+commit per batch also keeps the WAL file small: a per-row commit writes
+a page set per row.  Object and device ids are
 JSON-encoded and therefore restricted to ``str``/``int`` (the simulated
 datasets use both); richer id types belong to the in-memory backend.
 
@@ -29,11 +34,12 @@ forked child.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sqlite3
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from ..obs import counter, obs_enabled, span
 from ..tracking.records import ObjectId, TrackingRecord
@@ -70,7 +76,19 @@ CREATE TABLE IF NOT EXISTS wal (
 CREATE INDEX IF NOT EXISTS wal_record ON wal (record_id);
 """
 
+_INSERT_WAL = (
+    "INSERT INTO wal (generation, op, record_id, object_id, device_id, "
+    "t_s, t_e) VALUES (?, ?, ?, ?, ?, ?, ?)"
+)
+
 _Identity = tuple[ObjectId, object, float]
+
+
+# Ids repeat across rows (a venue has few objects and devices), so their
+# JSON texts are memoized both ways; ``typed=True`` keeps ``True`` and
+# ``1`` apart.
+_dumps = functools.lru_cache(maxsize=1 << 16, typed=True)(json.dumps)
+_decode_id: Callable[[str], Any] = functools.lru_cache(maxsize=1 << 16)(json.loads)
 
 
 def _encode_id(value: object) -> str:
@@ -79,11 +97,7 @@ def _encode_id(value: object) -> str:
             "SQLite storage keeps str/int object and device ids, got "
             f"{type(value).__name__}: {value!r}"
         )
-    return json.dumps(value)
-
-
-def _decode_id(text: str) -> Any:
-    return json.loads(text)
+    return _dumps(value)
 
 
 class SQLiteBackend:
@@ -203,25 +217,64 @@ class SQLiteBackend:
     # Writes
     # ------------------------------------------------------------------
 
-    def append_row(self, record: TrackingRecord, *, open: bool = False) -> bool:
-        """Durably log one appended record (idempotent on ``record_id``)."""
+    def append_rows(self, rows: Iterable[StoredRow]) -> int:
+        """Durably log a batch of appended rows in one transaction.
+
+        Rows are checked first (idempotency and id encoding, against the
+        store and the batch's earlier rows), then the new ones are
+        inserted with one ``BEGIN`` / ``executemany`` / ``COMMIT``.  When
+        a row fails its check, the rows before it are committed and the
+        error is raised; a failure inside the transaction rolls the whole
+        batch back and leaves the store as it was.
+        """
         with span("storage.append"):
             conn = self._connection()
             known = self._known_identities(conn)
-            existing = known.get(record.record_id)
-            if existing is not None:
-                if existing != row_identity(record):
-                    raise ValueError(
-                        f"record {record.record_id} is already stored with "
-                        f"identity {existing!r}; refusing conflicting "
-                        f"redelivery of {record!r}"
+            fresh: dict[int, _Identity] = {}
+            params: list[tuple[Any, ...]] = []
+            generation = self._generation
+            try:
+                for row in rows:
+                    record = row.record
+                    identity = row_identity(record)
+                    existing = fresh.get(record.record_id)
+                    if existing is None:
+                        existing = known.get(record.record_id)
+                    if existing is not None:
+                        if existing != identity:
+                            raise ValueError(
+                                f"record {record.record_id} is already "
+                                f"stored with identity {existing!r}; "
+                                f"refusing conflicting redelivery of "
+                                f"{record!r}"
+                            )
+                        continue
+                    # Encoded before the generation moves, so a row whose
+                    # ids cannot be stored leaves no gap in the log.
+                    object_text = _encode_id(record.object_id)
+                    device_text = _encode_id(record.device_id)
+                    generation += 1
+                    params.append(
+                        (
+                            generation,
+                            "append_open" if row.open else "append",
+                            record.record_id,
+                            object_text,
+                            device_text,
+                            record.t_s,
+                            record.t_e,
+                        )
                     )
-                return False
-            self._log(conn, "append_open" if open else "append", record)
-            known[record.record_id] = row_identity(record)
-        if obs_enabled():
-            counter("storage.rows_appended", unit="rows").inc()
-        return True
+                    fresh[record.record_id] = identity
+            finally:
+                # The valid prefix is stored even when a row failed.
+                if params:
+                    self._commit_wal_rows(conn, params)
+                    known.update(fresh)
+                    self._generation = generation
+        if obs_enabled() and params:
+            counter("storage.rows_appended", unit="rows").inc(len(params))
+        return len(params)
 
     def rewrite_tail_row(self, record: TrackingRecord, *, open: bool) -> None:
         """Durably log an open tail row's new extent (extend or close)."""
@@ -239,8 +292,7 @@ class SQLiteBackend:
     ) -> None:
         generation = self._generation + 1
         conn.execute(
-            "INSERT INTO wal (generation, op, record_id, object_id, "
-            "device_id, t_s, t_e) VALUES (?, ?, ?, ?, ?, ?, ?)",
+            _INSERT_WAL,
             (
                 generation,
                 op,
@@ -252,6 +304,20 @@ class SQLiteBackend:
             ),
         )
         self._generation = generation
+
+    @staticmethod
+    def _commit_wal_rows(
+        conn: sqlite3.Connection, params: list[tuple[Any, ...]]
+    ) -> None:
+        """Insert WAL rows as one transaction; roll back on any failure."""
+        conn.execute("BEGIN")
+        try:
+            conn.executemany(_INSERT_WAL, params)
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
 
     def _known_identities(self, conn: sqlite3.Connection) -> dict[int, _Identity]:
         if self._known is None:

@@ -26,7 +26,7 @@ import csv
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..storage.base import StorageBackend
+from ..storage.base import StorageBackend, StoredRow, chunked_rows
 from ..storage.memory import MemoryBackend
 from .records import RawReading, TrackingRecord
 from .table import ObjectTrackingTable
@@ -123,7 +123,10 @@ def import_records_csv(path: str | Path, backend: StorageBackend) -> int:
 
     Rows whose ``record_id`` the store already holds are skipped (their
     identity is still checked), so re-running an interrupted import picks
-    up where it stopped instead of failing or duplicating.
+    up where it stopped instead of failing or duplicating.  Rows are
+    written in chunks of :data:`~repro.storage.base.BULK_CHUNK_ROWS`, one
+    backend call (one SQLite transaction) each; a malformed row stops the
+    import before its chunk is written.
 
     Args:
         path: A CSV written by :func:`save_ott_csv`.
@@ -140,13 +143,15 @@ def import_records_csv(path: str | Path, backend: StorageBackend) -> int:
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         _require_fields(reader.fieldnames, _RECORD_FIELDS, path)
-        for line_number, row in enumerate(reader, start=2):
-            record = _record_from_row(row, path, line_number)
+        rows = (
+            StoredRow(_record_from_row(row, path, line_number))
+            for line_number, row in enumerate(reader, start=2)
+        )
+        for chunk in chunked_rows(rows):
             # Rows land in the store first; tables are built from it
             # afterwards, so there is no table to go through yet.
             # repro: allow(context-bypass): the import seam is the writer
-            if backend.append_row(record):
-                count += 1
+            count += backend.append_rows(chunk)
     return count
 
 

@@ -23,14 +23,31 @@ the brute-force reference implementation the AR-tree is tested against.
 from __future__ import annotations
 
 import bisect
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from itertools import groupby
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from ..analysis.contracts import contracts_enabled, check_storage_generation
-from ..storage.base import Mutation, StorageBackend, row_identity
+from ..storage.base import (
+    Mutation,
+    StorageBackend,
+    StoredRow,
+    chunked_rows,
+    row_identity,
+)
 from ..storage.env import default_live_backend
 from .records import ObjectId, TrackingRecord
 
 __all__ = ["ObjectTrackingTable", "LiveTrackingTable"]
+
+#: Called by :meth:`LiveTrackingTable.append_batch` for each appended row,
+#: in order, with the object's previous last record (``None`` for its
+#: first): how the ingest seam keeps the AR-tree and the cache epochs in
+#: step with the table.
+AppendHook = Callable[[StoredRow, TrackingRecord | None], None]
+
+#: Called by :meth:`LiveTrackingTable.replay` for each replayed extend or
+#: close, with the updated record and whether its episode is still open.
+RewriteHook = Callable[[TrackingRecord, bool], None]
 
 
 def _validate_successor(
@@ -322,6 +339,8 @@ class LiveTrackingTable(_TrackingReads):
     :class:`~repro.storage.base.StorageBackend` *before* the structures
     are updated, so the store never lags the table (kill the process
     between any two mutations and the store holds a consistent prefix).
+    A batch of appends (:meth:`append_batch`) is validated whole, then
+    written with one backend call, then applied.
     Without an explicit ``backend`` the environment-selected default is
     used — :class:`~repro.storage.memory.MemoryBackend` unless
     ``REPRO_STORAGE_BACKEND=sqlite``.  Constructing a table over an
@@ -350,12 +369,11 @@ class LiveTrackingTable(_TrackingReads):
                     "not both"
                 )
             self._fill_from_snapshot()
-            for mutation in self._backend.replay_since(self._generation):
-                self.replay_mutation(mutation)
+            self.replay(self._backend.replay_since(self._generation))
             self._check_backend_sync()
         else:
-            for record in records:
-                self.append(record)
+            for chunk in chunked_rows(StoredRow(record) for record in records):
+                self.append_batch(chunk)
 
     def _init_state(self, backend: StorageBackend) -> None:
         _TrackingReads.__init__(self)
@@ -395,7 +413,7 @@ class LiveTrackingTable(_TrackingReads):
         This is the engine-recovery seam: the returned table matches the
         state the AR-tree bulk-loads, and the caller then drives
         ``backend.replay_since(table.generation)`` through the ingest
-        path (:meth:`replay_mutation` plus index/cache updates) so every
+        path (:meth:`replay` with index/cache hooks) so every
         layer advances in lockstep.  To recover a standalone table in one
         step, construct ``LiveTrackingTable(backend=backend)`` instead.
 
@@ -431,37 +449,57 @@ class LiveTrackingTable(_TrackingReads):
                 self._open[object_id] = len(self._records) - 1
         self._generation = self._backend.snapshot_generation
 
-    def replay_mutation(self, mutation: Mutation) -> None:
-        """Apply one already-persisted mutation without re-persisting it.
+    def replay(
+        self,
+        mutations: Iterable[Mutation],
+        on_append: AppendHook | None = None,
+        on_rewrite: RewriteHook | None = None,
+    ) -> None:
+        """Apply already-persisted mutations without re-persisting them.
 
-        Mutations must be replayed in generation order, immediately
-        following this table's current generation.
+        Mutations must come in generation order, immediately following
+        this table's current generation.  Each run of consecutive appends
+        is applied as one :meth:`append_batch` (calling ``on_append`` per
+        row); each extend or close is applied on its own, then
+        ``on_rewrite(record, open)`` is called.
 
         Args:
-            mutation: The logged mutation (from ``backend.replay_since``).
+            mutations: The logged mutations (from ``backend.replay_since``).
+            on_append: Called per replayed append, as in :meth:`append_batch`.
+            on_rewrite: Called per replayed extend or close.
 
         Raises:
-            ValueError: If the mutation is out of order or fails the
-                usual at-append validation.
+            ValueError: If a mutation is out of order, has an unknown op
+                or fails the usual at-append validation.
         """
-        if mutation.generation != self._generation + 1:
-            raise ValueError(
-                f"mutation {mutation.generation} replayed out of order "
-                f"(table is at generation {self._generation})"
-            )
-        record = mutation.record
         self._persist = False
         try:
-            if mutation.op == "append":
-                self.append(record)
-            elif mutation.op == "append_open":
-                self.append(record, open=True)
-            elif mutation.op == "extend":
-                self.extend_episode(record.object_id, record.t_e)
-            elif mutation.op == "close":
-                self.close_episode(record.object_id, record.t_e)
-            else:
-                raise ValueError(f"unknown mutation op {mutation.op!r}")
+            for appends, group in groupby(
+                mutations, key=lambda m: m.op in ("append", "append_open")
+            ):
+                run = list(group)
+                for expected, mutation in enumerate(run, self._generation + 1):
+                    if mutation.generation != expected:
+                        raise ValueError(
+                            f"mutation {mutation.generation} replayed out of "
+                            f"order (table is at generation {expected - 1})"
+                        )
+                if appends:
+                    rows = (StoredRow(m.record, open=m.open) for m in run)
+                    if self.append_batch(rows, on_append) != len(run):
+                        raise ValueError(
+                            "a logged append replayed as a redelivery"
+                        )
+                    continue
+                for mutation in run:
+                    if mutation.op not in ("extend", "close"):
+                        raise ValueError(f"unknown mutation op {mutation.op!r}")
+                    record = mutation.record
+                    self._advance_open(
+                        record.object_id, record.t_e, close=not mutation.open
+                    )
+                    if on_rewrite is not None:
+                        on_rewrite(record, mutation.open)
         finally:
             self._persist = True
 
@@ -487,11 +525,19 @@ class LiveTrackingTable(_TrackingReads):
                 "copy_into needs a pristine backend; construct "
                 "LiveTrackingTable(backend=...) to recover a populated one"
             )
-        open_indices = set(self._open.values())
         view = LiveTrackingTable(backend=backend)
-        for index, record in enumerate(self._records):
-            view.append(record, open=index in open_indices)
+        for chunk in chunked_rows(self._stored_rows()):
+            view.append_batch(chunk)
         return view
+
+    def _stored_rows(
+        self, object_ids: AbstractSet[ObjectId] | None = None
+    ) -> Iterator[StoredRow]:
+        """Rows of ``object_ids`` (every object if ``None``), in arrival order."""
+        open_indices = set(self._open.values())
+        for index, record in enumerate(self._records):
+            if object_ids is None or record.object_id in object_ids:
+                yield StoredRow(record, open=index in open_indices)
 
     def _check_backend_sync(self) -> None:
         if contracts_enabled():
@@ -531,8 +577,7 @@ class LiveTrackingTable(_TrackingReads):
         ``open=True`` leaves the episode advancing (see the class
         docstring).  Appending to an object with an open episode is
         rejected — close it first, the stream is ambiguous otherwise.
-        The record is persisted to the backend before the table's read
-        structures are updated.
+        This is :meth:`append_batch` with a batch of one.
 
         Args:
             record: The record to append; its ``t_s`` must not precede
@@ -549,41 +594,145 @@ class LiveTrackingTable(_TrackingReads):
                 redelivered, the object has an open episode, or the
                 record overlaps / precedes the object's tail record.
         """
-        object_id = record.object_id
-        existing = self._by_record_id.get(record.record_id)
-        if existing is not None:
-            if row_identity(existing) != row_identity(record):
-                raise ValueError(
-                    f"record {record.record_id} is already stored as "
-                    f"{existing!r}; refusing conflicting redelivery of "
-                    f"{record!r}"
+        return self.append_batch([StoredRow(record, open=open)]) == 1
+
+    def append_batch(
+        self, rows: Iterable[StoredRow], on_append: AppendHook | None = None
+    ) -> int:
+        """Append a batch of rows: validate, then persist once, then apply.
+
+        Every row is validated against the table plus the batch's earlier
+        rows, exactly as if the rows were appended one by one: an
+        idempotent redelivery (a stored ``record_id`` with the same
+        identity, or one repeated inside the batch) is skipped; a
+        conflicting redelivery, an append to an object with an open
+        episode, and a record overlapping or preceding the object's tail
+        record raise.  The new rows are then persisted with **one**
+        :meth:`~repro.storage.base.StorageBackend.append_rows` call and
+        applied to the read structures in order, one generation each,
+        calling ``on_append`` per row.
+
+        When a row fails validation, the rows before it are persisted and
+        applied, then its error is raised; the rows after it are not
+        looked at.  When the backend refuses a row, the rows it stored
+        before that one are applied and its error is raised; when the
+        backend's transaction fails, nothing is stored or applied.
+
+        Args:
+            rows: The rows in stream order; ``row.open`` starts an open
+                episode.
+            on_append: Called per appended row with the object's previous
+                last record (``None`` for its first).
+
+        Returns:
+            The number of rows appended (redeliveries excluded).
+
+        Raises:
+            ValueError: As :meth:`append`, for the first invalid row.
+            TypeError: From the SQLite backend, for an object or device
+                id that is not a ``str``/``int``.
+            RuntimeError: If the backend already held a row the table did
+                not know about (it has a second writer).
+        """
+        batch: list[StoredRow] = []
+        predecessors: list[TrackingRecord | None] = []
+        tails: dict[ObjectId, TrackingRecord] = {}
+        fresh: dict[int, TrackingRecord] = {}
+        opened: dict[ObjectId, int] = {}
+        try:
+            for row in rows:
+                record = row.record
+                object_id = record.object_id
+                existing = fresh.get(record.record_id)
+                if existing is None:
+                    existing = self._by_record_id.get(record.record_id)
+                if existing is not None:
+                    if row_identity(existing) != row_identity(record):
+                        raise ValueError(
+                            f"record {record.record_id} is already stored as "
+                            f"{existing!r}; refusing conflicting redelivery "
+                            f"of {record!r}"
+                        )
+                    continue
+                open_id = opened.get(object_id)
+                if open_id is None and object_id in self._open:
+                    open_id = self._records[self._open[object_id]].record_id
+                if open_id is not None:
+                    raise ValueError(
+                        f"object {object_id!r} has an open episode (record "
+                        f"{open_id}); close_episode() before appending the "
+                        "next record"
+                    )
+                predecessor = tails.get(object_id)
+                if predecessor is None:
+                    predecessor = self.last_record(object_id)
+                if predecessor is not None:
+                    _validate_successor(object_id, predecessor, record)
+                batch.append(row)
+                predecessors.append(predecessor)
+                tails[object_id] = record
+                fresh[record.record_id] = record
+                if row.open:
+                    opened[object_id] = record.record_id
+        finally:
+            # The valid prefix goes in even when a row failed.
+            if batch:
+                self._apply_batch(batch, predecessors, on_append)
+        return len(batch)
+
+    def _apply_batch(
+        self,
+        batch: list[StoredRow],
+        predecessors: list[TrackingRecord | None],
+        on_append: AppendHook | None,
+    ) -> None:
+        """Persist validated rows with one backend call, then apply them.
+
+        When the backend refuses a row (say, an id type it cannot store),
+        it has stored the rows before that one; those are applied too, so
+        the table stays at the backend's generation, and then the error
+        propagates.
+        """
+        if self._persist:
+            before = self._backend.generation
+            try:
+                stored = self._backend.append_rows(batch)
+            except BaseException:
+                self._apply_rows(
+                    batch[: self._backend.generation - before],
+                    predecessors,
+                    on_append,
                 )
-            return False
-        if object_id in self._open:
-            raise ValueError(
-                f"object {object_id!r} has an open episode (record "
-                f"{self._records[self._open[object_id]].record_id}); "
-                "close_episode() before appending the next record"
-            )
-        sequence = self._by_object.get(object_id)
-        if sequence:
-            _validate_successor(object_id, sequence[-1], record)
-        if self._persist and not self._backend.append_row(record, open=open):
-            raise RuntimeError(
-                f"backend already held record {record.record_id} the table "
-                "did not know about; a storage backend must have exactly "
-                "one writing table"
-            )
-        self._records.append(record)
-        self._by_object.setdefault(object_id, []).append(record)
-        self._start_times.setdefault(object_id, []).append(record.t_s)
-        self._by_record_id[record.record_id] = record
-        if open:
-            self._open[object_id] = len(self._records) - 1
-        self._generation += 1
+                raise
+            if stored != len(batch):
+                raise RuntimeError(
+                    "backend already held records of the batch the table "
+                    "did not know about; a storage backend must have "
+                    "exactly one writing table"
+                )
+        self._apply_rows(batch, predecessors, on_append)
+
+    def _apply_rows(
+        self,
+        batch: list[StoredRow],
+        predecessors: list[TrackingRecord | None],
+        on_append: AppendHook | None,
+    ) -> None:
+        """Apply persisted rows to the read structures, in order."""
+        for row, predecessor in zip(batch, predecessors):
+            record = row.record
+            object_id = record.object_id
+            self._records.append(record)
+            self._by_object.setdefault(object_id, []).append(record)
+            self._start_times.setdefault(object_id, []).append(record.t_s)
+            self._by_record_id[record.record_id] = record
+            if row.open:
+                self._open[object_id] = len(self._records) - 1
+            self._generation += 1
+            if on_append is not None:
+                on_append(row, predecessor)
         if self._persist:
             self._check_backend_sync()
-        return True
 
     def extend_episode(self, object_id: ObjectId, t_e: float) -> TrackingRecord:
         """Advance the open episode's ``t_e`` (must not move backwards).
@@ -672,11 +821,9 @@ class LiveTrackingTable(_TrackingReads):
         Returns:
             A new :class:`LiveTrackingTable` over the filtered records.
         """
-        open_indices = set(self._open.values())
         view = LiveTrackingTable()
-        for index, record in enumerate(self._records):
-            if record.object_id in object_ids:
-                view.append(record, open=index in open_indices)
+        for chunk in chunked_rows(self._stored_rows(object_ids)):
+            view.append_batch(chunk)
         return view
 
     # ------------------------------------------------------------------

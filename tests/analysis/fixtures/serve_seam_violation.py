@@ -51,4 +51,4 @@ class App:
 
     async def bad_storage(self, backend: object, row: object) -> None:
         # VIOLATION(serve-seam): raw storage write from handler code.
-        backend.append_row(row)
+        backend.append_rows([row])

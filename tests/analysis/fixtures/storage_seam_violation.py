@@ -11,9 +11,9 @@ class SQLiteBackend:
     def __init__(self) -> None:
         self.generation = 0
 
-    def append_row(self, record: object, *, open: bool = False) -> bool:
-        self.generation += 1
-        return True
+    def append_rows(self, rows: list) -> int:
+        self.generation += len(rows)
+        return len(rows)
 
     def rewrite_tail_row(self, record: object, *, open: bool) -> None:
         self.generation += 1
@@ -25,12 +25,12 @@ class LiveTrackingTable:
 
     def append(self, record: object) -> bool:
         # The write-through path: guarded-class methods are the seam.
-        return self.backend.append_row(record)
+        return self.backend.append_rows([record]) == 1
 
 
 def sneak_append(backend: SQLiteBackend, record: object) -> None:
     # VIOLATION(shard-safety): direct backend write outside the seam.
-    backend.append_row(record)
+    backend.append_rows([record])
 
 
 def sneak_rewrite(backend: SQLiteBackend, record: object) -> None:

@@ -67,7 +67,7 @@ class TestShardSafety:
 class TestStorageSeam:
     def test_flags_seeded_lines(self, fixture_graph):
         lines = findings(ShardSafetyChecker(), fixture_graph, STORAGE_FIXTURE)
-        assert 33 in lines  # backend.append_row() outside the seam
+        assert 33 in lines  # backend.append_rows() outside the seam
         assert 38 in lines  # backend.rewrite_tail_row() outside the seam
         assert 43 in lines  # external write backend.generation = ...
 

@@ -214,7 +214,7 @@ class TestContextBypass:
     def test_flags_direct_storage_backend_writes(self, tmp_path):
         report = lint_source(
             tmp_path,
-            "backend.append_row(record)\n"
+            "backend.append_rows(rows)\n"
             "backend.rewrite_tail_row(record, open=True)\n",
             rule="context-bypass",
         )
@@ -231,7 +231,7 @@ class TestContextBypass:
         ):
             report = lint_source(
                 tmp_path,
-                "stored = backend.append_row(record, open=True)\n"
+                "stored = backend.append_rows(rows)\n"
                 "backend.rewrite_tail_row(record, open=False)\n",
                 filename=filename,
                 rule="context-bypass",
@@ -242,7 +242,7 @@ class TestContextBypass:
         report = lint_source(
             tmp_path,
             "# repro: allow(context-bypass): the import seam is the writer\n"
-            "backend.append_row(record)\n",
+            "backend.append_rows(rows)\n",
             rule="context-bypass",
         )
         assert report.ok

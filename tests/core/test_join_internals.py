@@ -257,6 +257,23 @@ class TestAdmissionEquivalence:
         rebuilt, rebuilt_rows = tree.entry_boxes()
         assert rebuilt is not boxes and len(rebuilt_rows) > len(rows)
 
+    def test_tree_entry_misses_follow_inserts(self):
+        tree = RTree.bulk_load([(Mbr(0, 0, 1, 1), "p"), (Mbr(2, 2, 3, 4), "q")])
+        queries = [Mbr(1, 1, 2, 2), Mbr(0.5, 3, 0.9, 5), Mbr(5.5, 5.5, 7, 7)]
+
+        def expected():
+            _, rows = tree.entry_boxes()
+            entries = sorted(_all_entries(tree), key=lambda e: rows[id(e)])
+            return [[not e.mbr.intersects(q) for q in queries] for e in entries]
+
+        misses = tree.entry_misses(mbr_array(queries))
+        assert misses.tolist() == expected()
+        assert tree.entry_misses(mbr_array(queries)).tolist() == misses.tolist()
+        tree.insert(Mbr(5, 5, 6, 6), "r")
+        rebuilt = tree.entry_misses(mbr_array(queries))
+        assert rebuilt.shape == (len(tree.entry_boxes()[1]), len(queries))
+        assert rebuilt.tolist() == expected()
+
 
 class TestTopKJoin:
     def test_exact_presence_one_object_one_poi(self):

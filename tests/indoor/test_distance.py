@@ -13,6 +13,12 @@ from repro.indoor import (
     IndoorDistanceOracle,
     Room,
 )
+from repro.indoor.builders import (
+    airport_pier,
+    deploy_airport_devices,
+    deploy_office_devices,
+    office_building,
+)
 from repro.indoor.distance import RoomGrid
 
 
@@ -190,3 +196,74 @@ class TestRoomGrid:
         ys = np.concatenate([rng.uniform(0.5, 9.5, 40), [5.0, 5.0, 5.0]])
         grid = self._check(corridor_oracle, xs, ys)
         assert grid.room_id is None
+
+
+def reference_door_distances(oracle, source):
+    """The per-door loop the door-matrix construction replaced."""
+    floorplan = oracle.floorplan
+    door_distances = {}
+    for room in floorplan.rooms_at(source):
+        for door in floorplan.doors_of_room(room.room_id):
+            direct = source.distance_to(door.position)
+            distances, _ = oracle.graph.shortest_from(door.door_id)
+            for door_id, through in distances.items():
+                candidate = direct + through
+                if candidate < door_distances.get(door_id, math.inf):
+                    door_distances[door_id] = candidate
+    return door_distances
+
+
+class TestDoorDistances:
+    """A field's source→door distances, built from door-graph rows, equal
+    the per-door loop exactly: same keys, same floats."""
+
+    @pytest.mark.parametrize("plan_name", ["office", "airport"])
+    def test_every_device_matches_the_loop(self, plan_name):
+        if plan_name == "office":
+            plan = office_building()
+            deployment = deploy_office_devices(plan)
+        else:
+            plan = airport_pier()
+            deployment = deploy_airport_devices(plan)
+        oracle = IndoorDistanceOracle(plan)
+        sources = [device.center for device in deployment]
+        # Door positions lie on two rooms' boundaries at once.
+        sources += [door.position for door in plan.doors]
+        multi_room = 0
+        for source in sources:
+            field = oracle.field_from(source)
+            expected = reference_door_distances(oracle, source)
+            assert field._door_distances == expected
+            multi_room += len(field.source_rooms) > 1
+        assert multi_room > 0
+
+    def test_source_outside_every_room(self, corridor_oracle):
+        field = corridor_oracle.field_from(Point(-5.0, -5.0))
+        assert field.source_rooms == frozenset()
+        assert field._door_distances == {}
+
+    def test_distance_row_follows_door_order(self, corridor_oracle):
+        graph = corridor_oracle.graph
+        assert graph.door_ids == ["ab", "bc"]
+        row = graph.distance_row("ab")
+        assert row.tolist() == [0.0, 10.0]
+        assert graph.distance_row("ab") is row
+
+    def test_unreachable_doors_stay_out(self):
+        rooms = [
+            Room("a", Polygon.rectangle(0, 0, 10, 10)),
+            Room("b", Polygon.rectangle(10, 0, 20, 10)),
+            Room("c", Polygon.rectangle(30, 0, 40, 10)),
+            Room("d", Polygon.rectangle(40, 0, 50, 10)),
+        ]
+        doors = [
+            Door("ab", Point(10, 5), "a", "b"),
+            Door("cd", Point(40, 5), "c", "d"),
+        ]
+        oracle = IndoorDistanceOracle(FloorPlan(rooms, doors))
+        assert oracle.graph.distance_row("ab").tolist() == [0.0, math.inf]
+        field = oracle.field_from(Point(5, 5))
+        assert field._door_distances == reference_door_distances(
+            oracle, Point(5, 5)
+        )
+        assert field.door_distance("cd") == math.inf

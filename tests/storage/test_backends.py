@@ -27,6 +27,11 @@ def rec(record_id, object_id, device_id, t_s, t_e):
     return TrackingRecord(record_id, object_id, device_id, t_s, t_e)
 
 
+def append_row(backend, record, *, open=False):
+    """One row through the batch call; ``True`` if it was appended."""
+    return backend.append_rows([StoredRow(record, open=open)]) == 1
+
+
 @pytest.fixture(params=["memory", "sqlite"])
 def backend(request, tmp_path):
     if request.param == "memory":
@@ -47,15 +52,15 @@ class TestAppendSemantics:
         assert list(backend.iter_rows()) == []
 
     def test_append_bumps_generation(self, backend):
-        assert backend.append_row(rec(0, "o1", "d1", 10.0, 20.0))
-        assert backend.append_row(rec(1, "o2", "d1", 12.0, 15.0))
+        assert append_row(backend, rec(0, "o1", "d1", 10.0, 20.0))
+        assert append_row(backend, rec(1, "o2", "d1", 12.0, 15.0))
         assert backend.generation == 2
         assert backend.snapshot_generation == 0
 
     def test_redelivery_is_a_noop(self, backend):
         record = rec(0, "o1", "d1", 10.0, 20.0)
-        assert backend.append_row(record)
-        assert not backend.append_row(record)
+        assert append_row(backend, record)
+        assert not append_row(backend, record)
         assert backend.generation == 1
         assert len(list(backend.iter_rows())) == 1
 
@@ -63,18 +68,18 @@ class TestAppendSemantics:
         # A crashed producer re-sends the episode's *initial* extent
         # while the store already holds a later one: t_e is not part of
         # the upsert identity, so the redelivery is still a no-op.
-        backend.append_row(rec(0, "o1", "d1", 10.0, 12.0), open=True)
+        append_row(backend, rec(0, "o1", "d1", 10.0, 12.0), open=True)
         backend.rewrite_tail_row(rec(0, "o1", "d1", 10.0, 30.0), open=True)
-        assert not backend.append_row(rec(0, "o1", "d1", 10.0, 12.0), open=True)
+        assert not append_row(backend, rec(0, "o1", "d1", 10.0, 12.0), open=True)
         (row,) = backend.iter_rows()
         assert row.record.t_e == 30.0
 
     def test_conflicting_redelivery_raises(self, backend):
-        backend.append_row(rec(0, "o1", "d1", 10.0, 20.0))
+        append_row(backend, rec(0, "o1", "d1", 10.0, 20.0))
         with pytest.raises(ValueError, match="already stored"):
-            backend.append_row(rec(0, "o2", "d1", 10.0, 20.0))
+            append_row(backend, rec(0, "o2", "d1", 10.0, 20.0))
         with pytest.raises(ValueError, match="already stored"):
-            backend.append_row(rec(0, "o1", "d1", 11.0, 20.0))
+            append_row(backend, rec(0, "o1", "d1", 11.0, 20.0))
 
     def test_rewrite_unknown_record_raises(self, backend):
         with pytest.raises(ValueError, match="never appended"):
@@ -83,7 +88,7 @@ class TestAppendSemantics:
 
 class TestEpisodeLifecycle:
     def test_extend_then_close(self, backend):
-        backend.append_row(rec(0, "o1", "d1", 10.0, 12.0), open=True)
+        append_row(backend, rec(0, "o1", "d1", 10.0, 12.0), open=True)
         backend.rewrite_tail_row(rec(0, "o1", "d1", 10.0, 16.0), open=True)
         backend.rewrite_tail_row(rec(0, "o1", "d1", 10.0, 18.0), open=False)
         assert backend.generation == 3
@@ -91,9 +96,9 @@ class TestEpisodeLifecycle:
         assert row == StoredRow(rec(0, "o1", "d1", 10.0, 18.0), open=False)
 
     def test_replay_carries_ops_and_post_state(self, backend):
-        backend.append_row(rec(0, "o1", "d1", 10.0, 12.0), open=True)
+        append_row(backend, rec(0, "o1", "d1", 10.0, 12.0), open=True)
         backend.rewrite_tail_row(rec(0, "o1", "d1", 10.0, 16.0), open=True)
-        backend.append_row(rec(1, "o2", "d1", 11.0, 13.0))
+        append_row(backend, rec(1, "o2", "d1", 11.0, 13.0))
         backend.rewrite_tail_row(rec(0, "o1", "d1", 10.0, 18.0), open=False)
         mutations = backend.replay_since(0)
         assert [m.generation for m in mutations] == [1, 2, 3, 4]
@@ -110,8 +115,8 @@ class TestEpisodeLifecycle:
         assert backend.replay_since(4) == []
 
     def test_open_flag_survives_iteration(self, backend):
-        backend.append_row(rec(0, "o1", "d1", 10.0, 12.0), open=True)
-        backend.append_row(rec(1, "o2", "d1", 11.0, 13.0))
+        append_row(backend, rec(0, "o1", "d1", 10.0, 12.0), open=True)
+        append_row(backend, rec(1, "o2", "d1", 11.0, 13.0))
         by_id = {row.record.record_id: row for row in backend.iter_rows()}
         assert by_id[0].open
         assert not by_id[1].open
@@ -119,9 +124,9 @@ class TestEpisodeLifecycle:
 
 class TestCompaction:
     def fill(self, backend):
-        backend.append_row(rec(0, "o1", "d1", 10.0, 20.0))
-        backend.append_row(rec(1, "o2", "d1", 12.0, 15.0))
-        backend.append_row(rec(2, "o1", "d2", 30.0, 33.0), open=True)
+        append_row(backend, rec(0, "o1", "d1", 10.0, 20.0))
+        append_row(backend, rec(1, "o2", "d1", 12.0, 15.0))
+        append_row(backend, rec(2, "o1", "d2", 30.0, 33.0), open=True)
 
     def test_compact_folds_the_tail(self, backend):
         self.fill(backend)
@@ -162,9 +167,9 @@ class TestCompaction:
 
 class TestIterRows:
     def fill(self, backend):
-        backend.append_row(rec(0, "o1", "d1", 10.0, 20.0))
-        backend.append_row(rec(1, "o2", "d1", 12.0, 15.0))
-        backend.append_row(rec(2, "o1", "d2", 30.0, 40.0))
+        append_row(backend, rec(0, "o1", "d1", 10.0, 20.0))
+        append_row(backend, rec(1, "o2", "d1", 12.0, 15.0))
+        append_row(backend, rec(2, "o1", "d2", 30.0, 40.0))
 
     def test_object_filter(self, backend):
         self.fill(backend)
@@ -182,7 +187,7 @@ class TestIterRows:
     def test_filters_compose_across_snapshot_and_tail(self, backend):
         self.fill(backend)
         backend.compact()
-        backend.append_row(rec(3, "o1", "d3", 50.0, 60.0))
+        append_row(backend, rec(3, "o1", "d3", 50.0, 60.0))
         ids = [
             row.record.record_id
             for row in backend.iter_rows("o1", t_start=35.0)

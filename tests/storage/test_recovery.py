@@ -2,14 +2,15 @@
 """Crash recovery: kill mid-ingest, reopen, answers are bit-identical.
 
 The headline guarantee of the storage seam: a SQLite-backed live engine
-killed at an **arbitrary record boundary** can be reopened from the
+killed at an **arbitrary ingest-call boundary** can be reopened from the
 store alone; after the producer re-sends its stream (idempotent
 redelivery skips the persisted prefix), snapshot and interval top-k are
 bit-identical — same POIs, same float flows — to an uninterrupted run,
 for the join and the iterative algorithm, with runtime contracts
 enforced.  The crash is simulated by severing the backend's raw SQLite
 connection mid-stream: everything past the cut never reaches disk,
-exactly like a ``kill -9`` between two autocommitted appends.
+exactly like a ``kill -9`` between two ingest calls (one transaction
+each).
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ class TestCrashMidIngest:
                 writer.ingest(records[cut:])
 
         backend = SQLiteBackend(path)
-        assert backend.generation == cut  # record-boundary loss only
+        assert backend.generation == cut  # call-boundary loss only
         recovered = storage_engine(ds, backend)
         # The producer re-sends its whole stream; the persisted prefix
         # is skipped idempotently, the rest ingests normally.
@@ -175,7 +176,7 @@ class TestCrashMidIngest:
     @given(data=st.data())
     def test_any_record_boundary(self, dataset, reference_engine, tmp_path_factory,
                                  data):
-        """Hypothesis sweep: the cut may land on *any* record boundary."""
+        """Hypothesis sweep: the cut may land after *any* record."""
         ds, records = dataset
         cut = data.draw(st.integers(0, len(records)), label="cut")
         path = tmp_path_factory.mktemp("crash") / "ott.sqlite"

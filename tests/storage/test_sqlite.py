@@ -11,6 +11,7 @@ from repro.storage import (
     ENV_VAR,
     MemoryBackend,
     SQLiteBackend,
+    StoredRow,
     default_live_backend,
     sqlite_shard_stores,
 )
@@ -21,12 +22,17 @@ def rec(record_id, object_id, device_id, t_s, t_e):
     return TrackingRecord(record_id, object_id, device_id, t_s, t_e)
 
 
+def append_row(backend, record, *, open=False):
+    """One row through the batch call; ``True`` if it was appended."""
+    return backend.append_rows([StoredRow(record, open=open)]) == 1
+
+
 class TestReopen:
     def test_rows_and_generation_survive_reopen(self, tmp_path):
         path = tmp_path / "ott.sqlite"
         store = SQLiteBackend(path)
-        store.append_row(rec(0, "o1", "d1", 10.0, 20.0))
-        store.append_row(rec(1, "o2", "d1", 12.0, 15.0), open=True)
+        append_row(store, rec(0, "o1", "d1", 10.0, 20.0))
+        append_row(store, rec(1, "o2", "d1", 12.0, 15.0), open=True)
         store.close()
 
         reopened = SQLiteBackend(path)
@@ -40,9 +46,9 @@ class TestReopen:
     def test_snapshot_generation_survives_reopen(self, tmp_path):
         path = tmp_path / "ott.sqlite"
         store = SQLiteBackend(path)
-        store.append_row(rec(0, "o1", "d1", 10.0, 20.0))
+        append_row(store, rec(0, "o1", "d1", 10.0, 20.0))
         store.compact()
-        store.append_row(rec(1, "o2", "d1", 12.0, 15.0))
+        append_row(store, rec(1, "o2", "d1", 12.0, 15.0))
         store.close()
 
         reopened = SQLiteBackend(path)
@@ -56,13 +62,13 @@ class TestReopen:
     def test_reopen_keeps_idempotency(self, tmp_path):
         path = tmp_path / "ott.sqlite"
         store = SQLiteBackend(path)
-        store.append_row(rec(0, "o1", "d1", 10.0, 20.0))
+        append_row(store, rec(0, "o1", "d1", 10.0, 20.0))
         store.close()
 
         reopened = SQLiteBackend(path)
-        assert not reopened.append_row(rec(0, "o1", "d1", 10.0, 20.0))
+        assert not append_row(reopened, rec(0, "o1", "d1", 10.0, 20.0))
         with pytest.raises(ValueError, match="already stored"):
-            reopened.append_row(rec(0, "o9", "d1", 10.0, 20.0))
+            append_row(reopened, rec(0, "o9", "d1", 10.0, 20.0))
         reopened.close()
 
     def test_closed_backend_refuses_use(self, tmp_path):
@@ -70,7 +76,7 @@ class TestReopen:
         store.close()
         store.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            store.append_row(rec(0, "o1", "d1", 10.0, 20.0))
+            append_row(store, rec(0, "o1", "d1", 10.0, 20.0))
 
 
 class TestSchemaGuards:
@@ -87,13 +93,13 @@ class TestSchemaGuards:
     def test_rich_id_types_are_rejected(self, tmp_path):
         store = SQLiteBackend(tmp_path / "ott.sqlite")
         with pytest.raises(TypeError, match="str/int"):
-            store.append_row(rec(0, ("o", 1), "d1", 10.0, 20.0))
+            append_row(store, rec(0, ("o", 1), "d1", 10.0, 20.0))
         store.close()
 
     def test_int_ids_round_trip_as_ints(self, tmp_path):
         path = tmp_path / "ott.sqlite"
         store = SQLiteBackend(path)
-        store.append_row(rec(0, 7, 3, 10.0, 20.0))
+        append_row(store, rec(0, 7, 3, 10.0, 20.0))
         store.close()
         reopened = SQLiteBackend(path)
         (row,) = reopened.iter_rows()
@@ -110,7 +116,7 @@ class TestEphemeral:
     def test_ephemeral_store_unlinks_on_close(self, tmp_path):
         path = tmp_path / "scratch.sqlite"
         store = SQLiteBackend(path, ephemeral=True)
-        store.append_row(rec(0, "o1", "d1", 10.0, 20.0))
+        append_row(store, rec(0, "o1", "d1", 10.0, 20.0))
         assert path.exists()
         store.close()
         assert not path.exists()
