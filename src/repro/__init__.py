@@ -7,8 +7,9 @@ paper depends on:
 
 * :mod:`repro.geometry` — circles, rings, extended ellipses, polygons and
   composable regions with deterministic area quadrature;
-* :mod:`repro.index` — an R-tree, a count-aggregate R-tree and the AR-tree
-  temporal index over the tracking table;
+* :mod:`repro.index` — an R-tree (the POI index, node capacity
+  ``rtree_fanout``) and the AR-tree temporal index over the tracking
+  table;
 * :mod:`repro.indoor` — floor plans, doors, POIs, device deployments and
   indoor walking distance;
 * :mod:`repro.tracking` — raw readings, tracking records, the Object

@@ -9,7 +9,7 @@ Each ablation compares the default design against a variant:
   Euclidean-only analysis over-credits);
 * ``ablation_grid_resolution`` — presence quadrature resolution vs cost
   and flow-value convergence;
-* ``ablation_rtree_fanout`` — aggregate R-tree fanout vs join cost.
+* ``ablation_rtree_fanout`` — POI R-tree fanout vs join cost.
 """
 
 from __future__ import annotations
@@ -122,7 +122,11 @@ def ablation_grid_resolution(
 def ablation_rtree_fanout(
     ctx: BenchContext, fanouts: Sequence[int] = (4, 8, 16, 32)
 ) -> list[AblationRow]:
-    """Aggregate R-tree fanout: effect on the join's pruning/cost."""
+    """POI R-tree fanout: effect on the join's pruning/cost.
+
+    ``rtree_fanout`` sizes the POI trees only; the join builds no tree
+    over the objects.
+    """
     dataset, _ = ctx.synthetic()
     t = dataset.mid_time()
     rows = []

@@ -3,30 +3,31 @@
 Instead of deriving every object's uncertainty region up front, the join
 algorithms:
 
-1. build an in-memory **aggregate R-tree** ``R_I`` over cheap object MBRs
-   (no region derivation needed for the MBR);
-2. join the POI R-tree ``R_P`` against ``R_I`` best-first, driven by a
-   priority queue keyed on **flow upper bounds** — the number of objects in
-   the joined ``R_I`` entries, valid because presence never exceeds 1;
+1. test every entry of the POI R-tree ``R_P`` — internal and leaf —
+   against every object's cheap MBR at once (:class:`_Admission`; no
+   region derivation needed for the MBR), which yields, per entry, the
+   objects it admits and their number;
+2. traverse ``R_P`` best-first, driven by a priority queue keyed on
+   **flow upper bounds** — an entry's admitted-object count, valid
+   because presence never exceeds 1;
 3. derive uncertainty regions (the expensive part: topology-checked region
-   construction and presence quadrature) *only* for objects that survive
-   MBR pruning against high-priority POIs, caching them per object
-   (the paper's ``H_U``);
+   construction and presence quadrature) *only* for the objects admitted
+   to high-priority POIs, caching them per object (the paper's ``H_U``);
 4. stop as soon as ``k`` POIs with exactly-computed flows outrank every
    remaining upper bound.
+
+The paper bounds a POI entry by the ``count`` fields of a per-query
+aggregate R-tree ``R_I`` over the object MBRs, refined level by level.
+The admission count is that bound with ``R_I`` fully expanded: it equals
+the paper's bound at a leaf POI and is never looser above one, so the
+traversal needs no object tree (see ``docs/paper_mapping.md``).
 
 For interval queries the improved variant (Section 4.3.2) additionally
 stores a series of tight per-episode MBRs with each object and requires at
 least one of them — not just the large overall trajectory box, which is
-mostly dead space — to intersect a POI before the object enters its join
-list.
-
-Which objects may enter which POI entry's join list is decided for all
-pairs at once when ``R_I`` is built (:class:`_Admission`): every box of
-the POI tree is tested against every object's boxes with whole-array
-comparisons, so the best-first loop only reads a precomputed row per POI
-entry.  An object's join state (its presence-cache row) is resolved once
-per query, at its first refinement.
+mostly dead space — to intersect a POI before the POI admits the object.
+An object's join state (its presence-cache row) is resolved once per
+query, at its first refinement.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from ...analysis.contracts import check_flow, check_upper_bound, contracts_enabled
 from ...geometry import Mbr, Region, mbr_array
-from ...index import ARTree, AggregateRTree, RTree, RTreeEntry
+from ...index import ARTree, RTree, RTreeEntry
 from ...indoor.poi import Poi
 from ...obs import counter, obs_enabled, span
 from ..context import EvaluationContext, PresenceRow
@@ -51,7 +52,7 @@ from ..uncertainty import snapshot_mbr
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import NDArray
 
-__all__ = ["JoinObject", "join_snapshot", "join_interval"]
+__all__ = ["JoinObject", "join_snapshot", "join_interval", "poi_bounds"]
 
 
 class JoinObject:
@@ -66,12 +67,7 @@ class JoinObject:
     one ``mbr`` is then its only box).  Every box must lie inside
     ``mbr``.  ``region_key`` is the region's presence-cache fingerprint,
     when known; ``presence_row`` is its cached row, resolved at the
-    object's first refinement.  ``order_key`` is the object's position in
-    the canonical candidate enumeration (the AR-tree entry order); leaf
-    flows are accumulated in this order so the join sums presences
-    exactly like the iterative baseline — and like the sharded merge —
-    making all three paths bitwise comparable.  ``column`` is the
-    object's position in the query's object list, set by the join.
+    object's first refinement.
     """
 
     __slots__ = (
@@ -79,8 +75,6 @@ class JoinObject:
         "mbr",
         "boxes",
         "region_key",
-        "order_key",
-        "column",
         "presence_row",
         "_factory",
         "_region",
@@ -93,7 +87,6 @@ class JoinObject:
         region_factory: Callable[[], Region],
         boxes: NDArray[np.float64] | None = None,
         region_key: Hashable | None = None,
-        order_key: int = 0,
     ):
         if boxes is not None and (
             boxes.ndim != 2 or boxes.shape[1] != 4 or not len(boxes)
@@ -103,8 +96,6 @@ class JoinObject:
         self.mbr = mbr
         self.boxes = boxes
         self.region_key = region_key
-        self.order_key = order_key
-        self.column = 0
         self.presence_row: PresenceRow | None = None
         self._factory = region_factory
         self._region: Region | None = None
@@ -117,76 +108,92 @@ class JoinObject:
 
 
 class _Admission:
-    """Which objects each POI-tree entry admits into its join list.
+    """Which objects each POI-tree entry admits, and how many.
 
-    Built with ``R_I``: every box of the POI tree against every object's
-    boxes in one broadcast float64 comparison of the four miss tests
-    :meth:`Mbr.intersects` makes (:meth:`RTree.entry_misses`), then, for
-    objects with several boxes, one ``logical_and.reduceat`` per object
-    over its boxes' misses.  An object is admitted when one of its boxes
-    intersects the POI box.  That equals the per-pair rule "``mbr``
-    intersects and, with segment boxes, one segment intersects",
+    Every box of the POI tree, internal and leaf, is tested against every
+    object's boxes in one broadcast float64 comparison of the four miss
+    tests :meth:`Mbr.intersects` makes (:meth:`RTree.entry_misses`),
+    then, for objects with several boxes, one ``logical_and.reduceat``
+    per object over its boxes' misses.  An object is admitted when one of
+    its boxes intersects the entry box.  That equals the per-pair rule
+    "``mbr`` intersects and, with segment boxes, one segment intersects",
     because every box lies inside ``mbr``: a box hit implies an ``mbr``
-    hit.  The miss matrix is kept as Python lists, one row per POI-tree
-    entry, so the join loop reads plain list items.
+    hit.
+
+    Column ``j`` of the ``(E, M)`` matrix is the ``j``-th object as
+    given.  An entry's bound is its row count: presence never exceeds 1,
+    so it dominates the entry's flow, and it dominates each child's bound
+    because a child's box lies inside its parent's.
     """
 
-    __slots__ = ("_misses", "_rows")
+    __slots__ = ("_admitted", "_bounds", "_rows")
 
-    def __init__(self, poi_tree: RTree, objects: Sequence[JoinObject]):
+    def __init__(
+        self,
+        poi_tree: RTree,
+        mbrs: Sequence[Mbr],
+        boxes: Sequence[NDArray[np.float64] | None] | None = None,
+    ):
         _, self._rows = poi_tree.entry_boxes()
-        for column, obj in enumerate(objects):
-            obj.column = column
         starts: NDArray[np.intp] | None = None
-        if all(obj.boxes is None for obj in objects):
-            boxes = mbr_array(obj.mbr for obj in objects)
+        if boxes is None or all(part is None for part in boxes):
+            stacked = mbr_array(mbrs)
         else:
             parts = [
-                obj.boxes if obj.boxes is not None else mbr_array((obj.mbr,))
-                for obj in objects
+                part if part is not None else mbr_array((mbr,))
+                for mbr, part in zip(mbrs, boxes)
             ]
-            boxes = np.concatenate(parts)
+            stacked = np.concatenate(parts)
             starts = np.zeros(len(parts), dtype=np.intp)
             np.cumsum([len(part) for part in parts[:-1]], out=starts[1:])
-        misses = poi_tree.entry_misses(boxes)  # (E, M)
+        misses = poi_tree.entry_misses(stacked)  # (E, M)
         if starts is not None:
             misses = np.logical_and.reduceat(misses, starts, axis=1)
-        self._misses: list[list[bool]] = misses.tolist()
+        self._admitted = np.logical_not(misses)
+        self._bounds: list[int] = np.count_nonzero(
+            self._admitted, axis=1
+        ).tolist()
 
-    def misses(self, poi_entry: RTreeEntry) -> list[bool]:
-        """``misses[obj.column]``: whether ``poi_entry`` keeps the object out."""
-        return self._misses[self._rows[id(poi_entry)]]
+    def bound(self, poi_entry: RTreeEntry) -> int:
+        """How many objects ``poi_entry`` admits."""
+        return self._bounds[self._rows[id(poi_entry)]]
+
+    def columns(self, poi_entry: RTreeEntry) -> list[int]:
+        """The admitted objects' columns, in ascending order."""
+        row = self._admitted[self._rows[id(poi_entry)]]
+        columns: list[int] = np.flatnonzero(row).tolist()
+        return columns
 
 
-def _match_entries(
-    poi_entry: RTreeEntry,
-    candidates: Sequence[RTreeEntry],
-    tree: AggregateRTree,
-    admission: _Admission,
-) -> tuple[list[RTreeEntry], int]:
-    """Filter R_I entries against a POI entry; return (join list, count bound).
+def poi_bounds(
+    poi_tree: RTree,
+    mbrs: Sequence[Mbr],
+    boxes: Sequence[NDArray[np.float64] | None] | None = None,
+) -> dict[str, int]:
+    """The join's count bound per POI, for objects given by their boxes.
 
-    Leaf entries (objects) are looked up in the entry's admission row;
-    internal entries are kept when their box intersects the POI box and
-    count every object below them.
+    ``mbrs[j]`` (and, when given, ``boxes[j]``) describe object ``j`` as
+    a :class:`JoinObject` would.  Returns ``{poi_id: bound}`` over the
+    POIs that admit at least one object — the counts a join over the
+    same objects reads at ``poi_tree``'s leaves.
     """
-    misses = admission.misses(poi_entry)
-    poi_mbr = poi_entry.mbr
-    matched: list[RTreeEntry] = []
-    upper_bound = 0
-    for entry in candidates:
-        if entry.child is None:
-            if not misses[entry.item.column]:
-                matched.append(entry)
-                upper_bound += 1
-        elif entry.mbr.intersects(poi_mbr):
-            matched.append(entry)
-            upper_bound += tree.count(entry)
-    return matched, upper_bound
+    if not mbrs:
+        return {}
+    admission = _Admission(poi_tree, mbrs, boxes)
+    bounds: dict[str, int] = {}
+    for entry in poi_tree.leaf_entries():
+        bound = admission.bound(entry)
+        if bound:
+            bounds[entry.item.poi_id] = bound
+    return bounds
 
 
 #: ``presences(poi, objects)``: the presence of every object in one POI.
 Presences = Callable[[Poi, Sequence[JoinObject]], list[float]]
+
+#: A queue item: ``(-priority, kind, tie, sequence, POI-tree entry)``;
+#: ``kind`` 0 carries a count bound, 1 an exact flow.
+_QueueItem = tuple[float, int, str, int, RTreeEntry]
 
 
 def _topk_join(
@@ -195,12 +202,11 @@ def _topk_join(
     objects: Sequence[JoinObject],
     k: int,
     estimator: PresenceEstimator | None = None,
-    rtree_fanout: int = 8,
     presences: Presences | None = None,
 ) -> TopKResult:
-    """The shared best-first R_P x R_I join (Algorithms 2/5 unified).
+    """The shared best-first traversal of R_P (Algorithms 2/5 unified).
 
-    A refined POI's whole join list is evaluated in one call of
+    A refined POI's admitted objects are evaluated in one call of
     ``presences(poi, objects)`` when given (the context-based entry points
     pass a memoizing closure); otherwise through ``estimator`` directly.
     """
@@ -215,42 +221,22 @@ def _topk_join(
     if not objects or len(poi_tree) == 0:
         return rank_top_k({}, pois, k)
 
+    # The span keeps the name of the paper's ``R_I`` build (Algorithm 2,
+    # line 1), whose place the admission matrix takes.
     with span("join.build_ri"):
-        object_tree = AggregateRTree.build(
-            [(obj.mbr, obj) for obj in objects], max_entries=rtree_fanout
+        admission = _Admission(
+            poi_tree, [obj.mbr for obj in objects], [obj.boxes for obj in objects]
         )
-        admission = _Admission(poi_tree, objects)
+    heap: list[_QueueItem] = []
     sequence = count()
-    heap: list[
-        tuple[float, int, str, int, RTreeEntry, list[RTreeEntry] | None]
-    ] = []
-
-    def push(
-        entry: RTreeEntry, join_list: list[RTreeEntry] | None, priority: float
-    ) -> None:
-        # Tie-break: at equal priority refine bounds (kind 0) before
-        # confirming exact flows (kind 1), and confirm equal exact flows in
-        # poi_id order.  Both choices make the pop order — hence the
-        # returned ranking — a deterministic function of the flows alone,
-        # matching ``rank_top_k``'s ``(-flow, poi_id)`` order so the
-        # iterative baseline and the sharded merge agree bit for bit.
-        if join_list is None:
-            kind, tie = 1, str(entry.item.poi_id)
-        else:
-            kind, tie = 0, ""
-        heapq.heappush(
-            heap, (-priority, kind, tie, next(sequence), entry, join_list)
-        )
-
     for poi_entry in poi_tree.root.entries:
-        join_list, upper_bound = _match_entries(
-            poi_entry, object_tree.root.entries, object_tree, admission
-        )
-        if join_list:
-            push(poi_entry, join_list, upper_bound)
+        bound = admission.bound(poi_entry)
+        if bound:
+            heap.append((-bound, 0, "", next(sequence), poi_entry))
+    heapq.heapify(heap)
 
     with span("join.bound_refine"):
-        confirmed = _drain_heap(heap, push, object_tree, admission, k, presences)
+        confirmed = _drain_heap(heap, sequence, admission, objects, k, presences)
 
     if len(confirmed) < k:
         # Queue exhausted: every remaining POI has zero flow; fill the
@@ -265,84 +251,67 @@ def _topk_join(
 
 
 def _drain_heap(
-    heap: list[tuple[float, int, str, int, RTreeEntry, list[RTreeEntry] | None]],
-    push: Callable[[RTreeEntry, list[RTreeEntry] | None, float], None],
-    object_tree: AggregateRTree,
+    heap: list[_QueueItem],
+    sequence: count[int],
     admission: _Admission,
+    objects: Sequence[JoinObject],
     k: int,
     presences: Presences,
 ) -> list[RankedPoi]:
     """The best-first refinement loop of Algorithms 2/3/5.
 
-    Pops the highest upper bound, refines it (expand R_P/R_I entries or
-    compute the exact flow) and stops once ``k`` POIs with exact flows
-    outrank every remaining bound.  Split out so the whole bound-driven
-    phase sits under one ``join.bound_refine`` span.
+    Pops the highest upper bound, refines it (push an internal entry's
+    children under their counts, or compute a leaf's exact flow) and
+    stops once ``k`` POIs with exact flows outrank every remaining bound.
+    Split out so the whole bound-driven phase sits under one
+    ``join.bound_refine`` span.
+
+    Tie-break: at equal priority bounds (kind 0) are refined before exact
+    flows (kind 1) are confirmed, and equal exact flows are confirmed in
+    ``poi_id`` order.  Both make the pop order — hence the returned
+    ranking — a deterministic function of the flows alone, matching
+    ``rank_top_k``'s ``(-flow, poi_id)`` order, so the iterative
+    baseline and the sharded merge agree bit for bit.
     """
     instrumented = obs_enabled()
     confirmed: list[RankedPoi] = []
     while heap and len(confirmed) < k:
-        negative_priority, _, _, _, poi_entry, join_list = heapq.heappop(heap)
+        negative_priority, kind, _, _, poi_entry = heapq.heappop(heap)
         if instrumented:
             counter("join.heap_pops", unit="pops").inc()
-        if join_list is None:
+        if kind == 1:
             # Exact flow already computed and it outranks every remaining
             # upper bound: confirmed.
             confirmed.append(
                 RankedPoi(poi=poi_entry.item, flow=-negative_priority)
             )
-            continue
-        lists_are_leaf = join_list[0].is_leaf_entry
-        if poi_entry.is_leaf_entry:
-            if lists_are_leaf:
-                poi: Poi = poi_entry.item
-                # Canonical accumulation order (see JoinObject.order_key):
-                # float addition is not associative, so summing in R-tree
-                # traversal order would drift from the iterative baseline
-                # in the last bits.
-                ordered = sorted(
-                    (entry.item for entry in join_list),
-                    key=lambda obj: obj.order_key,
+        elif poi_entry.child is None:
+            poi: Poi = poi_entry.item
+            # Columns ascend in candidate enumeration order, the order
+            # the iterative baseline and the sharded merge add presences
+            # in: float addition is not associative, so this keeps all
+            # three paths bitwise comparable.
+            batch = [objects[column] for column in admission.columns(poi_entry)]
+            flow = 0.0
+            for value in presences(poi, batch):
+                flow += value
+            if contracts_enabled():
+                # The count bound the queue scheduled this POI under
+                # must dominate the refined flow, or best-first order
+                # was wrong (Section 4.2's correctness argument).
+                check_flow(flow, len(batch), poi_id=poi.poi_id)
+                check_upper_bound(-negative_priority, flow, poi_id=poi.poi_id)
+            if flow > 0.0:
+                heapq.heappush(
+                    heap, (-flow, 1, str(poi.poi_id), next(sequence), poi_entry)
                 )
-                flow = 0.0
-                for value in presences(poi, ordered):
-                    flow += value
-                if contracts_enabled():
-                    # The count bound the queue scheduled this POI under
-                    # must dominate the refined flow, or best-first order
-                    # was wrong (Section 4.2's correctness argument).
-                    check_flow(flow, len(join_list), poi_id=poi.poi_id)
-                    check_upper_bound(
-                        -negative_priority, flow, poi_id=poi.poi_id
-                    )
-                if flow > 0.0:
-                    push(poi_entry, None, flow)
-            else:
-                children = [
-                    child
-                    for object_entry in join_list
-                    for child in object_entry.child.entries
-                ]
-                refined, upper_bound = _match_entries(
-                    poi_entry, children, object_tree, admission
-                )
-                if refined:
-                    push(poi_entry, refined, upper_bound)
         else:
-            if lists_are_leaf:
-                candidates = join_list
-            else:
-                candidates = [
-                    child
-                    for object_entry in join_list
-                    for child in object_entry.child.entries
-                ]
             for child_entry in poi_entry.child.entries:
-                refined, upper_bound = _match_entries(
-                    child_entry, candidates, object_tree, admission
-                )
-                if refined:
-                    push(child_entry, refined, upper_bound)
+                bound = admission.bound(child_entry)
+                if bound:
+                    heapq.heappush(
+                        heap, (-bound, 0, "", next(sequence), child_entry)
+                    )
     return confirmed
 
 
@@ -382,10 +351,10 @@ def join_snapshot(
     t: float,
     k: int,
 ) -> TopKResult:
-    """Algorithm 2: aggregate-R-tree join for the snapshot query."""
+    """Algorithm 2: the count-bounded POI-tree join for the snapshot query."""
     objects: list[JoinObject] = []
     with span("candidates.snapshot"):
-        for order, context in enumerate(snapshot_contexts(artree, t)):
+        for context in snapshot_contexts(artree, t):
             mbr = snapshot_mbr(context, ctx.deployment, ctx.v_max)
             if mbr is None:
                 continue
@@ -397,7 +366,6 @@ def join_snapshot(
                         sctx
                     ),
                     region_key=ctx.snapshot_fingerprint(context),
-                    order_key=order,
                 )
             )
     return _topk_join(
@@ -405,7 +373,6 @@ def join_snapshot(
         pois,
         objects,
         k,
-        rtree_fanout=ctx.rtree_fanout,
         presences=_ctx_presences(ctx),
     )
 
@@ -432,7 +399,7 @@ def join_interval(
     """
     objects: list[JoinObject] = []
     with span("candidates.interval"):
-        for order, context in enumerate(interval_contexts(artree, t_start, t_end)):
+        for context in interval_contexts(artree, t_start, t_end):
             with span("ur.interval"):
                 uncertainty = ctx.interval_uncertainty(context)
             overall_mbr = uncertainty.mbr
@@ -445,7 +412,6 @@ def join_interval(
                     region_factory=lambda u=uncertainty: u.region,
                     boxes=uncertainty.segment_boxes if use_segment_mbrs else None,
                     region_key=ctx.interval_fingerprint(uncertainty),
-                    order_key=order,
                 )
             )
     return _topk_join(
@@ -453,6 +419,5 @@ def join_interval(
         pois,
         objects,
         k,
-        rtree_fanout=ctx.rtree_fanout,
         presences=_ctx_presences(ctx),
     )

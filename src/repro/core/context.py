@@ -177,7 +177,7 @@ class EvaluationContext:
     inner_allowance:
         Ring inner-exclusion relaxation in meters (sampled systems).
     rtree_fanout:
-        Node capacity for per-query R-trees (POI subsets, join R_I).
+        Node capacity of the POI R-trees (the universe and per-query subsets).
     resolution:
         Presence quadrature resolution, used when ``estimator`` is omitted.
     region_cache_size, presence_cache_size:

@@ -310,7 +310,7 @@ class FlowEngine:
 
     @property
     def rtree_fanout(self) -> int:
-        """Node capacity for per-query R-trees (POI subsets, join R_I)."""
+        """Node capacity of the POI R-trees (the universe and per-query subsets)."""
         return self._shards[0].ctx.rtree_fanout
 
     # ------------------------------------------------------------------

@@ -12,10 +12,10 @@ evicted-and-resampled POI regenerates the exact same grid, so the bound
 never affects results, only memory.
 
 Quadrature is batched per POI: :meth:`PresenceEstimator.presences`
-evaluates every region asked about one POI (a join list) in one pass over
-its grid.  Each region is lowered once into a literal program
-(:mod:`repro.geometry.program`, kept on the region); per batch the
-estimator
+evaluates every region asked about one POI (a join leaf's admitted
+objects) in one pass over its grid.  Each region is lowered once into a
+literal program (:mod:`repro.geometry.program`, kept on the region); per
+batch the estimator
 
 1. classifies each literal as true on the whole grid, false on the whole
    grid, or mixed, from the minimum and maximum of the rows it reads —

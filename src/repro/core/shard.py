@@ -29,7 +29,8 @@ iterative scan.
 
 **Sound shard pruning.**  :meth:`partial_bounds` counts, per POI, the
 shard's objects whose cheap candidate MBR intersects the POI box — the
-join algorithms' count bound (presence never exceeds 1, Section 4.2).
+join algorithms' count bound, read from the same admission matrix the
+single-shard join uses (presence never exceeds 1, Section 4.2).
 A shard whose bounds are all zero for the POIs still in play cannot
 contribute anything but exact zeros, so a coordinator may skip it without
 perturbing a single bit of the merged flows.
@@ -37,9 +38,9 @@ perturbing a single bit of the merged flows.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from ..geometry import DEFAULT_RESOLUTION, Region
+from ..geometry import DEFAULT_RESOLUTION, Mbr, Region
 from ..index import ARTree, RTree
 from ..index.artree import DEFAULT_DELTA_THRESHOLD
 from ..indoor.devices import Deployment
@@ -51,6 +52,7 @@ from ..obs import span
 from ..storage.base import Mutation, StorageBackend, StoredRow
 from ..tracking.records import ObjectId, TrackingRecord
 from ..tracking.table import LiveTrackingTable, ObjectTrackingTable
+from .algorithms.join import poi_bounds
 from .caching import LruCache
 from .context import (
     DEFAULT_PRESENCE_CACHE_SIZE,
@@ -61,6 +63,10 @@ from .presence import PresenceEstimator
 from .states import interval_context_from_entries, snapshot_context
 from .stats import merge_component_stats
 from .uncertainty import IntervalUncertainty, TopologyChecker, snapshot_mbr
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+    from numpy.typing import NDArray
 
 __all__ = ["ShardState", "Contribution", "DEFAULT_POI_SUBSET_CACHE_SIZE"]
 
@@ -425,8 +431,10 @@ class ShardState:
         """Per-POI count bounds on this shard's snapshot flows at ``t``.
 
         Counts candidate objects whose cheap snapshot MBR (no region
-        derivation) intersects each POI box; presence never exceeds 1, so
-        the count dominates the shard's exact flow (Section 4.2).
+        derivation) intersects each POI box — the join's admission rule
+        (:func:`~repro.core.algorithms.join.poi_bounds`); presence never
+        exceeds 1, so the count dominates the shard's exact flow
+        (Section 4.2).
 
         Args:
             t: The query instant.
@@ -436,16 +444,14 @@ class ShardState:
             ``{poi_id: bound}`` containing only POIs with positive bound.
         """
         _, poi_tree = self.resolve_pois(pois)
-        bounds: dict[str, int] = {}
         with span("bounds.snapshot"):
+            mbrs: list[Mbr] = []
             for entry in self.artree.point_query(t):
                 context = snapshot_context(entry, t)
                 mbr = snapshot_mbr(context, self.ctx.deployment, self.ctx.v_max)
-                if mbr is None:
-                    continue
-                for poi in poi_tree.search(mbr):
-                    bounds[poi.poi_id] = bounds.get(poi.poi_id, 0) + 1
-        return bounds
+                if mbr is not None:
+                    mbrs.append(mbr)
+            return poi_bounds(poi_tree, mbrs)
 
     def partial_interval_bounds(
         self,
@@ -456,10 +462,9 @@ class ShardState:
     ) -> dict[str, int]:
         """Per-POI count bounds on this shard's interval flows.
 
-        Mirrors the interval join's candidate matching: the overall
-        trajectory MBR must intersect the POI box and, with
-        ``use_segment_mbrs`` (Section 4.3.2), so must at least one tight
-        per-episode MBR.
+        The interval join's admission rule: the overall trajectory MBR
+        must intersect the POI box and, with ``use_segment_mbrs``
+        (Section 4.3.2), so must at least one tight per-episode MBR.
 
         Args:
             t_start: Window start (inclusive).
@@ -471,34 +476,24 @@ class ShardState:
             ``{poi_id: bound}`` containing only POIs with positive bound.
         """
         _, poi_tree = self.resolve_pois(pois)
-        bounds: dict[str, int] = {}
         with span("bounds.interval"):
             groups: dict[ObjectId, list[Any]] = {}
             for entry in self.artree.range_query(t_start, t_end):
                 groups.setdefault(entry.object_id, []).append(entry)
+            mbrs: list[Mbr] = []
+            boxes: list[NDArray[np.float64]] = []
             for object_id, entries in groups.items():
                 context = interval_context_from_entries(
                     object_id, entries, t_start, t_end
                 )
                 with span("ur.interval"):
                     uncertainty = self.ctx.interval_uncertainty(context)
-                overall_mbr = uncertainty.mbr
-                if overall_mbr is None:
-                    continue
-                segments = (
-                    tuple(uncertainty.segment_mbrs())
-                    if use_segment_mbrs
-                    else None
-                )
-                for poi_entry in poi_tree.search_entries(overall_mbr):
-                    if segments is not None and not any(
-                        segment.intersects(poi_entry.mbr)
-                        for segment in segments
-                    ):
-                        continue
-                    poi_id = poi_entry.item.poi_id
-                    bounds[poi_id] = bounds.get(poi_id, 0) + 1
-        return bounds
+                if uncertainty.mbr is not None:
+                    mbrs.append(uncertainty.mbr)
+                    boxes.append(uncertainty.segment_boxes)
+            return poi_bounds(
+                poi_tree, mbrs, boxes if use_segment_mbrs else None
+            )
 
     # ------------------------------------------------------------------
     # Live ingestion (the engine's ingest seam — see the context-bypass rule)

@@ -159,8 +159,9 @@ def snapshot_mbr(
 ) -> Mbr | None:
     """A cheap sound MBR for ``UR(o, t)`` without building the region.
 
-    This is what the join algorithm inserts into the aggregate R-tree
-    (paper, Algorithm 2, lines 5–10): the covering range's MBR when active;
+    This is the object box the join tests against the POI tree (the one
+    the paper inserts into ``R_I``, Algorithm 2, lines 5–10): the covering
+    range's MBR when active;
     when inactive, the boxes of the two rings — the paper merges them, we
     intersect (the region lies in both rings, so the intersection is sound
     and tighter).  ``None`` when the boxes are disjoint, which only happens

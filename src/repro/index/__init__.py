@@ -1,13 +1,11 @@
-"""Spatial and temporal indexes: R-tree, aggregate R-tree and AR-tree."""
+"""Spatial and temporal indexes: R-tree and AR-tree."""
 
-from .aggregate import AggregateRTree
 from .artree import ARLeafEntry, ARTree
 from .rtree import RTree, RTreeEntry, RTreeNode
 
 __all__ = [
     "ARLeafEntry",
     "ARTree",
-    "AggregateRTree",
     "RTree",
     "RTreeEntry",
     "RTreeNode",

@@ -1,10 +1,8 @@
 """A classic Guttman R-tree over 2D MBRs.
 
-The paper indexes the indoor POIs with an R-tree ``R_P`` and builds an
-in-memory *aggregate* R-tree ``R_I`` over object MBRs for the join-based
-algorithms (Section 4.1).  This module provides the shared dynamic R-tree
-with quadratic node splitting plus an STR bulk loader; the count-augmented
-variant lives in :mod:`repro.index.aggregate`.
+The paper indexes the indoor POIs with an R-tree ``R_P`` (Section 4.1).
+This module provides the dynamic R-tree with quadratic node splitting plus
+an STR bulk loader.
 
 The join algorithms walk the tree structure explicitly (node by node), so
 the node/entry types are part of the public API rather than hidden behind a

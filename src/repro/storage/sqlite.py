@@ -76,6 +76,12 @@ CREATE TABLE IF NOT EXISTS wal (
 CREATE INDEX IF NOT EXISTS wal_record ON wal (record_id);
 """
 
+#: Stamps a fresh store with the schema version; a no-op on reopen.
+_INIT_META = (
+    "INSERT OR IGNORE INTO meta (key, value) "
+    f"VALUES ('schema_version', '{_SCHEMA_VERSION}');"
+)
+
 _INSERT_WAL = (
     "INSERT INTO wal (generation, op, record_id, object_id, device_id, "
     "t_s, t_e) VALUES (?, ?, ?, ?, ?, ?, ?)"
@@ -158,21 +164,24 @@ class SQLiteBackend:
             conn = sqlite3.connect(
                 str(self._path), isolation_level=None, check_same_thread=False
             )
-            conn.executescript(_SCHEMA)
+            # The pragmas come first, so a fresh store's schema is written
+            # in WAL mode at the chosen sync level, as one transaction.
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute(f"PRAGMA synchronous={self._synchronous}")
+            try:
+                conn.executescript(f"BEGIN;{_SCHEMA}{_INIT_META}COMMIT;")
+            except BaseException:
+                if conn.in_transaction:
+                    conn.execute("ROLLBACK")
+                conn.close()
+                raise
             version = self._get_meta(conn, "schema_version")
-            if version is None:
-                conn.execute(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(_SCHEMA_VERSION)),
-                )
-            elif int(version) != _SCHEMA_VERSION:
+            if version is None or int(version) != _SCHEMA_VERSION:
                 conn.close()
                 raise ValueError(
                     f"{self._path}: schema version {version} is not "
                     f"the supported version {_SCHEMA_VERSION}"
                 )
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute(f"PRAGMA synchronous={self._synchronous}")
             self._conn = conn
             self._conn_pid = os.getpid()
             self._load_generations(conn)

@@ -1,6 +1,8 @@
 """White-box tests for the join machinery (Algorithms 2/3/5 internals)."""
 
+import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,12 +10,12 @@ import pytest
 from repro.core.algorithms.join import (
     JoinObject,
     _Admission,
-    _match_entries,
     _topk_join,
+    poi_bounds,
 )
 from repro.core.presence import PresenceEstimator
 from repro.geometry import Circle, Mbr, Point, Polygon, mbr_array
-from repro.index import AggregateRTree, RTree
+from repro.index import RTree
 from repro.indoor import Poi, build_poi_index
 
 
@@ -27,10 +29,16 @@ def join_object(object_id, x, y, half=2.0, segments=None):
     )
 
 
+def admission(poi_tree, objects):
+    return _Admission(
+        poi_tree, [obj.mbr for obj in objects], [obj.boxes for obj in objects]
+    )
+
+
 def admitted(obj, box):
-    """Whether a POI with box ``box`` admits ``obj`` into its join list."""
+    """Whether a POI with box ``box`` admits ``obj``."""
     tree = RTree.bulk_load([(box, "p")])
-    return not _Admission(tree, [obj]).misses(tree.root.entries[0])[obj.column]
+    return admission(tree, [obj]).bound(tree.root.entries[0]) == 1
 
 
 def reference_admits(obj, box, use_segment_mbrs):
@@ -99,47 +107,6 @@ class TestJoinObject:
             )
 
 
-class TestMatchEntries:
-    def test_counts_bound_group_sizes(self):
-        objects = [join_object(f"o{i}", float(i * 3), 0.0, half=1.0) for i in range(20)]
-        tree = AggregateRTree.build(
-            [(o.mbr, o) for o in objects], max_entries=4
-        )
-        probe = Mbr(0, -1, 30, 1)
-        poi_tree = RTree.bulk_load([(probe, "p")])
-        poi_entry = poi_tree.root.entries[0]
-        matched, upper_bound = _match_entries(
-            poi_entry, tree.root.entries, tree, _Admission(poi_tree, objects)
-        )
-        # The bound equals the number of objects under the matched entries,
-        # which is at least the number that truly intersect.
-        truly = sum(1 for o in objects if o.mbr.intersects(probe))
-        assert upper_bound >= truly
-        assert upper_bound == sum(tree.count(e) for e in matched)
-
-
-    def test_leaf_candidates_follow_the_admission_row(self):
-        # Segment boxes prune an object whose overall box still reaches
-        # the POI: a leaf candidate's fate is its admission row entry.
-        near = join_object("near", 0.0, 0.0, half=1.0)
-        far = JoinObject(
-            "far",
-            Mbr(-10, -1, 10, 1),
-            region_factory=lambda: Circle(Point(0, 0), 0.1),
-            boxes=mbr_array((Mbr(-10, -1, -6, 1), Mbr(6, -1, 10, 1))),
-        )
-        tree = AggregateRTree.build([(o.mbr, o) for o in (near, far)], max_entries=4)
-        poi_tree = RTree.bulk_load([(Mbr(-1, -1, 1, 1), "p")])
-        matched, upper_bound = _match_entries(
-            poi_tree.root.entries[0],
-            tree.root.entries,
-            tree,
-            _Admission(poi_tree, [near, far]),
-        )
-        assert [entry.item.object_id for entry in matched] == ["near"]
-        assert upper_bound == 1
-
-
 def _random_box(rng, span=12, zero_width=0.2):
     """An integer-aligned box (so edges often touch), sometimes degenerate."""
     x, y = rng.randint(0, span), rng.randint(0, span)
@@ -158,7 +125,6 @@ def _random_objects(rng, count, use_segment_mbrs):
                 Mbr.union_all(segments),
                 region_factory=lambda: Circle(Point(0, 0), 0.1),
                 boxes=mbr_array(segments) if use_segment_mbrs else None,
-                order_key=index,
             )
         )
     return objects
@@ -179,14 +145,15 @@ class TestAdmissionEquivalence:
     """The admission matrix equals the per-pair rule on every tree entry."""
 
     def _check(self, poi_tree, objects, use_segment_mbrs):
-        admission = _Admission(poi_tree, objects)
+        matrix = admission(poi_tree, objects)
         for entry in _all_entries(poi_tree):
-            misses = admission.misses(entry)
-            assert len(misses) == len(objects)
-            for obj in objects:
-                assert (not misses[obj.column]) == reference_admits(
-                    obj, entry.mbr, use_segment_mbrs
-                ), (entry.mbr, obj.object_id)
+            expected = [
+                column
+                for column, obj in enumerate(objects)
+                if reference_admits(obj, entry.mbr, use_segment_mbrs)
+            ]
+            assert matrix.columns(entry) == expected, entry.mbr
+            assert matrix.bound(entry) == len(expected), entry.mbr
 
     @pytest.mark.parametrize("use_segment_mbrs", [True, False], ids=["segments", "coarse"])
     @pytest.mark.parametrize("seed", range(8))
@@ -275,6 +242,66 @@ class TestAdmissionEquivalence:
         assert rebuilt.tolist() == expected()
 
 
+class TestEntryBounds:
+    """An entry's bound is its admitted-object count (the paper's R_I
+    count with R_I fully expanded) and dominates its children's."""
+
+    @pytest.mark.parametrize("use_segment_mbrs", [True, False], ids=["segments", "coarse"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bounds_count_reference_admits(self, seed, use_segment_mbrs):
+        rng = random.Random(100 + seed)
+        objects = _random_objects(rng, rng.randint(1, 60), use_segment_mbrs)
+        poi_boxes = [_random_box(rng) for _ in range(rng.randint(1, 60))]
+        poi_tree = RTree.bulk_load(
+            [(box, f"p{i}") for i, box in enumerate(poi_boxes)],
+            max_entries=rng.randint(2, 6),
+        )
+        matrix = admission(poi_tree, objects)
+        for entry in _all_entries(poi_tree):
+            assert matrix.bound(entry) == sum(
+                reference_admits(obj, entry.mbr, use_segment_mbrs)
+                for obj in objects
+            )
+            if entry.child is not None:
+                for child in entry.child.entries:
+                    assert matrix.bound(entry) >= matrix.bound(child)
+
+    @pytest.mark.parametrize("use_segment_mbrs", [True, False], ids=["segments", "coarse"])
+    def test_poi_bounds_are_the_leaf_counts(self, office_pois, use_segment_mbrs):
+        rng = random.Random(11)
+        objects = [
+            JoinObject(
+                f"o{index}",
+                Mbr.union_all([poi.polygon.mbr for poi in chosen]),
+                region_factory=lambda: Circle(Point(0, 0), 0.1),
+                boxes=(
+                    mbr_array([poi.polygon.mbr for poi in chosen])
+                    if use_segment_mbrs
+                    else None
+                ),
+            )
+            for index, chosen in enumerate(
+                rng.sample(list(office_pois), rng.randint(1, 3)) for _ in range(25)
+            )
+        ]
+        poi_tree = build_poi_index(office_pois, max_entries=4)
+        expected = {}
+        for poi in office_pois:
+            bound = sum(
+                reference_admits(obj, poi.polygon.mbr, use_segment_mbrs)
+                for obj in objects
+            )
+            if bound:
+                expected[poi.poi_id] = bound
+        bounds = poi_bounds(
+            poi_tree,
+            [obj.mbr for obj in objects],
+            [obj.boxes for obj in objects] if use_segment_mbrs else None,
+        )
+        assert bounds == expected
+        assert poi_bounds(poi_tree, []) == {}
+
+
 class TestTopKJoin:
     def test_exact_presence_one_object_one_poi(self):
         # A disk of radius 2 centred inside a 6x6 POI: presence = area
@@ -360,10 +387,54 @@ class TestTopKJoin:
         assert result.entries[0].poi.poi_id == "p07"
 
 
+class TestSummationOrder:
+    """Float addition is not associative: the join must add a POI's
+    presences in candidate enumeration order, like the iterative scan."""
+
+    def test_leaf_sums_in_object_order(self):
+        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit.
+        values = {"a": 0.1, "b": 0.2, "c": 0.3}
+        pois = [poi_at("p", 0.0, 0.0)]
+        for names in ("abc", "cba"):
+            objects = [join_object(name, 0.0, 0.0) for name in names]
+            result = _topk_join(
+                build_poi_index(pois),
+                pois,
+                objects,
+                k=1,
+                presences=lambda poi, batch: [values[o.object_id] for o in batch],
+            )
+            expected = reduce(operator.add, (values[name] for name in names))
+            assert result.entries[0].flow == expected
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+
+    def test_join_matches_iterative_where_order_matters(self, synthetic_engine):
+        t = 600.0
+        contributions, _ = synthetic_engine.shard.partial_flows(t)
+        presences = {}
+        for _, poi_id, presence in sorted(contributions, key=lambda c: c[0]):
+            presences.setdefault(poi_id, []).append(presence)
+        sensitive = [
+            poi_id
+            for poi_id, values in presences.items()
+            if reduce(operator.add, values) != reduce(operator.add, values[::-1])
+        ]
+        assert sensitive  # the case exercises a last-bit difference
+        k = len(synthetic_engine.pois)
+        join = synthetic_engine.snapshot_topk(t, k, method="join")
+        iterative = synthetic_engine.snapshot_topk(t, k, method="iterative")
+        assert join.poi_ids == iterative.poi_ids
+        assert join.flows == iterative.flows  # bit-identical
+        flows = dict(zip(join.poi_ids, join.flows))
+        for poi_id in sensitive:
+            assert flows[poi_id] == reduce(operator.add, presences[poi_id])
+
+
 class TestTreeHeightMismatch:
     def test_shallow_poi_tree_deep_object_tree(self):
-        """One POI vs hundreds of objects: R_P bottoms out while R_I still
-        has levels to descend (Algorithm 2, lines 26-35)."""
+        """One POI vs hundreds of objects: the paper's R_I would still
+        have levels to descend where R_P bottoms out (Algorithm 2, lines
+        26-35); the leaf's admission count covers them all at once."""
         pois = [poi_at("p", 0.0, 0.0, half=3.0)]
         objects = [
             join_object(f"o{i}", (i % 20) * 1.0 - 10.0, (i // 20) * 1.0 - 5.0, half=1.0)
@@ -375,7 +446,6 @@ class TestTreeHeightMismatch:
             objects,
             k=1,
             estimator=PresenceEstimator(resolution=8),
-            rtree_fanout=4,
         )
         assert result.entries[0].poi.poi_id == "p"
         assert result.entries[0].flow > 0.0
@@ -389,7 +459,6 @@ class TestTreeHeightMismatch:
             objects,
             k=2,
             estimator=PresenceEstimator(resolution=8),
-            rtree_fanout=4,
         )
         assert result.entries[0].poi.poi_id == "p042"
         assert result.entries[1].flow == 0.0  # zero-filled

@@ -112,6 +112,70 @@ class TestSchemaGuards:
             SQLiteBackend(tmp_path / "ott.sqlite", synchronous="sometimes")
 
 
+class TestFreshStore:
+    @staticmethod
+    def traced_open(monkeypatch, path):
+        """Open a backend, recording every statement its connection runs."""
+        statements = []
+        connect = sqlite3.connect
+
+        def traced_connect(*args, **kwargs):
+            conn = connect(*args, **kwargs)
+            conn.set_trace_callback(statements.append)
+            return conn
+
+        monkeypatch.setattr(sqlite3, "connect", traced_connect)
+        return SQLiteBackend(path), statements
+
+    @staticmethod
+    def first(statements, prefix):
+        return next(
+            i for i, text in enumerate(statements)
+            if text.lstrip().upper().startswith(prefix)
+        )
+
+    def test_pragmas_precede_the_schema(self, monkeypatch, tmp_path):
+        store, statements = self.traced_open(monkeypatch, tmp_path / "ott.sqlite")
+        store.close()
+        first_schema = self.first(statements, "CREATE")
+        assert self.first(statements, "PRAGMA JOURNAL_MODE=WAL") < first_schema
+        assert self.first(statements, "PRAGMA SYNCHRONOUS=NORMAL") < first_schema
+
+    def test_schema_and_meta_row_are_one_transaction(self, monkeypatch, tmp_path):
+        store, statements = self.traced_open(monkeypatch, tmp_path / "ott.sqlite")
+        store.close()
+        begin = self.first(statements, "BEGIN")
+        commit = self.first(statements, "COMMIT")
+        writes = [
+            i for i, text in enumerate(statements)
+            if text.lstrip().upper().startswith(("CREATE", "INSERT"))
+        ]
+        assert writes and begin < min(writes) and max(writes) < commit
+        assert any("SCHEMA_VERSION" in statements[i].upper() for i in writes)
+
+    def test_fresh_store_is_in_wal_mode(self, tmp_path):
+        path = tmp_path / "ott.sqlite"
+        SQLiteBackend(path).close()
+        conn = sqlite3.connect(path)
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        conn.close()
+
+    def test_reopen_keeps_rows_and_version(self, tmp_path):
+        path = tmp_path / "ott.sqlite"
+        store = SQLiteBackend(path)
+        append_row(store, rec(0, "o1", "d1", 10.0, 20.0))
+        store.close()
+        reopened = SQLiteBackend(path)
+        assert reopened.generation == 1
+        assert [row.record.record_id for row in reopened.iter_rows()] == [0]
+        reopened.close()
+        conn = sqlite3.connect(path)
+        assert conn.execute(
+            "SELECT value FROM meta WHERE key = 'schema_version'"
+        ).fetchall() == [("1",)]
+        conn.close()
+
+
 class TestEphemeral:
     def test_ephemeral_store_unlinks_on_close(self, tmp_path):
         path = tmp_path / "scratch.sqlite"
