@@ -408,10 +408,8 @@ def bench_obs_overhead(dataset: Dataset, out_dir: Path, scale: float, repeats: i
 def _localized_pois(dataset: Dataset) -> list:
     """The ``LOCALIZED_POIS`` POIs nearest the floorplan's SW corner.
 
-    A spatially localized query subset is the workload where shard-level
-    count bounds pay off: objects partitioned to other shards never come
-    near these POIs, their bounds are zero, and the coordinator skips the
-    whole shard during join refinement (``shard_prunes``).
+    A spatially localized query subset with small k: the cell where the
+    join refines the fewest POIs, so any per-shard overhead would show.
     """
     bounds = dataset.floorplan.bounds
 
@@ -470,13 +468,6 @@ def bench_shard_scaling(dataset: Dataset, out_dir: Path, scale: float, repeats: 
         localized_ms = median_ms(localized_cell, repeats)
         results[f"localized_n{num_shards}_ms"] = round(localized_ms, 3)
 
-        engine.reset_stats()
-        localized_cell()
-        # A one-shard engine has nothing to prune and reports no counter.
-        results[f"shard_prunes_n{num_shards}"] = engine.stats().get(
-            "shard_prunes", 0
-        )
-
     base_ms = results[f"matrix_n{SHARD_COUNTS[0]}_ms"]
     for num_shards in SHARD_COUNTS[1:]:
         results[f"speedup_n{num_shards}"] = round(
@@ -509,10 +500,6 @@ def bench_shard_scaling(dataset: Dataset, out_dir: Path, scale: float, repeats: 
             "localized_pois": [poi.poi_id for poi in localized],
             "localized_k": LOCALIZED_K,
             "snapshot_sweep": list(SNAPSHOT_SWEEP),
-            # Shards run in the calling thread, so there is no parallel
-            # speedup; the win that scales with shard count here is
-            # bound-based shard pruning on localized POI subsets.
-            "win_mechanism": "shard_prunes",
         },
         results=results,
         stats=widest.stats(),

@@ -1,7 +1,7 @@
 """Checker: tracked-state mutators invalidate caches on the same path.
 
-The caching layer (PR 4/6) memoises presence integrals, POI subset trees
-and partial flows, keyed by the :class:`EvaluationContext`'s
+The caching layer (PR 4/6) memoises presence integrals and uncertainty
+regions, keyed by the :class:`EvaluationContext`'s
 ``data_generation`` counter and per-object tail epochs.  The contract:
 any function that appends or patches indexed/tracked state
 (``ARTree.append_record``, ``ARTree.patch_tail``,

@@ -2,10 +2,10 @@
 
 Float addition is not associative, so the order in which per-object
 contributions are accumulated changes the low bits of Φ(p).  The
-coordinator keeps the sharded engine bit-identical to the monolith by
-re-sorting every contribution on the canonical total key
-``(t1, t2, record_id)`` before accumulating (PR 6's global-sort merge
-contract).  Any code path that instead iterates a ``set`` / ``frozenset``
+sharded engine stays bit-identical to the monolith because it
+enumerates candidates in the canonical total key order
+``(t1, t2, record_id)`` — the shards' AR-tree results are merged on that
+key — before accumulating.  Any code path that instead iterates a ``set`` / ``frozenset``
 (or a dict built from one) and folds floats in that order is
 nondeterministic across hash seeds and across runs.
 
@@ -59,7 +59,7 @@ class DeterminismChecker(Checker):
     paper_ref = (
         "Φ(p) = Σ_o φ(o) (PAPER.md §4): the reported flows are only "
         "reproducible bit-for-bit if contributions are accumulated in a "
-        "canonical order — the coordinator sorts on (t1, t2, record_id)"
+        "canonical order — candidates come in (t1, t2, record_id) order"
     )
 
     def check(
@@ -256,8 +256,8 @@ class _FunctionAnalysis:
                             f"({ast.unparse(sub.iter)}) feeds float "
                             f"accumulation ({ast.unparse(accumulation)}); "
                             "float addition is not associative — sort on a "
-                            "total key first (cf. the coordinator's "
-                            "(t1, t2, record_id) merge)",
+                            "total key first (cf. the shards' "
+                            "(t1, t2, record_id) candidate merge)",
                         )
                     )
             elif isinstance(sub, ast.Call):

@@ -76,7 +76,7 @@ _MUTATOR_ALLOWED = (
 
 #: Path fragments allowed to call shard mutators directly: the shard
 #: itself, the engine facade (which routes by the partition hash) and the
-#: coordinator module (which builds and merges the shards).
+#: coordinator module (which builds the shards).
 _SHARD_MUTATOR_ALLOWED = (
     ("core", "shard.py"),
     ("core", "engine.py"),

@@ -9,7 +9,7 @@ from .algorithms import (
     join_snapshot,
     snapshot_flows,
 )
-from .caching import LruCache, shard_cache_capacity
+from .caching import LruCache
 from .context import EvaluationContext, EvaluationStats
 from .coordinator import shard_of
 from .engine import FlowEngine, LiveFlowEngine
@@ -88,7 +88,6 @@ __all__ = [
     "merge_shard_stats",
     "rank_top_k",
     "rank_top_k_by_density",
-    "shard_cache_capacity",
     "shard_of",
     "snapshot_context",
     "snapshot_contexts",

@@ -7,6 +7,9 @@ R-tree, accumulate presence into per-POI flows, and rank.
 
 Besides serving as the paper's baseline, the flow maps these functions
 produce are the reference the join algorithms are validated against.
+``artrees`` is one AR-tree or the per-shard trees of an object-partitioned
+engine; candidates are enumerated in the same order either way
+(:func:`~repro.core.states.snapshot_contexts`).
 
 All functions take an :class:`~repro.core.context.EvaluationContext`,
 which carries the evaluation parameters (deployment, ``v_max``, estimator,
@@ -26,12 +29,12 @@ from typing import Hashable, Sequence
 
 from ...analysis.contracts import check_flow, contracts_enabled
 from ...geometry import Region
-from ...index import ARTree, RTree
+from ...index import RTree
 from ...indoor.poi import Poi
 from ...obs import span
 from ..context import EvaluationContext
 from ..queries import TopKResult, rank_top_k
-from ..states import interval_contexts, snapshot_contexts
+from ..states import ARTrees, interval_contexts, snapshot_contexts
 
 __all__ = [
     "snapshot_flows",
@@ -58,7 +61,7 @@ def _accumulate(
 
 
 def snapshot_flows(
-    artree: ARTree,
+    artrees: ARTrees,
     poi_tree: RTree,
     ctx: EvaluationContext,
     t: float,
@@ -67,7 +70,7 @@ def snapshot_flows(
     flows: dict[str, float] = {}
     candidates = 0
     with span("candidates.snapshot"):
-        contexts = list(snapshot_contexts(artree, t))
+        contexts = list(snapshot_contexts(artrees, t))
     for context in contexts:
         candidates += 1
         with span("ur.snapshot"):
@@ -83,7 +86,7 @@ def snapshot_flows(
 
 
 def interval_flows(
-    artree: ARTree,
+    artrees: ARTrees,
     poi_tree: RTree,
     ctx: EvaluationContext,
     t_start: float,
@@ -93,7 +96,7 @@ def interval_flows(
     flows: dict[str, float] = {}
     candidates = 0
     with span("candidates.interval"):
-        contexts = list(interval_contexts(artree, t_start, t_end))
+        contexts = list(interval_contexts(artrees, t_start, t_end))
     for context in contexts:
         candidates += 1
         with span("ur.interval"):
@@ -113,7 +116,7 @@ def interval_flows(
 
 
 def iterative_snapshot(
-    artree: ARTree,
+    artrees: ARTrees,
     poi_tree: RTree,
     pois: Sequence[Poi],
     ctx: EvaluationContext,
@@ -121,12 +124,12 @@ def iterative_snapshot(
     k: int,
 ) -> TopKResult:
     """Algorithm 1: compute every snapshot flow, then take the top k."""
-    flows = snapshot_flows(artree, poi_tree, ctx, t)
+    flows = snapshot_flows(artrees, poi_tree, ctx, t)
     return rank_top_k(flows, pois, k)
 
 
 def iterative_interval(
-    artree: ARTree,
+    artrees: ARTrees,
     poi_tree: RTree,
     pois: Sequence[Poi],
     ctx: EvaluationContext,
@@ -135,5 +138,5 @@ def iterative_interval(
     k: int,
 ) -> TopKResult:
     """Algorithm 4: compute every interval flow, then take the top k."""
-    flows = interval_flows(artree, poi_tree, ctx, t_start, t_end)
+    flows = interval_flows(artrees, poi_tree, ctx, t_start, t_end)
     return rank_top_k(flows, pois, k)

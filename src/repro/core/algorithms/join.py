@@ -40,19 +40,19 @@ import numpy as np
 
 from ...analysis.contracts import check_flow, check_upper_bound, contracts_enabled
 from ...geometry import Mbr, Region, mbr_array
-from ...index import ARTree, RTree, RTreeEntry
+from ...index import RTree, RTreeEntry
 from ...indoor.poi import Poi
 from ...obs import counter, obs_enabled, span
 from ..context import EvaluationContext, PresenceRow
 from ..presence import PresenceEstimator
 from ..queries import RankedPoi, TopKResult, rank_top_k
-from ..states import interval_contexts, snapshot_contexts
+from ..states import ARTrees, interval_contexts, snapshot_contexts
 from ..uncertainty import snapshot_mbr
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from numpy.typing import NDArray
 
-__all__ = ["JoinObject", "join_snapshot", "join_interval", "poi_bounds"]
+__all__ = ["JoinObject", "join_snapshot", "join_interval"]
 
 
 class JoinObject:
@@ -165,29 +165,6 @@ class _Admission:
         return columns
 
 
-def poi_bounds(
-    poi_tree: RTree,
-    mbrs: Sequence[Mbr],
-    boxes: Sequence[NDArray[np.float64] | None] | None = None,
-) -> dict[str, int]:
-    """The join's count bound per POI, for objects given by their boxes.
-
-    ``mbrs[j]`` (and, when given, ``boxes[j]``) describe object ``j`` as
-    a :class:`JoinObject` would.  Returns ``{poi_id: bound}`` over the
-    POIs that admit at least one object — the counts a join over the
-    same objects reads at ``poi_tree``'s leaves.
-    """
-    if not mbrs:
-        return {}
-    admission = _Admission(poi_tree, mbrs, boxes)
-    bounds: dict[str, int] = {}
-    for entry in poi_tree.leaf_entries():
-        bound = admission.bound(entry)
-        if bound:
-            bounds[entry.item.poi_id] = bound
-    return bounds
-
-
 #: ``presences(poi, objects)``: the presence of every object in one POI.
 Presences = Callable[[Poi, Sequence[JoinObject]], list[float]]
 
@@ -270,8 +247,8 @@ def _drain_heap(
     flows (kind 1) are confirmed, and equal exact flows are confirmed in
     ``poi_id`` order.  Both make the pop order — hence the returned
     ranking — a deterministic function of the flows alone, matching
-    ``rank_top_k``'s ``(-flow, poi_id)`` order, so the iterative
-    baseline and the sharded merge agree bit for bit.
+    ``rank_top_k``'s ``(-flow, poi_id)`` order, so the join and the
+    iterative baseline agree bit for bit.
     """
     instrumented = obs_enabled()
     confirmed: list[RankedPoi] = []
@@ -288,9 +265,9 @@ def _drain_heap(
         elif poi_entry.child is None:
             poi: Poi = poi_entry.item
             # Columns ascend in candidate enumeration order, the order
-            # the iterative baseline and the sharded merge add presences
-            # in: float addition is not associative, so this keeps all
-            # three paths bitwise comparable.
+            # the iterative baseline adds presences in: float addition
+            # is not associative, so this keeps both paths bitwise
+            # comparable.
             batch = [objects[column] for column in admission.columns(poi_entry)]
             flow = 0.0
             for value in presences(poi, batch):
@@ -344,7 +321,7 @@ def _ctx_presences(ctx: EvaluationContext) -> Presences:
 
 
 def join_snapshot(
-    artree: ARTree,
+    artrees: ARTrees,
     poi_tree: RTree,
     pois: Sequence[Poi],
     ctx: EvaluationContext,
@@ -354,7 +331,7 @@ def join_snapshot(
     """Algorithm 2: the count-bounded POI-tree join for the snapshot query."""
     objects: list[JoinObject] = []
     with span("candidates.snapshot"):
-        for context in snapshot_contexts(artree, t):
+        for context in snapshot_contexts(artrees, t):
             mbr = snapshot_mbr(context, ctx.deployment, ctx.v_max)
             if mbr is None:
                 continue
@@ -383,7 +360,7 @@ def join_snapshot(
 
 
 def join_interval(
-    artree: ARTree,
+    artrees: ARTrees,
     poi_tree: RTree,
     pois: Sequence[Poi],
     ctx: EvaluationContext,
@@ -399,7 +376,7 @@ def join_interval(
     """
     objects: list[JoinObject] = []
     with span("candidates.interval"):
-        for context in interval_contexts(artree, t_start, t_end):
+        for context in interval_contexts(artrees, t_start, t_end):
             with span("ur.interval"):
                 uncertainty = ctx.interval_uncertainty(context)
             overall_mbr = uncertainty.mbr

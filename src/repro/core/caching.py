@@ -19,34 +19,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Generic, Hashable, TypeVar
 
-__all__ = ["LruCache", "RowCache", "shard_cache_capacity"]
+__all__ = ["LruCache", "RowCache"]
 
 V = TypeVar("V")
-
-
-def shard_cache_capacity(total: int, num_shards: int) -> int:
-    """One shard's slice of a fleet-wide cache capacity.
-
-    A sharded engine should not multiply its memory budget by N: each
-    shard gets ``total // num_shards`` entries (at least 1 when caching is
-    on at all), so the fleet's combined footprint stays at the monolith's.
-    A disabled cache (``total <= 0``) stays disabled on every shard.
-
-    Args:
-        total: The monolithic engine's cache capacity.
-        num_shards: How many shards share it.
-
-    Returns:
-        The per-shard capacity.
-
-    Raises:
-        ValueError: If ``num_shards < 1``.
-    """
-    if num_shards < 1:
-        raise ValueError("num_shards must be positive")
-    if total <= 0:
-        return 0
-    return max(1, total // num_shards)
 
 
 class LruCache(Generic[V]):

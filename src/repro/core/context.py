@@ -336,11 +336,11 @@ class EvaluationContext:
     def sync_generation(self, generation: int) -> None:
         """Fast-forward :attr:`data_generation` to a persisted counter.
 
-        Recovery seeds a fresh context from the storage backend's
-        snapshot generation, then replays the WAL tail through
+        Recovery advances the context by each shard store's snapshot
+        generation, then replays that store's WAL tail through
         :meth:`note_append` — so after restore the context's generation
-        equals the backend's persisted one, exactly as if the appends had
-        happened live in this process.
+        equals the sum of the stores' persisted ones, exactly as if the
+        appends had happened live in this process.
 
         Args:
             generation: The storage generation to adopt.

@@ -29,14 +29,16 @@ Results after an ingest are identical to a freshly built engine over the
 union of records.
 
 A **fleet** (``num_shards=N > 1``) partitions the tracked objects across N
-:class:`~repro.core.shard.ShardState` partitions; queries merge the
-shards' partial results (see :mod:`repro.core.coordinator`) into answers
-bit-identical to the one-shard engine's, ingest routes each record to its
-owning shard, and join queries skip shards whose count bounds are zero::
+:class:`~repro.core.shard.ShardState` partitions, each with its own table
+slice, AR-tree and store; ingest routes each record to its owning shard
+(see :mod:`repro.core.coordinator`).  The evaluation context, the POI
+R-tree and the caches stay one per engine, and every query runs the same
+algorithm at every N over the shards' AR-tree candidates merged into the
+one-tree order (:func:`~repro.core.states.snapshot_contexts`), so answers
+and counters are the one-shard engine's::
 
     fleet = FlowEngine(plan, deployment, ott, pois, v_max=1.1, num_shards=4)
     top = fleet.snapshot_topk(t=3600.0, k=10)
-    print(fleet.stats()["shard_prunes"])
 """
 
 from __future__ import annotations
@@ -44,14 +46,15 @@ from __future__ import annotations
 import math
 from numbers import Real
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..geometry import DEFAULT_RESOLUTION, Region
 from ..index import ARTree, RTree
 from ..index.artree import DEFAULT_DELTA_THRESHOLD
 from ..indoor.devices import Deployment
+from ..indoor.distance import IndoorDistanceOracle
 from ..indoor.floorplan import FloorPlan
-from ..indoor.poi import Poi
+from ..indoor.poi import Poi, build_poi_index
 from ..obs import counter, obs_enabled, span
 from ..storage.base import StorageBackend
 from ..tracking.records import ObjectId, TrackingRecord
@@ -63,36 +66,41 @@ from .algorithms.iterative import (
     snapshot_flows,
 )
 from .algorithms.join import join_interval, join_snapshot
+from .caching import LruCache
 from .context import (
     DEFAULT_PRESENCE_CACHE_SIZE,
     DEFAULT_REGION_CACHE_SIZE,
     EvaluationContext,
 )
-from .coordinator import (
-    Partial,
-    build_shards,
-    merge_partials,
-    pruned_topk,
-    shard_of,
-)
+from .coordinator import build_shards, shard_of
 from .presence import PresenceEstimator
-from .queries import TopKResult, rank_top_k, rank_top_k_by_density
-from .shard import DEFAULT_POI_SUBSET_CACHE_SIZE, ShardState
-from .stats import merge_shard_stats
+from .queries import TopKResult, rank_top_k_by_density
+from .shard import ShardState
+from .stats import merge_component_stats, merge_shard_stats
 from .uncertainty import IntervalUncertainty, TopologyChecker
 
 __all__ = ["FlowEngine", "LiveFlowEngine", "DEFAULT_POI_SUBSET_CACHE_SIZE"]
 
+#: How many per-subset POI R-trees an engine memoizes (LRU).
+DEFAULT_POI_SUBSET_CACHE_SIZE = 16
+
 _METHODS = ("join", "iterative")
 
 
-def _checked_k(k: object) -> int:
-    """``k`` if it is a positive ``int`` (``bool`` is not a count)."""
-    if isinstance(k, bool) or not isinstance(k, int):
-        raise TypeError(f"k must be an int, got {k!r} ({type(k).__name__})")
-    if k < 1:
-        raise ValueError("k must be positive")
-    return k
+def _checked_count(value: object, name: str) -> int:
+    """``value`` if it is a positive ``int`` (``bool`` is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(
+            f"{name} must be an int, got {value!r} ({type(value).__name__})"
+        )
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+    return value
+
+
+def _checked_method(method: str) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
 
 def _checked_time(value: object, name: str) -> float:
@@ -157,10 +165,13 @@ class FlowEngine:
         shard count its stores were written under).  :meth:`checkpoint`
         folds the tail into the snapshot so later reopens replay nothing.
     num_shards:
-        The object partition count N.  ``1`` (default) keeps all state in
-        one :class:`~repro.core.shard.ShardState`; more splits the cache
-        budget across N shards, shares one topology oracle and merges the
-        shards' partial results bit-identically.
+        The object partition count N (a positive ``int``).  Each of the N
+        :class:`~repro.core.shard.ShardState` partitions keeps its table
+        slice, AR-tree and store; the evaluation context — one cache
+        budget (the capacities above, not split), one estimator, one
+        topology checker — and the POI R-trees are shared, and queries
+        run over the shards' merged AR-tree candidates.  Answers and
+        ``stats()`` keys are the same at every N.
     """
 
     def __init__(
@@ -182,48 +193,59 @@ class FlowEngine:
         storage: StorageBackend | str | Path | None = None,
         num_shards: int = 1,
     ):
-        if num_shards < 1:
-            raise ValueError("num_shards must be positive")
-        params: dict[str, Any] = dict(
-            resolution=resolution,
-            topology_check=topology_check,
-            rtree_fanout=rtree_fanout,
-            artree_fanout=artree_fanout,
-            detection_slack=detection_slack,
-            region_cache_size=region_cache_size,
-            presence_cache_size=presence_cache_size,
-            live=live,
-            artree_delta_threshold=artree_delta_threshold,
-        )
-        if num_shards == 1:
-            if isinstance(storage, (str, Path)):
-                raise ValueError(
-                    "a one-shard engine stores into a StorageBackend, "
-                    "not a directory"
-                )
-            # All state — table, indexes, caches, epochs — lives in a
-            # single ShardState.
-            self._shards = [
-                ShardState(
-                    floorplan, deployment, ott, pois, v_max,
-                    storage=storage, **params,
-                )
-            ]
-        else:
-            if storage is not None and not isinstance(storage, (str, Path)):
-                raise ValueError(
-                    "a sharded engine stores into a directory of per-shard "
-                    "stores, not a single StorageBackend"
-                )
-            self._shards = build_shards(
-                floorplan, deployment, ott, pois, v_max, num_shards,
-                storage, **params,
+        num_shards = _checked_count(num_shards, "num_shards")
+        if v_max <= 0:
+            raise ValueError("v_max must be positive")
+        if detection_slack < 0:
+            raise ValueError("detection_slack must be non-negative")
+        if not pois:
+            raise ValueError("the engine needs at least one POI")
+        if num_shards == 1 and isinstance(storage, (str, Path)):
+            raise ValueError(
+                "a one-shard engine stores into a StorageBackend, not a directory"
+            )
+        if num_shards > 1 and storage is not None and not isinstance(
+            storage, (str, Path)
+        ):
+            raise ValueError(
+                "a sharded engine stores into a directory of per-shard "
+                "stores, not a single StorageBackend"
             )
         self.num_shards = num_shards
         self.floorplan = floorplan
         self.detection_slack = detection_slack
-        self._shard_prunes = 0
         self._closed = False
+        self._ctx = EvaluationContext(
+            deployment=deployment,
+            v_max=v_max,
+            estimator=PresenceEstimator(resolution=resolution),
+            topology=(
+                TopologyChecker(IndoorDistanceOracle(floorplan))
+                if topology_check
+                else None
+            ),
+            inner_allowance=v_max * detection_slack,
+            rtree_fanout=rtree_fanout,
+            region_cache_size=region_cache_size,
+            presence_cache_size=presence_cache_size,
+        )
+        self._pois = list(pois)
+        self._poi_tree = build_poi_index(self._pois, max_entries=rtree_fanout)
+        self._subset_trees: LruCache[tuple[list[Poi], RTree]] = LruCache(
+            DEFAULT_POI_SUBSET_CACHE_SIZE
+        )
+        self._poi_subset_trees_built = 0
+        params: dict[str, Any] = dict(
+            artree_fanout=artree_fanout,
+            live=live,
+            artree_delta_threshold=artree_delta_threshold,
+        )
+        if num_shards == 1:
+            self._shards = [ShardState(ott, self._ctx, storage=storage, **params)]
+        else:
+            self._shards = build_shards(
+                ott, self._ctx, num_shards, storage, **params
+            )
 
     # ------------------------------------------------------------------
     # Shard-owned state
@@ -257,7 +279,22 @@ class FlowEngine:
     @property
     def pois(self) -> list[Poi]:
         """The engine's POI universe."""
-        return self._shards[0].pois
+        return self._pois
+
+    @property
+    def poi_tree(self) -> RTree:
+        """The POI R-tree ``R_P`` over the full universe."""
+        return self._poi_tree
+
+    @property
+    def ctx(self) -> EvaluationContext:
+        """The long-lived evaluation context, shared by every shard."""
+        return self._ctx
+
+    @property
+    def poi_subset_trees_built(self) -> int:
+        """How many per-subset POI R-trees were actually built."""
+        return self._poi_subset_trees_built
 
     @property
     def artree(self) -> ARTree:
@@ -265,53 +302,43 @@ class FlowEngine:
         return self.shard.artree
 
     @property
-    def poi_tree(self) -> RTree:
-        """The POI R-tree ``R_P`` over the full universe (one-shard engines)."""
-        return self.shard.poi_tree
-
-    @property
-    def ctx(self) -> EvaluationContext:
-        """The long-lived evaluation context (one-shard engines)."""
-        return self.shard.ctx
-
-    @property
-    def poi_subset_trees_built(self) -> int:
-        """How many per-subset POI R-trees were actually built."""
-        return sum(shard.poi_subset_trees_built for shard in self._shards)
+    def artrees(self) -> list[ARTree]:
+        """Every shard's AR-tree, index ``i`` indexing partition ``i``."""
+        return [shard.artree for shard in self._shards]
 
     # ------------------------------------------------------------------
-    # Evaluation parameters (identical on every shard's context)
+    # Evaluation parameters (the shared context's)
     # ------------------------------------------------------------------
 
     @property
     def deployment(self) -> Deployment:
         """The positioning-device deployment regions are derived against."""
-        return self._shards[0].ctx.deployment
+        return self.ctx.deployment
 
     @property
     def v_max(self) -> float:
         """Maximum indoor movement speed (m/s) — the paper's ``V_max``."""
-        return self._shards[0].ctx.v_max
+        return self.ctx.v_max
 
     @property
     def estimator(self) -> PresenceEstimator:
         """The presence (grid quadrature) estimator in use."""
-        return self._shards[0].ctx.estimator
+        return self.ctx.estimator
 
     @property
     def topology(self) -> TopologyChecker | None:
         """The indoor topology checker, or ``None`` when ablated."""
-        return self._shards[0].ctx.topology
+        return self.ctx.topology
 
     @property
     def inner_allowance(self) -> float:
         """Ring inner-exclusion relaxation in meters (``v_max * slack``)."""
-        return self._shards[0].ctx.inner_allowance
+        return self.ctx.inner_allowance
 
     @property
     def rtree_fanout(self) -> int:
         """Node capacity of the POI R-trees (the universe and per-query subsets)."""
-        return self._shards[0].ctx.rtree_fanout
+        return self.ctx.rtree_fanout
 
     # ------------------------------------------------------------------
     # Live ingestion
@@ -409,8 +436,7 @@ class FlowEngine:
         fails validation, the records before it are persisted and
         ingested and the error propagates.  A fleet routes each record to
         its owning shard (keeping per-shard order) and applies the
-        shards' sub-batches in shard order, one write per shard store;
-        only the owning shard's cache epochs roll.
+        shards' sub-batches in shard order, one write per shard store.
 
         Args:
             records: Closed tracking records, in per-object chronological
@@ -517,22 +543,20 @@ class FlowEngine:
             ``presence_cache_hits``, ``topology_prunes``,
             ``region_cache_entries``, ``presence_cache_entries``,
             ``data_generation``, ``estimator_cached_pois``,
-            ``poi_subset_trees_built``, ``artree_delta_entries``,
-            ``artree_compactions``; with ``num_shards > 1`` each is summed
-            over shards and ``shard_prunes`` counts the shard calls join
-            refinement skipped.
+            ``artree_delta_entries``, ``artree_compactions`` (the last two
+            summed over shards) and ``poi_subset_trees_built`` — the same
+            keys at every shard count.
         """
-        if self.num_shards == 1:
-            return self._shards[0].stats()
-        merged = merge_shard_stats(shard.stats() for shard in self._shards)
-        merged["shard_prunes"] = self._shard_prunes
-        return merged
+        return merge_component_stats(
+            self.ctx.stats_dict(),
+            {"estimator_cached_pois": self.estimator.sample_cache_size},
+            merge_shard_stats(shard.stats() for shard in self._shards),
+            {"poi_subset_trees_built": self.poi_subset_trees_built},
+        )
 
     def reset_stats(self) -> None:
         """Zero the evaluation counters (cache contents are kept)."""
-        for shard in self._shards:
-            shard.reset_stats()
-        self._shard_prunes = 0
+        self.ctx.reset_stats()
 
     # ------------------------------------------------------------------
     # POI subsets
@@ -543,38 +567,40 @@ class FlowEngine:
     ) -> tuple[list[Poi], RTree]:
         """Resolve the query POI set P and its R-tree R_P.
 
-        Subset R-trees are memoized (per ``poi_id`` tuple, verified
-        against the members), so a monitor or dashboard re-querying the
-        same subset builds its R_P exactly once.  ``poi_subset_trees_built``
-        in :meth:`stats` counts the actual builds.  A fleet resolves
-        through shard 0, whose shard queries would build the same tree.
-        """
-        return self._shards[0].resolve_pois(pois)
+        Subset R-trees are memoized per ``poi_id`` tuple and a hit is
+        verified against the requested POIs, so a monitor or dashboard
+        re-querying the same subset builds its R_P exactly once, while
+        different POIs under recycled ids rebuild instead of serving a
+        stale tree.  ``poi_subset_trees_built`` in :meth:`stats` counts
+        the actual builds.
 
-    def _fleet_topk(
-        self,
-        query_pois: list[Poi],
-        k: int,
-        method: str,
-        bounds: Callable[[ShardState], dict[str, int]],
-        flows: Callable[[ShardState, list[Poi]], Partial],
-    ) -> TopKResult:
-        """A top-k query over a fleet (``num_shards > 1``).
-
-        ``"join"`` runs :func:`~repro.core.coordinator.pruned_topk`
-        (bounds, then pruned refinement rounds); ``"iterative"`` merges
-        every shard's partial flows over ``query_pois``.
+        Raises:
+            TypeError: If an element of ``pois`` is not a :class:`Poi`.
+            ValueError: If ``pois`` is empty or repeats a ``poi_id``.
         """
-        if method == "join":
-            result, prunes = pruned_topk(
-                self._shards, query_pois, k, bounds, flows
-            )
-            self._shard_prunes += prunes
-            return result
-        merged, _ = merge_partials(
-            flows(shard, query_pois) for shard in self._shards
-        )
-        return rank_top_k(merged, query_pois, k)
+        if pois is None:
+            return self._pois, self._poi_tree
+        subset = list(pois)
+        if not subset:
+            raise ValueError("the query POI set may not be empty")
+        key: list[str] = []
+        for poi in subset:
+            if not isinstance(poi, Poi):
+                raise TypeError(
+                    f"the query POI set holds {poi!r} "
+                    f"({type(poi).__name__}), not a Poi"
+                )
+            key.append(poi.poi_id)
+        if len(set(key)) < len(key):
+            repeated = next(poi_id for poi_id in key if key.count(poi_id) > 1)
+            raise ValueError(f"the query POI set repeats poi_id {repeated!r}")
+        cached = self._subset_trees.get(tuple(key))
+        if cached is not None and cached[0] == subset:
+            return cached
+        tree = build_poi_index(subset, max_entries=self.rtree_fanout)
+        self._poi_subset_trees_built += 1
+        self._subset_trees.put(tuple(key), (subset, tree))
+        return subset, tree
 
     # ------------------------------------------------------------------
     # Top-k queries (Problems 1 and 2)
@@ -603,34 +629,18 @@ class FlowEngine:
 
         Raises:
             TypeError: If ``k`` is not an ``int`` or ``t`` not a real
-                number (either a ``bool``).
+                number (either a ``bool``), or an element of ``pois`` is
+                not a :class:`Poi`.
             ValueError: If ``method`` is unknown, ``k < 1``, ``t`` is not
-                finite, or an empty ``pois`` sequence is passed.
+                finite, or ``pois`` is empty or repeats a ``poi_id``.
         """
         t = _checked_time(t, "t")
-        k = _checked_k(k)
-        if method not in _METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {_METHODS}"
-            )
+        k = _checked_count(k, "k")
+        _checked_method(method)
         query_pois, poi_tree = self._query_pois(pois)
-        if self.num_shards > 1:
-            with span(f"query.sharded.snapshot.{method}"):
-                return self._fleet_topk(
-                    query_pois,
-                    k,
-                    method,
-                    lambda shard: shard.partial_bounds(t, pois=query_pois),
-                    lambda shard, target: shard.partial_flows(t, pois=target),
-                )
+        algorithm = join_snapshot if method == "join" else iterative_snapshot
         with span(f"query.snapshot.{method}"):
-            if method == "join":
-                return join_snapshot(
-                    self.artree, poi_tree, query_pois, self.ctx, t, k
-                )
-            return iterative_snapshot(
-                self.artree, poi_tree, query_pois, self.ctx, t, k
-            )
+            return algorithm(self.artrees, poi_tree, query_pois, self.ctx, t, k)
 
     def interval_topk(
         self,
@@ -658,41 +668,21 @@ class FlowEngine:
 
         Raises:
             TypeError: If ``k`` is not an ``int`` or a window end not a
-                real number (either a ``bool``).
+                real number (either a ``bool``), or an element of
+                ``pois`` is not a :class:`Poi`.
             ValueError: If ``method`` is unknown, ``k < 1``, a window end
-                is not finite, the window is inverted, or an empty
-                ``pois`` sequence is passed.
+                is not finite, the window is inverted, or ``pois`` is
+                empty or repeats a ``poi_id``.
         """
         t_start = _checked_time(t_start, "t_start")
         t_end = _checked_time(t_end, "t_end")
-        k = _checked_k(k)
-        if method not in _METHODS:
-            raise ValueError(
-                f"unknown method {method!r}; expected one of {_METHODS}"
-            )
+        k = _checked_count(k, "k")
+        _checked_method(method)
         query_pois, poi_tree = self._query_pois(pois)
-        if self.num_shards > 1:
-            if t_end < t_start:
-                raise ValueError("t_end precedes t_start")
-            with span(f"query.sharded.interval.{method}"):
-                return self._fleet_topk(
-                    query_pois,
-                    k,
-                    method,
-                    lambda shard: shard.partial_interval_bounds(
-                        t_start,
-                        t_end,
-                        pois=query_pois,
-                        use_segment_mbrs=use_segment_mbrs,
-                    ),
-                    lambda shard, target: shard.partial_interval_flows(
-                        t_start, t_end, pois=target
-                    ),
-                )
         with span(f"query.interval.{method}"):
             if method == "join":
                 return join_interval(
-                    self.artree,
+                    self.artrees,
                     poi_tree,
                     query_pois,
                     self.ctx,
@@ -702,7 +692,7 @@ class FlowEngine:
                     use_segment_mbrs=use_segment_mbrs,
                 )
             return iterative_interval(
-                self.artree, poi_tree, query_pois, self.ctx, t_start, t_end, k
+                self.artrees, poi_tree, query_pois, self.ctx, t_start, t_end, k
             )
 
     # ------------------------------------------------------------------
@@ -723,18 +713,12 @@ class FlowEngine:
 
         Raises:
             TypeError: If ``t`` is not a real number (or is a ``bool``).
-            ValueError: If ``t`` is not finite or an empty ``pois`` is
-                passed.
+            ValueError: If ``t`` is not finite or an empty or repeating
+                ``pois`` is passed.
         """
         t = _checked_time(t, "t")
-        query_pois, poi_tree = self._query_pois(pois)
-        if self.num_shards > 1:
-            flows, _ = merge_partials(
-                shard.partial_flows(t, pois=query_pois)
-                for shard in self._shards
-            )
-            return flows
-        return snapshot_flows(self.artree, poi_tree, self.ctx, t)
+        _, poi_tree = self._query_pois(pois)
+        return snapshot_flows(self.artrees, poi_tree, self.ctx, t)
 
     def interval_flows(
         self, t_start: float, t_end: float, pois: Sequence[Poi] | None = None
@@ -753,20 +737,12 @@ class FlowEngine:
             TypeError: If a window end is not a real number (or is a
                 ``bool``).
             ValueError: If a window end is not finite, the window is
-                inverted, or an empty ``pois`` is passed.
+                inverted, or an empty or repeating ``pois`` is passed.
         """
         t_start = _checked_time(t_start, "t_start")
         t_end = _checked_time(t_end, "t_end")
-        query_pois, poi_tree = self._query_pois(pois)
-        if self.num_shards > 1:
-            if t_end < t_start:
-                raise ValueError("t_end precedes t_start")
-            flows, _ = merge_partials(
-                shard.partial_interval_flows(t_start, t_end, pois=query_pois)
-                for shard in self._shards
-            )
-            return flows
-        return interval_flows(self.artree, poi_tree, self.ctx, t_start, t_end)
+        _, poi_tree = self._query_pois(pois)
+        return interval_flows(self.artrees, poi_tree, self.ctx, t_start, t_end)
 
     # ------------------------------------------------------------------
     # Density variants (area-normalised ranking; cf. paper Section 6.2)
@@ -792,11 +768,11 @@ class FlowEngine:
         Raises:
             TypeError: If ``k`` is not an ``int`` or ``t`` not a real
                 number (either a ``bool``).
-            ValueError: If ``k < 1``, ``t`` is not finite or an empty
-                ``pois`` is passed.
+            ValueError: If ``k < 1``, ``t`` is not finite or an empty or
+                repeating ``pois`` is passed.
         """
         t = _checked_time(t, "t")
-        k = _checked_k(k)
+        k = _checked_count(k, "k")
         query_pois, _ = self._query_pois(pois)
         flows = self.snapshot_flows(t, pois=query_pois)
         return rank_top_k_by_density(flows, query_pois, k)
@@ -823,11 +799,12 @@ class FlowEngine:
             TypeError: If ``k`` is not an ``int`` or a window end not a
                 real number (either a ``bool``).
             ValueError: If ``k < 1``, a window end is not finite, the
-                window is inverted, or an empty ``pois`` is passed.
+                window is inverted, or an empty or repeating ``pois`` is
+                passed.
         """
         t_start = _checked_time(t_start, "t_start")
         t_end = _checked_time(t_end, "t_end")
-        k = _checked_k(k)
+        k = _checked_count(k, "k")
         query_pois, _ = self._query_pois(pois)
         flows = self.interval_flows(t_start, t_end, pois=query_pois)
         return rank_top_k_by_density(flows, query_pois, k)

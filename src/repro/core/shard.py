@@ -1,123 +1,78 @@
-"""`ShardState` — the per-partition slice of a flow engine's state.
+"""`ShardState` — one object partition's tracking data and index.
 
 The paper's flow score is a per-object sum, ``Φ(p) = Σ_o φ(o)``
-(Definition 2), so every stateful piece of query processing partitions
-cleanly by object id.  This facade owns exactly one partition's state:
+(Definition 2), so the tracking data partitions cleanly by object id.
+A :class:`~repro.core.engine.FlowEngine` keeps one ``ShardState`` per
+partition; each owns exactly:
 
 * its slice of the OTT (a partition view of the batch or live table),
 * the AR-tree over that slice (bulk core + LSM-style delta),
-* its own :class:`~repro.core.context.EvaluationContext` — evaluation
-  parameters plus the shard's slice of the region/presence caches and the
-  per-object tail epochs, so a live append rolls only this shard's
-  epochs,
-* the memoized per-subset POI R-trees.
+* its storage backend, if any,
+* the live-ingest seam that keeps table, AR-tree and cache epochs in
+  step.
 
-The interface is deliberately narrow — partial flows and partial bounds
-for both query forms, per-object region introspection, the live-ingest
-mutators and ``stats()`` — because everything a
-:class:`~repro.core.engine.FlowEngine` needs, with one shard or with N
-(see :mod:`repro.core.coordinator`), reduces to these calls.
-
-**Bit-reproducible partials.**  Floating-point addition is not
-associative, so per-shard *sums* could never be merged back into the
-monolith's exact flows.  Instead :meth:`partial_flows` returns the raw
-per-(object, POI) presence contributions, each tagged with the object's
-canonical AR-tree entry key; the coordinator re-sorts all shards'
-contributions on that key and accumulates them in one global pass — the
-exact order (and therefore the exact float result) of the monolithic
-iterative scan.
-
-**Sound shard pruning.**  :meth:`partial_bounds` counts, per POI, the
-shard's objects whose cheap candidate MBR intersects the POI box — the
-join algorithms' count bound, read from the same admission matrix the
-single-shard join uses (presence never exceeds 1, Section 4.2).
-A shard whose bounds are all zero for the POIs still in play cannot
-contribute anything but exact zeros, so a coordinator may skip it without
-perturbing a single bit of the merged flows.
+Everything else — the evaluation context (parameters, caches, per-object
+tail epochs, one estimator, one topology checker), the POI R-tree and the
+subset-tree memo — belongs to the engine and is shared by all shards.  A
+shard's ingest hooks roll epochs on that shared context.  Queries run the
+paper's algorithms once over the shards' merged AR-tree candidates
+(:func:`~repro.core.states.snapshot_contexts`), so a shard answers no
+query itself.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Iterable
 
-from ..geometry import DEFAULT_RESOLUTION, Mbr, Region
-from ..index import ARTree, RTree
+from ..geometry import Region
+from ..index import ARTree
 from ..index.artree import DEFAULT_DELTA_THRESHOLD
-from ..indoor.devices import Deployment
-from ..indoor.distance import IndoorDistanceOracle
-from ..indoor.floorplan import FloorPlan
-from ..indoor.poi import Poi, build_poi_index
-from ..analysis.contracts import check_flow, contracts_enabled
 from ..obs import span
 from ..storage.base import Mutation, StorageBackend, StoredRow
 from ..tracking.records import ObjectId, TrackingRecord
 from ..tracking.table import LiveTrackingTable, ObjectTrackingTable
-from .algorithms.join import poi_bounds
-from .caching import LruCache
-from .context import (
-    DEFAULT_PRESENCE_CACHE_SIZE,
-    DEFAULT_REGION_CACHE_SIZE,
-    EvaluationContext,
-)
-from .presence import PresenceEstimator
+from .context import EvaluationContext
 from .states import interval_context_from_entries, snapshot_context
-from .stats import merge_component_stats
-from .uncertainty import IntervalUncertainty, TopologyChecker, snapshot_mbr
+from .uncertainty import IntervalUncertainty
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-    from numpy.typing import NDArray
-
-__all__ = ["ShardState", "Contribution", "DEFAULT_POI_SUBSET_CACHE_SIZE"]
-
-#: How many per-subset POI R-trees one shard memoizes (LRU).
-DEFAULT_POI_SUBSET_CACHE_SIZE = 16
-
-#: The canonical AR-tree entry order ``(t1, t2, record_id)``.
-EntryKey = tuple[float, float, int]
-
-#: One per-(object, POI) presence term of a partial flow:
-#: ``(order_key, poi_id, presence)``.
-Contribution = tuple[EntryKey, str, float]
+__all__ = ["ShardState"]
 
 
 class ShardState:
-    """One object-partition's engine state behind a narrow facade.
+    """One object partition's table, AR-tree, store and ingest seam.
 
-    Constructed exactly like a :class:`~repro.core.engine.FlowEngine`
-    (same parameters, same validation), optionally restricted to an
-    object-id partition.  See the module docstring for the partial-flow
-    and bound semantics.
+    Parameters
+    ----------
+    ott:
+        The tracking table (batch or live).  With ``object_ids`` the
+        shard keeps a partition view of it.
+    ctx:
+        The engine's evaluation context; the shard's ingest hooks report
+        every append to it (:meth:`EvaluationContext.note_append`).
+    artree_fanout, artree_delta_threshold:
+        The AR-tree's node capacity and auto-compaction threshold.
+    live:
+        Keep the table append-capable (implied by a live ``ott``).
+    object_ids:
+        The partition's object ids, or ``None`` for the whole table.
+    storage:
+        A backend the live table writes through to.  A pristine one is
+        seeded with the shard's records; a populated one **recovers**
+        (``ott`` must then be empty): its snapshot generation is added
+        to ``ctx``'s data generation and its WAL tail replayed.
     """
 
     def __init__(
         self,
-        floorplan: FloorPlan,
-        deployment: Deployment,
         ott: ObjectTrackingTable | LiveTrackingTable,
-        pois: Sequence[Poi],
-        v_max: float,
-        resolution: int = DEFAULT_RESOLUTION,
-        topology_check: bool = True,
-        rtree_fanout: int = 8,
+        ctx: EvaluationContext,
         artree_fanout: int = 16,
-        detection_slack: float = 0.0,
-        region_cache_size: int = DEFAULT_REGION_CACHE_SIZE,
-        presence_cache_size: int = DEFAULT_PRESENCE_CACHE_SIZE,
         live: bool = False,
         artree_delta_threshold: int = DEFAULT_DELTA_THRESHOLD,
         object_ids: frozenset[ObjectId] | None = None,
-        topology: TopologyChecker | None = None,
         storage: StorageBackend | None = None,
     ):
-        if v_max <= 0:
-            raise ValueError("v_max must be positive")
-        if detection_slack < 0:
-            raise ValueError("detection_slack must be non-negative")
-        if not pois:
-            raise ValueError("the engine needs at least one POI")
-        self.floorplan = floorplan
-        self.detection_slack = detection_slack
+        self.ctx = ctx
         self._storage = storage
         self._closed = False
         if storage is not None and not (live or isinstance(ott, LiveTrackingTable)):
@@ -131,7 +86,7 @@ class ShardState:
             # Recovery: the store is authoritative.  Bulk-load its
             # snapshot (the AR-tree below does the same), keep the WAL
             # tail aside and replay it through the ingest seam once the
-            # index and the caches exist.
+            # index exists.
             if len(ott):
                 raise ValueError(
                     "recovering from a populated storage backend requires "
@@ -165,35 +120,18 @@ class ShardState:
                 self._live = table.copy_into(storage)
                 table = self._live
         self.ott: ObjectTrackingTable | LiveTrackingTable = table
-        self.pois = list(pois)
         self.artree = ARTree.build(
             self.ott,
             fanout=artree_fanout,
             delta_threshold=artree_delta_threshold,
         )
-        self.poi_tree = build_poi_index(self.pois, max_entries=rtree_fanout)
-        self._subset_trees: LruCache[tuple[list[Poi], RTree]] = LruCache(
-            DEFAULT_POI_SUBSET_CACHE_SIZE
-        )
-        self.poi_subset_trees_built = 0
-        if topology is None and topology_check:
-            topology = TopologyChecker(IndoorDistanceOracle(floorplan))
-        self.ctx = EvaluationContext(
-            deployment=deployment,
-            v_max=v_max,
-            estimator=PresenceEstimator(resolution=resolution),
-            topology=topology if topology_check else None,
-            inner_allowance=v_max * detection_slack,
-            rtree_fanout=rtree_fanout,
-            region_cache_size=region_cache_size,
-            presence_cache_size=presence_cache_size,
-        )
         if storage is not None and storage.generation > 0:
-            # The context's data generation tracks the persisted counter:
-            # adopt the snapshot generation, then replay the WAL tail as
-            # ordinary ingest so table, AR-tree delta and cache epochs
-            # advance exactly as the crashed writer's did.
-            self.ctx.sync_generation(storage.snapshot_generation)
+            # The context's data generation counts every shard's
+            # mutations: add this store's snapshot generation, then
+            # replay the WAL tail as ordinary ingest so table, AR-tree
+            # delta and cache epochs advance exactly as the crashed
+            # writer's did.
+            ctx.sync_generation(ctx.data_generation + storage.snapshot_generation)
             with span("ingest.replay"):
                 self._require_live().replay(
                     restored_tail, self._index_append, self._index_rewrite
@@ -217,150 +155,6 @@ class ShardState:
     def storage(self) -> StorageBackend | None:
         """The explicit storage backend this shard recovers from, if any."""
         return self._storage
-
-    # ------------------------------------------------------------------
-    # POI subsets
-    # ------------------------------------------------------------------
-
-    def resolve_pois(
-        self, pois: Sequence[Poi] | None
-    ) -> tuple[list[Poi], RTree]:
-        """Resolve the query POI set P and its (memoized) R-tree R_P.
-
-        Subset R-trees are memoized per ``poi_id`` tuple — stable across
-        process boundaries, unlike object identity — and a hit is
-        verified against the requested POIs, so passing different POIs
-        under recycled ids rebuilds instead of serving a stale tree.
-
-        Args:
-            pois: The query subset, or ``None`` for the shard's universe.
-
-        Returns:
-            ``(query POIs, their R-tree)``.
-
-        Raises:
-            ValueError: If an empty subset is passed.
-        """
-        if pois is None:
-            return self.pois, self.poi_tree
-        subset = list(pois)
-        if not subset:
-            raise ValueError("the query POI set may not be empty")
-        key = tuple(poi.poi_id for poi in subset)
-        cached = self._subset_trees.get(key)
-        if cached is not None and cached[0] == subset:
-            return cached
-        tree = build_poi_index(subset, max_entries=self.ctx.rtree_fanout)
-        self.poi_subset_trees_built += 1
-        self._subset_trees.put(key, (subset, tree))
-        return subset, tree
-
-    # ------------------------------------------------------------------
-    # Partial flows (the merge-ready iterative scan)
-    # ------------------------------------------------------------------
-
-    def partial_flows(
-        self, t: float, pois: Sequence[Poi] | None = None
-    ) -> tuple[list[Contribution], int]:
-        """This shard's snapshot presence contributions at ``t``.
-
-        Args:
-            t: The query instant.
-            pois: Optional query POI subset (defaults to the universe).
-
-        Returns:
-            ``(contributions, candidates)`` — every positive
-            per-(object, POI) presence term tagged with the object's
-            canonical entry key, plus the shard's candidate-object count.
-        """
-        _, poi_tree = self.resolve_pois(pois)
-        with span("candidates.snapshot"):
-            entries = self.artree.point_query(t)
-        contributions: list[Contribution] = []
-        for entry in entries:
-            context = snapshot_context(entry, t)
-            with span("ur.snapshot"):
-                region = self.ctx.snapshot_region(context)
-            with span("presence.accumulate"):
-                mbr = region.mbr
-                if mbr is None:
-                    continue
-                fingerprint = self.ctx.snapshot_fingerprint(context)
-                order_key = (entry.t1, entry.t2, entry.record.record_id)
-                for poi in poi_tree.search(mbr):
-                    presence = self.ctx.presence(region, poi, fingerprint)
-                    if presence > 0.0:
-                        contributions.append((order_key, poi.poi_id, presence))
-        self._check_partials(contributions, len(entries))
-        return contributions, len(entries)
-
-    def partial_interval_flows(
-        self,
-        t_start: float,
-        t_end: float,
-        pois: Sequence[Poi] | None = None,
-    ) -> tuple[list[Contribution], int]:
-        """This shard's interval presence contributions over the window.
-
-        Each object's contributions are tagged with its *first* (minimum)
-        overlapping entry key — the object's position in the monolithic
-        interval scan's enumeration order.
-
-        Args:
-            t_start: Window start (inclusive).
-            t_end: Window end (inclusive).
-            pois: Optional query POI subset (defaults to the universe).
-
-        Returns:
-            ``(contributions, candidates)`` as in :meth:`partial_flows`.
-        """
-        _, poi_tree = self.resolve_pois(pois)
-        with span("candidates.interval"):
-            groups: dict[ObjectId, list[Any]] = {}
-            first_key: dict[ObjectId, EntryKey] = {}
-            for entry in self.artree.range_query(t_start, t_end):
-                object_id = entry.object_id
-                if object_id not in groups:
-                    groups[object_id] = []
-                    first_key[object_id] = (
-                        entry.t1,
-                        entry.t2,
-                        entry.record.record_id,
-                    )
-                groups[object_id].append(entry)
-        contributions: list[Contribution] = []
-        for object_id, entries in groups.items():
-            context = interval_context_from_entries(
-                object_id, entries, t_start, t_end
-            )
-            with span("ur.interval"):
-                uncertainty = self.ctx.interval_uncertainty(context)
-            with span("presence.accumulate"):
-                region = uncertainty.region
-                mbr = region.mbr
-                if mbr is None:
-                    continue
-                fingerprint = self.ctx.interval_fingerprint(uncertainty)
-                order_key = first_key[object_id]
-                for poi in poi_tree.search(mbr):
-                    presence = self.ctx.presence(region, poi, fingerprint)
-                    if presence > 0.0:
-                        contributions.append((order_key, poi.poi_id, presence))
-        self._check_partials(contributions, len(groups))
-        return contributions, len(groups)
-
-    @staticmethod
-    def _check_partials(
-        contributions: Sequence[Contribution], candidates: int
-    ) -> None:
-        """Contract: each partial flow obeys the count bound locally."""
-        if not contracts_enabled():
-            return
-        flows: dict[str, float] = {}
-        for _, poi_id, presence in contributions:
-            flows[poi_id] = flows.get(poi_id, 0.0) + presence
-        for poi_id, flow in flows.items():
-            check_flow(flow, candidates, poi_id=poi_id)
 
     # ------------------------------------------------------------------
     # Uncertainty-region introspection
@@ -420,80 +214,6 @@ class ShardState:
             object_id, entries, t_start, t_end
         )
         return self.ctx.interval_uncertainty(context)
-
-    # ------------------------------------------------------------------
-    # Partial bounds (the join's count bound, per shard)
-    # ------------------------------------------------------------------
-
-    def partial_bounds(
-        self, t: float, pois: Sequence[Poi] | None = None
-    ) -> dict[str, int]:
-        """Per-POI count bounds on this shard's snapshot flows at ``t``.
-
-        Counts candidate objects whose cheap snapshot MBR (no region
-        derivation) intersects each POI box — the join's admission rule
-        (:func:`~repro.core.algorithms.join.poi_bounds`); presence never
-        exceeds 1, so the count dominates the shard's exact flow
-        (Section 4.2).
-
-        Args:
-            t: The query instant.
-            pois: Optional query POI subset (defaults to the universe).
-
-        Returns:
-            ``{poi_id: bound}`` containing only POIs with positive bound.
-        """
-        _, poi_tree = self.resolve_pois(pois)
-        with span("bounds.snapshot"):
-            mbrs: list[Mbr] = []
-            for entry in self.artree.point_query(t):
-                context = snapshot_context(entry, t)
-                mbr = snapshot_mbr(context, self.ctx.deployment, self.ctx.v_max)
-                if mbr is not None:
-                    mbrs.append(mbr)
-            return poi_bounds(poi_tree, mbrs)
-
-    def partial_interval_bounds(
-        self,
-        t_start: float,
-        t_end: float,
-        pois: Sequence[Poi] | None = None,
-        use_segment_mbrs: bool = True,
-    ) -> dict[str, int]:
-        """Per-POI count bounds on this shard's interval flows.
-
-        The interval join's admission rule: the overall trajectory MBR
-        must intersect the POI box and, with ``use_segment_mbrs``
-        (Section 4.3.2), so must at least one tight per-episode MBR.
-
-        Args:
-            t_start: Window start (inclusive).
-            t_end: Window end (inclusive).
-            pois: Optional query POI subset (defaults to the universe).
-            use_segment_mbrs: Apply the per-episode MBR refinement.
-
-        Returns:
-            ``{poi_id: bound}`` containing only POIs with positive bound.
-        """
-        _, poi_tree = self.resolve_pois(pois)
-        with span("bounds.interval"):
-            groups: dict[ObjectId, list[Any]] = {}
-            for entry in self.artree.range_query(t_start, t_end):
-                groups.setdefault(entry.object_id, []).append(entry)
-            mbrs: list[Mbr] = []
-            boxes: list[NDArray[np.float64]] = []
-            for object_id, entries in groups.items():
-                context = interval_context_from_entries(
-                    object_id, entries, t_start, t_end
-                )
-                with span("ur.interval"):
-                    uncertainty = self.ctx.interval_uncertainty(context)
-                if uncertainty.mbr is not None:
-                    mbrs.append(uncertainty.mbr)
-                    boxes.append(uncertainty.segment_boxes)
-            return poi_bounds(
-                poi_tree, mbrs, boxes if use_segment_mbrs else None
-            )
 
     # ------------------------------------------------------------------
     # Live ingestion (the engine's ingest seam — see the context-bypass rule)
@@ -658,19 +378,5 @@ class ShardState:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
-        """The shard's evaluation counters, one dict per component union.
-
-        Returns:
-            The merged counters of the evaluation context, the presence
-            estimator, the AR-tree and the POI subset-tree memo.
-        """
-        return merge_component_stats(
-            self.ctx.stats_dict(),
-            {"estimator_cached_pois": self.ctx.estimator.sample_cache_size},
-            self.artree.stats_dict(),
-            {"poi_subset_trees_built": self.poi_subset_trees_built},
-        )
-
-    def reset_stats(self) -> None:
-        """Zero the evaluation counters (cache contents are kept)."""
-        self.ctx.reset_stats()
+        """The shard's own counters: its AR-tree's delta size and compactions."""
+        return self.artree.stats_dict()

@@ -15,14 +15,24 @@ records per the four active/inactive combinations are listed in the paper's
 Table 3.  Both resolutions are computed from AR-tree query results — the
 point query hands back exactly the leaf entry whose augmented interval
 covers ``t``, the range query hands back the chain.
+
+An engine with ``num_shards=N > 1`` keeps one AR-tree per object
+partition.  Both queries return entries sorted on the tree's total key
+``(t1, t2, record_id)`` and no object spans two trees, so merging the
+trees' results on that key yields exactly the entry sequence one tree
+over all records would return: the candidate order, and with it every
+float addition downstream, does not depend on the shard count.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
+from typing import Callable, Sequence, TypeVar
 
 from ..index import ARLeafEntry, ARTree
+from ..index.artree import _entry_key
 from ..tracking.records import ObjectId, TrackingRecord
 
 __all__ = [
@@ -103,14 +113,37 @@ def snapshot_context(entry: ARLeafEntry, t: float) -> SnapshotContext:
     )
 
 
-def snapshot_contexts(artree: ARTree, t: float) -> list[SnapshotContext]:
+#: One AR-tree, or the per-shard AR-trees of an object-partitioned engine.
+ARTrees = ARTree | Sequence[ARTree]
+
+_T = TypeVar("_T")
+
+
+def _trees(artrees: ARTrees) -> Sequence[ARTree]:
+    return (artrees,) if isinstance(artrees, ARTree) else artrees
+
+
+def _merged(
+    runs: list[list[_T]], key: Callable[[_T], tuple[float, float, int]]
+) -> list[_T]:
+    """Runs sorted on ``key`` merged into one sorted list (one run as is)."""
+    if len(runs) == 1:
+        return runs[0]
+    return list(heapq.merge(*runs, key=key))
+
+
+def snapshot_contexts(artrees: ARTrees, t: float) -> list[SnapshotContext]:
     """State resolution for every object trackable at time ``t``.
 
     Objects whose tracking history does not reach ``t`` (last record ended
     earlier, first record starts later) have no covering augmented interval
-    and are — as in the paper — not part of the analysis.
+    and are — as in the paper — not part of the analysis.  Contexts come
+    in entry-key order over all of ``artrees``.
     """
-    return [snapshot_context(entry, t) for entry in artree.point_query(t)]
+    entries = _merged(
+        [tree.point_query(t) for tree in _trees(artrees)], _entry_key
+    )
+    return [snapshot_context(entry, t) for entry in entries]
 
 
 def interval_context_from_entries(
@@ -141,13 +174,26 @@ def interval_context_from_entries(
 
 
 def interval_contexts(
-    artree: ARTree, t_start: float, t_end: float
+    artrees: ARTrees, t_start: float, t_end: float
 ) -> list[IntervalContext]:
-    """Record-chain resolution for every object relevant to the window."""
-    by_object: dict[ObjectId, list[ARLeafEntry]] = {}
-    for entry in artree.range_query(t_start, t_end):
-        by_object.setdefault(entry.object_id, []).append(entry)
+    """Record-chain resolution for every object relevant to the window.
+
+    Objects come in the order of their first overlapping entry's key over
+    all of ``artrees``.
+    """
+    runs: list[list[list[ARLeafEntry]]] = []
+    for tree in _trees(artrees):
+        by_object: dict[ObjectId, list[ARLeafEntry]] = {}
+        for entry in tree.range_query(t_start, t_end):
+            by_object.setdefault(entry.object_id, []).append(entry)
+        runs.append(list(by_object.values()))
+    # Each tree lists its objects in first-entry-key order, and no object
+    # spans two trees, so merging on that key orders the objects as one
+    # tree over all records would.
+    groups = _merged(runs, lambda entries: _entry_key(entries[0]))
     return [
-        interval_context_from_entries(object_id, entries, t_start, t_end)
-        for object_id, entries in by_object.items()
+        interval_context_from_entries(
+            entries[0].object_id, entries, t_start, t_end
+        )
+        for entries in groups
     ]

@@ -190,7 +190,7 @@ def snapshot_presence_calibration(
     """
     pairs: list[tuple[float, bool]] = []
     for t in times:
-        for context in snapshot_contexts(engine.artree, t):
+        for context in snapshot_contexts(engine.artrees, t):
             # Regions and presences go through the engine's evaluation
             # context, so calibration sees exactly the cached values the
             # queries use (and reuses them instead of re-deriving).
@@ -216,7 +216,7 @@ def interval_presence_calibration(
     """Reliability of interval presence as a visit probability."""
     pairs: list[tuple[float, bool]] = []
     for t_start, t_end in windows:
-        for context in interval_contexts(engine.artree, t_start, t_end):
+        for context in interval_contexts(engine.artrees, t_start, t_end):
             uncertainty = engine.ctx.interval_uncertainty(context)
             fingerprint = engine.ctx.interval_fingerprint(uncertainty)
             trajectory = dataset.trajectory_of(context.object_id)

@@ -11,9 +11,9 @@ from repro.core.algorithms.join import (
     JoinObject,
     _Admission,
     _topk_join,
-    poi_bounds,
 )
 from repro.core.presence import PresenceEstimator
+from repro.core.states import snapshot_context
 from repro.geometry import Circle, Mbr, Point, Polygon, mbr_array
 from repro.index import RTree
 from repro.indoor import Poi, build_poi_index
@@ -266,41 +266,6 @@ class TestEntryBounds:
                 for child in entry.child.entries:
                     assert matrix.bound(entry) >= matrix.bound(child)
 
-    @pytest.mark.parametrize("use_segment_mbrs", [True, False], ids=["segments", "coarse"])
-    def test_poi_bounds_are_the_leaf_counts(self, office_pois, use_segment_mbrs):
-        rng = random.Random(11)
-        objects = [
-            JoinObject(
-                f"o{index}",
-                Mbr.union_all([poi.polygon.mbr for poi in chosen]),
-                region_factory=lambda: Circle(Point(0, 0), 0.1),
-                boxes=(
-                    mbr_array([poi.polygon.mbr for poi in chosen])
-                    if use_segment_mbrs
-                    else None
-                ),
-            )
-            for index, chosen in enumerate(
-                rng.sample(list(office_pois), rng.randint(1, 3)) for _ in range(25)
-            )
-        ]
-        poi_tree = build_poi_index(office_pois, max_entries=4)
-        expected = {}
-        for poi in office_pois:
-            bound = sum(
-                reference_admits(obj, poi.polygon.mbr, use_segment_mbrs)
-                for obj in objects
-            )
-            if bound:
-                expected[poi.poi_id] = bound
-        bounds = poi_bounds(
-            poi_tree,
-            [obj.mbr for obj in objects],
-            [obj.boxes for obj in objects] if use_segment_mbrs else None,
-        )
-        assert bounds == expected
-        assert poi_bounds(poi_tree, []) == {}
-
 
 class TestTopKJoin:
     def test_exact_presence_one_object_one_poi(self):
@@ -410,10 +375,20 @@ class TestSummationOrder:
 
     def test_join_matches_iterative_where_order_matters(self, synthetic_engine):
         t = 600.0
-        contributions, _ = synthetic_engine.shard.partial_flows(t)
+        ctx = synthetic_engine.ctx
         presences = {}
-        for _, poi_id, presence in sorted(contributions, key=lambda c: c[0]):
-            presences.setdefault(poi_id, []).append(presence)
+        # point_query returns the candidates in entry-key order, the
+        # order both strategies add presences in.
+        for entry in synthetic_engine.artree.point_query(t):
+            context = snapshot_context(entry, t)
+            region = ctx.snapshot_region(context)
+            if region.mbr is None:
+                continue
+            fingerprint = ctx.snapshot_fingerprint(context)
+            for poi in synthetic_engine.poi_tree.search(region.mbr):
+                presence = ctx.presence(region, poi, fingerprint)
+                if presence > 0.0:
+                    presences.setdefault(poi.poi_id, []).append(presence)
         sensitive = [
             poi_id
             for poi_id, values in presences.items()

@@ -1,10 +1,10 @@
 """Unit tests for the shard-layer building blocks.
 
-Covers the pieces a sharded engine composes: stats merge helpers, the
-per-shard cache budget split, tracking-table partition views, the
-AR-tree's object-subset build seam, and a property test that throws
-arbitrary consistent tables at ``FlowEngine(num_shards=N)`` and requires
-bit identity with the monolith.
+Covers the pieces a sharded engine composes: stats merge helpers,
+tracking-table partition views, the AR-tree's object-subset build seam,
+the shard facade, and a property test that throws arbitrary consistent
+tables at ``FlowEngine(num_shards=N)`` and requires bit identity with the
+monolith.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import FlowEngine
-from repro.core.caching import shard_cache_capacity
+from repro.core import EvaluationContext, FlowEngine
 from repro.core.shard import ShardState
 from repro.core.stats import merge_component_stats, merge_shard_stats
 from repro.geometry import Point, Polygon
@@ -44,22 +43,6 @@ class TestStatsHelpers:
 
     def test_shard_merge_of_nothing_is_empty(self):
         assert merge_shard_stats([]) == {}
-
-
-class TestShardCacheCapacity:
-    def test_splits_budget(self):
-        assert shard_cache_capacity(100, 4) == 25
-
-    def test_keeps_at_least_one_entry(self):
-        assert shard_cache_capacity(3, 8) == 1
-
-    def test_disabled_stays_disabled(self):
-        assert shard_cache_capacity(0, 4) == 0
-        assert shard_cache_capacity(-1, 4) == 0
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            shard_cache_capacity(100, 0)
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +155,16 @@ _DEVICE_IDS = ["d0", "d1", "d2", "d3"]
 class TestShardState:
     def _shard(self, **kwargs):
         table = ObjectTrackingTable(_records()).freeze()
-        return ShardState(
-            _PLAN, _DEPLOYMENT, table, _POIS, v_max=1.5, **kwargs
+        return ShardState(table, EvaluationContext(_DEPLOYMENT, 1.5), **kwargs)
+
+    def _engine(self, num_shards=1):
+        return FlowEngine(
+            _PLAN,
+            _DEPLOYMENT,
+            ObjectTrackingTable(_records()).freeze(),
+            _POIS,
+            v_max=1.5,
+            num_shards=num_shards,
         )
 
     def test_frozen_shard_rejects_mutation(self):
@@ -182,45 +173,20 @@ class TestShardState:
             # repro: allow(context-bypass): exercising the guard itself
             shard.ingest_batch([_records()[0]])
 
-    def test_partial_flows_are_tagged_with_entry_keys(self):
-        shard = self._shard()
-        contributions, candidates = shard.partial_flows(2.0)
-        # One candidate object may contribute to several POIs, but never
-        # more distinct entry keys than candidates.
-        assert candidates >= len({c[0] for c in contributions})
-        for order_key, poi_id, presence in contributions:
-            assert len(order_key) == 3
-            assert isinstance(poi_id, str)
-            assert 0.0 < presence <= 1.0
-
-    def test_bounds_dominate_partial_flows(self):
-        shard = self._shard()
-        contributions, _ = shard.partial_flows(2.0)
-        bounds = shard.partial_bounds(2.0)
-        flows: dict[str, float] = {}
-        for _, poi_id, presence in contributions:
-            flows[poi_id] = flows.get(poi_id, 0.0) + presence
-        for poi_id, flow in flows.items():
-            assert flow <= bounds[poi_id] + 1e-9
-
     def test_resolve_pois_memoizes_by_id_tuple(self):
-        shard = self._shard()
-        subset = _POIS[:2]
-        first = shard.resolve_pois(subset)
-        second = shard.resolve_pois(list(subset))
-        assert first[1] is second[1]
-        assert shard.poi_subset_trees_built == 1
+        for num_shards in (1, 2):
+            engine = self._engine(num_shards)
+            subset = _POIS[:2]
+            engine.snapshot_topk(2.0, 1, pois=subset)
+            engine.interval_topk(
+                0.0, 9.0, 1, pois=list(subset), method="iterative"
+            )
+            assert engine.stats()["poi_subset_trees_built"] == 1
 
     def test_stats_keys_match_engine(self):
         shard = self._shard()
-        engine = FlowEngine(
-            _PLAN,
-            _DEPLOYMENT,
-            ObjectTrackingTable(_records()).freeze(),
-            _POIS,
-            v_max=1.5,
-        )
-        assert set(shard.stats()) == set(engine.stats())
+        engine = self._engine()
+        assert set(shard.stats()) < set(engine.stats())
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,9 @@
 The contract under test is *bit identity*: for every shard count, query
 form, processing method and contracts setting, a sharded `FlowEngine`
 must return exactly the monolith's ranking **and** exactly its float flow
-values — the canonical contribution merge reproduces the monolithic
-accumulation order, so not even the last ulp may differ.
+values — the shards' AR-tree candidates merge into the monolith's entry
+order, so not even the last ulp may differ — and it must do exactly the
+monolith's work.
 """
 
 from __future__ import annotations
@@ -160,6 +161,35 @@ class TestValidation:
         with pytest.raises(ValueError, match="empty"):
             sharded_engines[2].snapshot_topk(600.0, 5, pois=[])
 
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("method", ["join", "iterative"])
+    def test_rejects_a_subset_repeating_a_poi(
+        self, synthetic_dataset, sharded_engines, num_shards, method
+    ):
+        """A repeated POI used to count twice in iterative, once in join."""
+        first, second = sorted(synthetic_dataset.pois, key=lambda p: p.poi_id)[:2]
+        engine = sharded_engines[num_shards]
+        with pytest.raises(ValueError, match=f"repeats poi_id {first.poi_id!r}"):
+            engine.snapshot_topk(600.0, 3, pois=[first, first, second], method=method)
+        with pytest.raises(ValueError, match=f"repeats poi_id {first.poi_id!r}"):
+            engine.interval_topk(
+                300.0, 900.0, 3, pois=[first, second, first], method=method
+            )
+        with pytest.raises(ValueError, match="repeats poi_id"):
+            engine.snapshot_flows(600.0, pois=[second, second])
+
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    @pytest.mark.parametrize("element", ["poi-0", None, 3], ids=["str", "none", "int"])
+    def test_rejects_a_subset_element_that_is_not_a_poi(
+        self, synthetic_dataset, sharded_engines, num_shards, element
+    ):
+        poi = synthetic_dataset.pois[0]
+        engine = sharded_engines[num_shards]
+        with pytest.raises(TypeError, match="not a Poi"):
+            engine.snapshot_topk(600.0, 3, pois=[poi, element])
+        with pytest.raises(TypeError, match="not a Poi"):
+            engine.interval_topk(300.0, 900.0, 3, pois=[element])
+
     def test_rejects_inverted_window(self, sharded_engines):
         with pytest.raises(ValueError, match="precedes"):
             sharded_engines[2].interval_topk(900.0, 300.0, 5)
@@ -179,6 +209,25 @@ class TestValidation:
         store = tmp_path / "fleet" if storage == "directory" else MemoryBackend()
         with pytest.raises(ValueError, match="stores into"):
             make_sharded(synthetic_dataset, num_shards, live=True, storage=store)
+
+
+class TestShardCountArgument:
+    """``num_shards`` is checked like ``k``: ``True`` used to be taken as
+    1, and a float or a string failed deep inside construction."""
+
+    @pytest.mark.parametrize(
+        "value", [True, 2.0, "2", None], ids=["bool", "float", "str", "none"]
+    )
+    def test_non_int_shard_count_is_a_type_error(self, synthetic_dataset, value):
+        with pytest.raises(TypeError, match="num_shards must be an int"):
+            make_sharded(synthetic_dataset, value)
+
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_non_positive_shard_count_is_a_value_error(
+        self, synthetic_dataset, value
+    ):
+        with pytest.raises(ValueError, match="num_shards must be positive"):
+            make_sharded(synthetic_dataset, value)
 
 
 class TestPartitioning:
@@ -208,14 +257,36 @@ class TestPartitioning:
             synthetic_dataset.ott
         )
 
-    def test_stats_sum_over_shards(self, synthetic_dataset):
-        engine = make_sharded(synthetic_dataset, 3)
-        engine.snapshot_topk(600.0, 5, method="iterative")
-        merged = engine.stats()
-        assert merged["shard_prunes"] == 0
-        per_shard = [shard.stats() for shard in engine.shards]
-        for key in per_shard[0]:
-            assert merged[key] == sum(part[key] for part in per_shard)
+
+class TestSameWork:
+    def _work(self, dataset, num_shards):
+        """Stats and join heap pops of one fixed query sequence."""
+        engine = make_sharded(dataset, num_shards)
+        subset = sorted(dataset.pois, key=lambda p: p.poi_id)[:8]
+        obs.enable()
+        obs.reset()
+        try:
+            for pois in (None, subset):
+                for method in ("join", "iterative"):
+                    engine.snapshot_topk(600.0, 5, pois=pois, method=method)
+                    engine.interval_topk(
+                        300.0, 900.0, 5, pois=pois, method=method
+                    )
+            metric = obs.snapshot_dict()["metrics"]["join.heap_pops"]
+        finally:
+            obs.disable()
+            obs.reset()
+        return engine.stats(), metric["value"]
+
+    def test_fleet_does_exactly_the_monoliths_work(self, synthetic_dataset):
+        """Every counter — regions, quadratures, cache traffic, subset
+        trees, join heap pops — is the one-shard engine's at every N."""
+        stats_1, pops_1 = self._work(synthetic_dataset, 1)
+        assert stats_1["regions_computed"] > 0 and pops_1 > 0
+        for num_shards in (2, 4):
+            stats_n, pops_n = self._work(synthetic_dataset, num_shards)
+            assert stats_n == stats_1, f"N={num_shards}"
+            assert pops_n == pops_1, f"N={num_shards}"
 
 
 class TestLiveIngest:
@@ -304,7 +375,6 @@ class TestMonitorOverCoordinator:
             assert_identical(update_mono.result, update_sharded.result)
             assert update_mono.entered == update_sharded.entered
             assert update_mono.exited == update_sharded.exited
-        assert monitor_sharded.stats()["shard_prunes"] >= 0
 
 
 class TestGeneration:
@@ -380,9 +450,8 @@ class TestRegionIntrospection:
                 assert signature(expected.region) == signature(actual.region)
 
 
-#: The span paths a cold one-shard engine records for the four queries in
-#: TestOneShardPath — the monolith's join and iterative code, nothing of
-#: the fleet's bound/merge path.
+#: The span paths a cold engine records for the four queries in
+#: TestOneShardPath — the monolith's join and iterative code, at every N.
 ONE_SHARD_SPANS = {
     ("query.interval.iterative",),
     ("query.interval.iterative", "candidates.interval"),
@@ -449,14 +518,9 @@ class TestOneShardPath:
         assert self._span_paths(engine) == ONE_SHARD_SPANS
         assert set(engine.stats()) == ONE_SHARD_STATS_KEYS
 
-    def test_fleet_adds_its_own_spans_and_prune_counter(
+    def test_fleet_records_the_monoliths_spans_and_stats_keys(
         self, synthetic_dataset
     ):
         engine = make_sharded(synthetic_dataset, 2)
-        roots = {path[0] for path in self._span_paths(engine)}
-        assert roots == {
-            f"query.sharded.{form}.{method}"
-            for form in ("snapshot", "interval")
-            for method in ("join", "iterative")
-        }
-        assert set(engine.stats()) == ONE_SHARD_STATS_KEYS | {"shard_prunes"}
+        assert self._span_paths(engine) == ONE_SHARD_SPANS
+        assert set(engine.stats()) == ONE_SHARD_STATS_KEYS

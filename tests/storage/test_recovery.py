@@ -263,6 +263,34 @@ class TestShardedStores:
         assert reopened.generation == len(records)
         assert_identical_answers(ds, reopened, reference_engine)
 
+    @pytest.mark.parametrize("num_shards", [1, 2, 4])
+    def test_data_generation_counts_every_store(
+        self, dataset, tmp_path, num_shards
+    ):
+        """Each store's snapshot generation adds to the shared context;
+        the WAL tails replay on top."""
+        ds, records = dataset
+        fleet_dir = tmp_path / "fleet"
+        kwargs = dict(detection_slack=2.0 * ds.sampling_interval)
+
+        def open_fleet():
+            return FlowEngine(
+                ds.floorplan, ds.deployment, ObjectTrackingTable(), ds.pois,
+                v_max=ds.v_max, num_shards=num_shards, live=True,
+                storage=fleet_storage(fleet_dir, num_shards), **kwargs,
+            )
+
+        writer = open_fleet()
+        writer.ingest(records[:-5])
+        writer.checkpoint()
+        writer.ingest(records[-5:])
+        for shard in writer.shards:
+            shard.storage.close()
+
+        reopened = open_fleet()
+        assert reopened.stats()["data_generation"] == len(records)
+        assert reopened.generation == len(records)
+
     def test_wrong_shard_count_is_detected(self, dataset, tmp_path):
         ds, records = dataset
         fleet_dir = tmp_path / "fleet"
