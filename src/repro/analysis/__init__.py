@@ -1,4 +1,4 @@
-"""Static analysis and runtime contracts for the query engine.
+"""Static analysis for the query engine.
 
 The evaluation stack caches uncertainty regions and presence values
 (:mod:`repro.core.context`), so a single silently broken invariant — a
@@ -16,32 +16,24 @@ checked:
   v2 whole-program layer: a one-parse project model (symbol tables,
   attribute-write index) plus an approximate, annotation-driven call
   graph;
+* :mod:`repro.analysis.seams` — the one declarative table of guarded
+  mutators (receivers, scope, allowed callers) that the ``seam`` and
+  ``cache-coherence`` checkers read;
 * :mod:`repro.analysis.checkers` — interprocedural checkers over that
-  model (shard-safety, cache-coherence, determinism), run with
+  model (seam, cache-coherence, determinism), run with
   ``python -m repro.analysis --check-all``;
 * :mod:`repro.analysis.driver` — orchestration: shared parsing, the
-  result cache, baselines and the text/json/sarif output formats;
-* :mod:`repro.analysis.contracts` — lightweight runtime contract checks at
-  the engine seams, enabled with ``REPRO_CONTRACTS=1``.
+  result cache, baselines and the text/json/sarif output formats.
+
+The runtime contract checks the engine calls at its seams live outside
+this package, in :mod:`repro.contracts`, so importing the engine loads
+none of the analyzer.
 """
 
 from .callgraph import CallGraph, CallSite
 from .checkers import ALL_CHECKERS, Checker, checkers_by_name
-from .contracts import (
-    ContractViolation,
-    check_area,
-    check_cached_value,
-    check_flow,
-    check_presence,
-    check_quadrature,
-    check_region_fingerprint,
-    check_upper_bound,
-    check_window,
-    contracts_enabled,
-    set_contracts,
-)
 from .driver import AnalysisReport, analyze
-from .linter import Diagnostic, LintReport, lint_paths, main
+from .linter import Diagnostic, LintReport, main
 from .program import ProjectModel
 from .rules import ALL_RULES, rules_by_name
 
@@ -52,23 +44,11 @@ __all__ = [
     "CallGraph",
     "CallSite",
     "Checker",
-    "ContractViolation",
     "Diagnostic",
     "LintReport",
     "ProjectModel",
     "analyze",
-    "check_area",
-    "check_cached_value",
-    "check_flow",
-    "check_presence",
-    "check_quadrature",
-    "check_region_fingerprint",
-    "check_upper_bound",
-    "check_window",
     "checkers_by_name",
-    "contracts_enabled",
-    "lint_paths",
     "main",
     "rules_by_name",
-    "set_contracts",
 ]

@@ -10,20 +10,20 @@ from __future__ import annotations
 from .base import Checker, is_test_path
 from .cache_coherence import CacheCoherenceChecker
 from .determinism import DeterminismChecker
-from .shard_safety import ShardSafetyChecker
+from .seam import SeamChecker
 
 __all__ = [
     "ALL_CHECKERS",
     "CacheCoherenceChecker",
     "Checker",
     "DeterminismChecker",
-    "ShardSafetyChecker",
+    "SeamChecker",
     "checkers_by_name",
     "is_test_path",
 ]
 
 ALL_CHECKERS: tuple[Checker, ...] = (
-    ShardSafetyChecker(),
+    SeamChecker(),
     CacheCoherenceChecker(),
     DeterminismChecker(),
 )

@@ -5,7 +5,7 @@ A :class:`Checker` is the interprocedural sibling of the per-file
 :class:`~repro.analysis.program.ProjectModel` plus its
 :class:`~repro.analysis.callgraph.CallGraph`, and emits the same
 :class:`~repro.analysis.linter.Diagnostic` objects — so suppression
-pragmas (``# repro: allow(shard-safety): ...``), baselines and the output
+pragmas (``# repro: allow(seam): ...``), baselines and the output
 formats are shared with the linter.
 """
 

@@ -3,10 +3,10 @@
 The caching layer (PR 4/6) memoises presence integrals and uncertainty
 regions, keyed by the :class:`EvaluationContext`'s
 ``data_generation`` counter and per-object tail epochs.  The contract:
-any function that appends or patches indexed/tracked state
-(``ARTree.append_record``, ``ARTree.patch_tail``,
-``LiveTrackingTable.append`` / ``extend_episode`` / ``close_episode``)
-must — before returning — bump the generation counter, either directly
+any function that calls a ``tracked`` mutator of the seam table
+(:data:`~repro.analysis.seams.SEAMS`: the AR-tree and live-table
+appends and patches) must — before returning — bump the generation
+counter, either directly
 or by calling ``EvaluationContext.note_append``.  A mutator that can
 return without invalidation leaves memoised results stale: queries keep
 answering from cache while the underlying AR-tree has moved on.
@@ -15,37 +15,27 @@ The check is interprocedural: a function "invalidates" if it calls
 ``note_append`` / writes a generation counter itself **or** (confidently)
 calls a function that does, computed as a fixpoint over the call graph.
 Every tracked-mutator call site whose enclosing function does not
-invalidate — and is not part of the storage layer that owns the state —
-is flagged.  This is a per-function approximation of the real "on every
+invalidate — and is not a method of the class that owns the state (a
+tracked row's receiver) — is flagged.  This is a per-function approximation of the real "on every
 path" property: it catches the dangerous shape (mutate, never
 invalidate) without path-sensitive analysis.
 """
 
 from __future__ import annotations
 
-from ..callgraph import CallGraph, CallSite
+from ..callgraph import CallGraph
 from ..linter import Diagnostic
 from ..program import ProjectModel
+from ..seams import SEAMS
 from .base import Checker
+from .seam import guards
 
 __all__ = ["CacheCoherenceChecker"]
 
-#: Tracked mutators: method name -> receiver class names that make the
-#: call tracked.  ``None`` means "also tracked when the receiver type is
-#: unknown" (safe for distinctive names only; ``append`` would otherwise
-#: flag every ``list.append``).
-TRACKED_MUTATORS: dict[str, frozenset[str | None]] = {
-    "append_record": frozenset({"ARTree", None}),
-    "patch_tail": frozenset({"ARTree", None}),
-    "append": frozenset({"LiveTrackingTable"}),
-    "extend_episode": frozenset({"LiveTrackingTable"}),
-    "close_episode": frozenset({"LiveTrackingTable"}),
-}
-
-#: The storage layer owning the tracked state; its internals maintain
-#: their own bookkeeping and are not re-checked here.
-STORAGE_CLASSES = frozenset({"ARTree", "LiveTrackingTable"})
-STORAGE_MODULES = frozenset({"repro.index.artree", "repro.tracking.table"})
+#: The seam rows whose callers must invalidate, and the classes owning
+#: that state (their internals keep their own bookkeeping).
+_TRACKED = tuple(seam for seam in SEAMS if seam.tracked)
+_OWNERS = frozenset(cls for seam in _TRACKED for cls in seam.receivers)
 
 #: Calls that count as invalidation.
 INVALIDATOR_CALLS = frozenset({"note_append"})
@@ -78,7 +68,10 @@ class CacheCoherenceChecker(Checker):
         invalidating = self._invalidating_functions(model, graph)
         diagnostics: list[Diagnostic] = []
         for site in graph.sites:
-            if not self._tracked_site(site):
+            if not any(
+                seam.method == site.name and guards(seam, site.receiver_type)
+                for seam in _TRACKED
+            ):
                 continue
             module = model.modules.get(site.module)
             if module is None or not self.reportable(
@@ -104,23 +97,10 @@ class CacheCoherenceChecker(Checker):
 
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _tracked_site(site: CallSite) -> bool:
-        allowed = TRACKED_MUTATORS.get(site.name)
-        if allowed is None:
-            return False
-        if site.receiver_type is not None:
-            return site.receiver_type.rsplit(".", 1)[-1] in allowed
-        return None in allowed
-
     def _storage_internal(self, model: ProjectModel, qualname: str) -> bool:
         function = model.functions.get(qualname)
-        if function is None:
-            return qualname.rsplit(".", 1)[0] in STORAGE_MODULES
-        if function.module in STORAGE_MODULES:
-            return True
-        cls = function.cls
-        return cls is not None and cls.rsplit(".", 1)[-1] in STORAGE_CLASSES
+        cls = function.cls if function is not None else None
+        return cls is not None and cls.rsplit(".", 1)[-1] in _OWNERS
 
     def _invalidating_functions(
         self, model: ProjectModel, graph: CallGraph

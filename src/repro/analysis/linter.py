@@ -56,9 +56,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
-
-from .program import iter_python_files, parse_files
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle:
     # rules import the Rule base class from this module)
@@ -69,7 +67,6 @@ __all__ = [
     "LintReport",
     "Suppressions",
     "lint_file",
-    "lint_paths",
     "main",
     "parse_suppressions",
 ]
@@ -192,38 +189,24 @@ def parse_suppressions(source: str) -> Suppressions:
     )
 
 
-# Backward-compatible aliases (pre-v2 private names).
-_Suppressions = Suppressions
-_parse_suppressions = parse_suppressions
-
-
 def lint_file(
     path: Path,
     rules: Sequence["Rule"],
     report: LintReport,
     *,
-    preparsed: tuple[str, ast.Module] | None = None,
+    preparsed: tuple[str, ast.Module],
 ) -> None:
-    """Lint one file into ``report``.
+    """Lint one parsed file into ``report``.
 
     Args:
         path: The file to lint.
         rules: The rules to run.
-        report: Receives diagnostics/suppression counts/errors.
-        preparsed: Optional ``(source, tree)`` from a parallel parse
-            stage, to avoid re-reading and re-parsing.
+        report: Receives diagnostics/suppression counts.
+        preparsed: Its ``(source, tree)`` from the driver's parse stage.
     """
     from repro.obs import span
 
-    if preparsed is not None:
-        source, tree = preparsed
-    else:
-        try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source, filename=str(path))
-        except (OSError, SyntaxError, ValueError) as exc:
-            report.errors.append(f"{path}: {exc}")
-            return
+    source, tree = preparsed
     report.files_checked += 1
     suppressions = parse_suppressions(source)
     for rule in rules:
@@ -238,43 +221,6 @@ def lint_file(
                 report.diagnostics.append(diagnostic)
 
 
-def _iter_python_files(paths: Iterable[Path]) -> Iterable[Path]:
-    # Shared walker: skips __pycache__ and the seeded-violation fixture
-    # trees under tests/analysis/fixtures (they exist to be flagged).
-    yield from iter_python_files(paths)
-
-
-def lint_paths(
-    paths: Sequence[Path | str],
-    rules: Sequence["Rule"] | None = None,
-    *,
-    jobs: int = 1,
-) -> LintReport:
-    """Lint files and directories (recursively) with ``rules``.
-
-    ``rules=None`` uses :data:`repro.analysis.rules.ALL_RULES`.  With
-    ``jobs > 1`` files are parsed by a forked worker pool first (the
-    AST walk itself stays in-process — parsing dominates).
-    """
-    if rules is None:
-        from .rules import ALL_RULES
-
-        rules = ALL_RULES
-    report = LintReport()
-    files = list(_iter_python_files(Path(p) for p in paths))
-    if jobs > 1:
-        parsed = parse_files(files, jobs=jobs, errors=report.errors)
-        for path_str, source, tree in parsed:
-            lint_file(
-                Path(path_str), rules, report, preparsed=(source, tree)
-            )
-    else:
-        for path in files:
-            lint_file(path, rules, report)
-    report.diagnostics.sort(key=lambda d: (d.path, d.line, d.column, d.rule))
-    return report
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     from .rules import ALL_RULES, rules_by_name
@@ -283,7 +229,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "Paper-invariant static checks for the repro codebase: "
-            "per-file rules, plus whole-program shard-safety / "
+            "per-file rules, plus whole-program seam / "
             "cache-coherence / determinism checkers (--check-all)."
         ),
     )

@@ -16,8 +16,9 @@ This module parses a source tree **once** into a :class:`ProjectModel`:
   imports resolved against the package),
 * an attribute-write index (every ``obj.attr = ...`` / ``obj.attr += ...``
   / ``del obj.attr``, attributed to its enclosing function),
-* per-class attribute types harvested from ``self.x = Cls(...)``
-  assignments, annotations and property return types.
+* per-class attribute types harvested from ``self.x = Cls(...)`` and
+  ``self.x = param`` (annotated parameter) assignments, annotations and
+  property return types.
 
 :mod:`repro.analysis.callgraph` builds the approximate call graph on top
 of this model, and the checkers in :mod:`repro.analysis.checkers` consume
@@ -189,6 +190,7 @@ class _ModuleExtractor(ast.NodeVisitor):
         self.writes = writes
         self._scope: list[str] = [f"{info.name}.{MODULE_SCOPE}"]
         self._class: list[ClassInfo] = []
+        self._defs: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
         self.info_all_functions: list[FunctionInfo] = []
         self.info_all_classes: list[ClassInfo] = []
 
@@ -242,7 +244,9 @@ class _ModuleExtractor(ast.NodeVisitor):
             self.info.functions[node.name] = info
         self.info_all_functions.append(info)
         self._scope.append(qualname)
+        self._defs.append(node)
         self.generic_visit(node)
+        self._defs.pop()
         self._scope.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -293,7 +297,7 @@ class _ModuleExtractor(ast.NodeVisitor):
                 augmented=augmented,
             )
         )
-        # Harvest `self.x = Cls(...)` / `self.x: Cls` attribute types.
+        # Harvest `self.x = Cls(...)` / `self.x = x` / `self.x: Cls` types.
         if (
             not augmented
             and isinstance(target.value, ast.Name)
@@ -344,7 +348,15 @@ class _ModuleExtractor(ast.NodeVisitor):
         ):
             return
         cls = self._class[-1]
-        if isinstance(value, ast.Call):
+        if isinstance(value, ast.Name) and self._defs:
+            # `self.x = x` with an annotated parameter `x: Cls`.
+            args = self._defs[-1].args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                if arg.arg == value.id and arg.annotation is not None:
+                    annotation = annotation_name(arg.annotation)
+                    if annotation:
+                        cls.attr_types[target.attr] = annotation
+        elif isinstance(value, ast.Call):
             callee = _expr_source(value.func)
             if not callee:
                 return

@@ -11,7 +11,6 @@ from .base import Rule
 from .context_bypass import ContextBypassRule
 from .float_equality import FloatEqualityRule
 from .mutable_defaults import MutableDefaultRule
-from .serve_seam import ServeSeamRule
 from .unseeded_rng import UnseededRngRule
 from .wall_clock import WallClockRule
 
@@ -21,7 +20,6 @@ __all__ = [
     "FloatEqualityRule",
     "MutableDefaultRule",
     "Rule",
-    "ServeSeamRule",
     "UnseededRngRule",
     "WallClockRule",
     "rules_by_name",
@@ -34,7 +32,6 @@ ALL_RULES: tuple[Rule, ...] = (
     ContextBypassRule(),
     MutableDefaultRule(),
     WallClockRule(),
-    ServeSeamRule(),
 )
 
 

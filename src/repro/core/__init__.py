@@ -11,7 +11,6 @@ from .algorithms import (
 )
 from .caching import LruCache
 from .context import EvaluationContext, EvaluationStats
-from .coordinator import shard_of
 from .engine import FlowEngine, LiveFlowEngine
 from .monitor import (
     MonitorableEngine,
@@ -20,7 +19,7 @@ from .monitor import (
     TopKUpdate,
 )
 from .presence import PresenceEstimator
-from .shard import ShardState
+from .shard import ShardState, shard_of
 from .stats import merge_component_stats, merge_shard_stats
 from .queries import (
     IntervalTopKQuery,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from ...analysis.contracts import check_flow, contracts_enabled
+from ...contracts import check_flow, contracts_enabled
 from ...geometry import Region
 from ...index import RTree
 from ...indoor.poi import Poi

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
-from ...analysis.contracts import check_flow, check_upper_bound, contracts_enabled
+from ...contracts import check_flow, check_upper_bound, contracts_enabled
 from ...geometry import Mbr, Region, mbr_array
 from ...index import RTree, RTreeEntry
 from ...indoor.poi import Poi

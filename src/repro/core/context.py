@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence, TypeVar, cast
 
-from ..analysis.contracts import (
+from ..contracts import (
     check_cached_value,
     check_presence,
     check_region_fingerprint,

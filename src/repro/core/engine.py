@@ -31,7 +31,7 @@ union of records.
 A **fleet** (``num_shards=N > 1``) partitions the tracked objects across N
 :class:`~repro.core.shard.ShardState` partitions, each with its own table
 slice, AR-tree and store; ingest routes each record to its owning shard
-(see :mod:`repro.core.coordinator`).  The evaluation context, the POI
+(see :func:`~repro.core.shard.shard_of`).  The evaluation context, the POI
 R-tree and the caches stay one per engine, and every query runs the same
 algorithm at every N over the shards' AR-tree candidates merged into the
 one-tree order (:func:`~repro.core.states.snapshot_contexts`), so answers
@@ -72,10 +72,9 @@ from .context import (
     DEFAULT_REGION_CACHE_SIZE,
     EvaluationContext,
 )
-from .coordinator import build_shards, shard_of
 from .presence import PresenceEstimator
 from .queries import TopKResult, rank_top_k_by_density
-from .shard import ShardState
+from .shard import ShardState, build_shards, shard_of
 from .stats import merge_component_stats, merge_shard_stats
 from .uncertainty import IntervalUncertainty, TopologyChecker
 

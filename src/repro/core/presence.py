@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
-from ..analysis.contracts import check_presence, check_quadrature, contracts_enabled
+from ..contracts import check_presence, check_quadrature, contracts_enabled
 from ..geometry import DEFAULT_RESOLUTION, Region, polygon_grid_points
 from ..geometry.program import X_ROW, Y_ROW, PackedLiteral, Program
 from ..indoor.distance import IndoorDistanceOracle, PointDistanceField, RoomGrid

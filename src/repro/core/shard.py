@@ -18,24 +18,31 @@ shard's ingest hooks roll epochs on that shared context.  Queries run the
 paper's algorithms once over the shards' merged AR-tree candidates
 (:func:`~repro.core.states.snapshot_contexts`), so a shard answers no
 query itself.
+
+:func:`shard_of` is the object partition behind ``num_shards > 1``
+(``crc32(object_id) % N``) and :func:`build_shards` splits a tracking
+table into a fleet's shards along it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+import zlib
+from pathlib import Path
+from typing import Any, Iterable
 
 from ..geometry import Region
 from ..index import ARTree
 from ..index.artree import DEFAULT_DELTA_THRESHOLD
 from ..obs import span
 from ..storage.base import Mutation, StorageBackend, StoredRow
+from ..storage.sqlite import sqlite_shard_stores
 from ..tracking.records import ObjectId, TrackingRecord
 from ..tracking.table import LiveTrackingTable, ObjectTrackingTable
 from .context import EvaluationContext
 from .states import interval_context_from_entries, snapshot_context
 from .uncertainty import IntervalUncertainty
 
-__all__ = ["ShardState"]
+__all__ = ["ShardState", "build_shards", "shard_of"]
 
 
 class ShardState:
@@ -216,7 +223,7 @@ class ShardState:
         return self.ctx.interval_uncertainty(context)
 
     # ------------------------------------------------------------------
-    # Live ingestion (the engine's ingest seam — see the context-bypass rule)
+    # Live ingestion (the engine's ingest seam — see repro.analysis.seams)
     # ------------------------------------------------------------------
 
     def _require_live(self) -> LiveTrackingTable:
@@ -380,3 +387,90 @@ class ShardState:
     def stats(self) -> dict[str, int]:
         """The shard's own counters: its AR-tree's delta size and compactions."""
         return self.artree.stats_dict()
+
+
+def shard_of(object_id: ObjectId, num_shards: int) -> int:
+    """The shard index owning ``object_id`` (stable across processes).
+
+    Uses CRC-32 of the id's string form rather than :func:`hash`, whose
+    per-process salting (``PYTHONHASHSEED``) would scatter the same
+    object to different shards in different runs.
+
+    Args:
+        object_id: The tracked object's id.
+        num_shards: The partition count.
+
+    Returns:
+        An index in ``range(num_shards)``.
+
+    Raises:
+        ValueError: If ``num_shards < 1``.
+    """
+    if num_shards < 1:
+        raise ValueError("num_shards must be positive")
+    return zlib.crc32(str(object_id).encode("utf-8")) % num_shards
+
+
+def build_shards(
+    ott: ObjectTrackingTable | LiveTrackingTable,
+    ctx: EvaluationContext,
+    num_shards: int,
+    storage: str | Path | None,
+    **params: Any,
+) -> list[ShardState]:
+    """Partition ``ott`` by :func:`shard_of` into ``num_shards`` shards.
+
+    Args:
+        ott: The tracking table to partition.
+        ctx: The engine's evaluation context, shared by every shard.
+        num_shards: The partition count N.
+        storage: A directory holding one SQLite store per shard
+            (:func:`~repro.storage.sqlite.sqlite_shard_stores` layout), or
+            ``None``.  Pristine stores are seeded with each shard's
+            partition; populated ones recover it (``ott`` must then be
+            empty, and N must match the count the stores were written
+            under).
+        **params: The remaining :class:`ShardState` keyword arguments.
+
+    Returns:
+        The shards, index ``i`` owning the objects with
+        ``shard_of(object_id, N) == i``.
+
+    Raises:
+        ValueError: If ``storage`` is given for a frozen-batch fleet, or
+            a recovered store holds objects of another partition.
+    """
+    live = bool(params.get("live", False)) or isinstance(ott, LiveTrackingTable)
+    if storage is not None and not live:
+        raise ValueError(
+            "per-shard storage needs a live fleet; pass live=True "
+            "or a LiveTrackingTable"
+        )
+    stores = None if storage is None else sqlite_shard_stores(storage)
+    all_ids = ott.object_ids
+    shards = [
+        ShardState(
+            ott,
+            ctx,
+            object_ids=frozenset(
+                object_id
+                for object_id in all_ids
+                if shard_of(object_id, num_shards) == index
+            ),
+            storage=None if stores is None else stores(index),
+            **params,
+        )
+        for index in range(num_shards)
+    ]
+    if stores is not None:
+        for index, shard in enumerate(shards):
+            for object_id in shard.ott.object_ids:
+                owner = shard_of(object_id, num_shards)
+                if owner != index:
+                    raise ValueError(
+                        f"shard {index}'s store holds object "
+                        f"{object_id!r}, which crc32-partitions to "
+                        f"shard {owner} of {num_shards}; was the store "
+                        "written under a different shard count?"
+                    )
+    return shards

@@ -69,7 +69,7 @@ def _write_store(path: str, config: SyntheticConfig) -> tuple[int, float]:
         for chunk in chunked_rows(rows):
             # Records land in the store first; engines attach to it
             # afterwards via FlowEngine(storage=...).
-            # repro: allow(context-bypass): the generator seam is the writer
+            # repro: allow(seam): the generator seam is the writer
             backend.append_rows(chunk)
             count += len(chunk)
             t_max = max(t_max, max(row.record.t_e for row in chunk))

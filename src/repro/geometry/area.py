@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..analysis.contracts import check_area, check_presence
+from ..contracts import check_area, check_presence
 from .mbr import Mbr
 from .polygon import Polygon
 from .region import Region

@@ -141,17 +141,23 @@ class Polygon(Region):
         signed = self.signed_area()
         if abs(signed) <= EPSILON:
             return Point(float(self._xs.mean()), float(self._ys.mean()))
+        # A fan of triangles from vertex 0, in coordinates relative to it:
+        # absolute shoelace terms on a far-from-origin sliver cancel to
+        # an area near zero and push the centroid outside the polygon.
+        ox, oy = self.vertices[0].x, self.vertices[0].y
         cx = 0.0
         cy = 0.0
-        count = len(self.vertices)
-        for i in range(count):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % count]
-            cross = a.cross(b)
-            cx += (a.x + b.x) * cross
-            cy += (a.y + b.y) * cross
-        factor = 1.0 / (6.0 * signed)
-        return Point(cx * factor, cy * factor)
+        twice_area = 0.0
+        bx, by = self.vertices[1].x - ox, self.vertices[1].y - oy
+        for vertex in self.vertices[2:]:
+            ax, ay = bx, by
+            bx, by = vertex.x - ox, vertex.y - oy
+            cross = ax * by - ay * bx
+            cx += (ax + bx) * cross
+            cy += (ay + by) * cross
+            twice_area += cross
+        factor = 1.0 / (3.0 * twice_area)
+        return Point(ox + cx * factor, oy + cy * factor)
 
     def is_convex(self) -> bool:
         """Whether all turns go the same way (collinear runs allowed)."""

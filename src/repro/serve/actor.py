@@ -13,8 +13,8 @@ deterministic: the final engine state equals the same operations applied
 serially, which the concurrency battery in ``tests/serve/`` pins down to
 bit-identical top-k results.
 
-HTTP handlers never touch the engine object itself (the ``serve-seam``
-lint rule enforces it); they call the typed ``async`` methods below, each
+HTTP handlers never touch the engine object itself (the ``seam``
+checker enforces it); they call the typed ``async`` methods below, each
 of which routes through :meth:`EngineActor.submit`.
 
 Standing monitors live actor-side too: a tick runs on the engine thread
@@ -230,7 +230,7 @@ class EngineActor:
         """The owned engine — for introspection only.
 
         Calling engine methods from outside the actor breaks the
-        single-writer guarantee (and the ``serve-seam`` lint); route work
+        single-writer guarantee (and the ``seam`` checker); route work
         through the async methods instead.
         """
         return self._engine

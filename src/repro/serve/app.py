@@ -23,7 +23,7 @@ GET       /monitors/{id}/stream       SSE feed of the monitor's updates
 ========  ==========================  =====================================
 
 Handlers never call the engine: they decode the wire payload, submit to
-the actor, encode the outcome (the ``serve-seam`` lint rule keeps it that
+the actor, encode the outcome (the ``seam`` checker keeps it that
 way).  Exceptions map to the uniform JSON error body in
 :func:`repro.serve.http._error_response`.
 

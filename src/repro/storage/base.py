@@ -118,8 +118,8 @@ class StorageBackend(Protocol):
 
     Implementations must be safe to hand to exactly one
     :class:`~repro.tracking.table.LiveTrackingTable` at a time; the table
-    is the write path (the ``context-bypass`` lint flags direct mutator
-    calls outside it).
+    is the write path (the ``seam`` checker flags direct mutator calls
+    outside it).
     """
 
     @property

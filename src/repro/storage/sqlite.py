@@ -526,7 +526,7 @@ def sqlite_shard_stores(directory: str | Path) -> Callable[[int], SQLiteBackend]
 
     Shard ``i`` of a ``FlowEngine(num_shards=N)`` gets
     ``<directory>/shard-ii.sqlite``; the object partition is
-    :func:`~repro.core.coordinator.shard_of`'s ``crc32(object_id) % N``,
+    :func:`~repro.core.shard.shard_of`'s ``crc32(object_id) % N``,
     so reopening the same directory with the same shard count recovers
     each partition into its owning shard.
 

@@ -150,7 +150,7 @@ def import_records_csv(path: str | Path, backend: StorageBackend) -> int:
         for chunk in chunked_rows(rows):
             # Rows land in the store first; tables are built from it
             # afterwards, so there is no table to go through yet.
-            # repro: allow(context-bypass): the import seam is the writer
+            # repro: allow(seam): the import seam is the writer
             count += backend.append_rows(chunk)
     return count
 

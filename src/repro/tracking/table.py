@@ -26,7 +26,7 @@ import bisect
 from itertools import groupby
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
-from ..analysis.contracts import contracts_enabled, check_storage_generation
+from ..contracts import contracts_enabled, check_storage_generation
 from ..storage.base import (
     Mutation,
     StorageBackend,
@@ -813,7 +813,7 @@ class LiveTrackingTable(_TrackingReads):
         extending/closing them independently.  The view starts its own
         generation counter at the number of replayed mutations; it does
         not stay connected to the parent — it is the hand-off point when
-        a coordinator partitions one incoming stream across shards.
+        a fleet partitions one incoming stream across shards.
 
         Args:
             object_ids: The objects the view keeps.

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
+from repro.contracts import (
     ContractViolation,
     check_area,
     check_cached_value,

@@ -55,13 +55,13 @@ class TestAnalyze:
         )
         rules_hit = {d.rule for d in report.diagnostics}
         assert "cache-coherence" in rules_hit
-        assert "shard-safety" in rules_hit
+        assert "seam" in rules_hit
         assert report.files_checked == 2
 
     def test_checker_findings_respect_pragmas(self, tmp_path):
         suppressed = VIOLATING.replace(
             "        self.artree.append_record(record)\n",
-            "        # repro: allow(cache-coherence, shard-safety): fixture\n"
+            "        # repro: allow(cache-coherence, seam): fixture\n"
             "        self.artree.append_record(record)\n",
         )
         root = write_tree(tmp_path, {"proj/store.py": suppressed})
@@ -179,7 +179,7 @@ class TestFormats:
         run = payload["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-analysis"
         rule_ids = {meta["id"] for meta in run["tool"]["driver"]["rules"]}
-        assert {"shard-safety", "cache-coherence", "determinism"} <= rule_ids
+        assert {"seam", "cache-coherence", "determinism"} <= rule_ids
         result = run["results"][0]
         assert result["ruleId"] in rule_ids
         location = result["locations"][0]["physicalLocation"]
@@ -268,7 +268,7 @@ class TestCli:
         )
         assert code == 0
         assert "analysis.model" in err
-        assert "analysis.checker.shard-safety" in err
+        assert "analysis.checker.seam" in err
 
     def test_single_checker_selection(self, tmp_path, capsys):
         root = write_tree(tmp_path, {"proj/store.py": VIOLATING})
@@ -288,7 +288,7 @@ class TestCli:
     def test_list_checkers(self, capsys):
         code, out, _err = self.run(["--list-checkers"], capsys)
         assert code == 0
-        assert "shard-safety" in out
+        assert "seam" in out
         assert "determinism" in out
 
     def test_report_tests_includes_test_paths(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The repo-specific AST lint pass: rules, suppressions and the CLI.
 
 Violating code lives in string literals here, which the AST rules cannot
-see — only the temp files the tests write from them are linted.
+see — only the temp files the tests write from them are linted.  The
+seam cases (shard, AR-tree, storage and serve mutators) run the ``seam``
+checker over the same inputs.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Diagnostic, LintReport, lint_paths, main
+from repro.analysis import AnalysisReport, Diagnostic, analyze, main
+from repro.analysis.checkers import SeamChecker
 from repro.analysis.linter import FILE_WIDE_LINE, parse_suppressions
 from repro.analysis.rules import ALL_RULES, rules_by_name
 
@@ -22,17 +25,26 @@ def lint_source(
     source: str,
     filename: str = "module.py",
     rule: str | None = None,
-) -> LintReport:
-    """Write ``source`` under ``tmp_path`` and lint it."""
+) -> AnalysisReport:
+    """Write ``source`` under ``tmp_path`` and lint it.
+
+    ``rule="seam"`` runs the seam checker instead of the per-file rules;
+    the file's directories become packages, so ``repro/core/engine.py``
+    is the module ``repro.core.engine``.
+    """
     target = tmp_path / filename
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source)
+    if rule == "seam":
+        for package in target.relative_to(tmp_path).parents[:-1]:
+            (tmp_path / package / "__init__.py").touch()
+        return analyze([target], checkers=[SeamChecker()])
     registry = rules_by_name()
-    rules = [registry[rule]] if rule is not None else None
-    return lint_paths([target], rules)
+    rules = [registry[rule]] if rule is not None else ALL_RULES
+    return analyze([target], rules=rules)
 
 
-def rule_names(report: LintReport) -> list[str]:
+def rule_names(report: AnalysisReport) -> list[str]:
     return [diagnostic.rule for diagnostic in report.diagnostics]
 
 
@@ -171,6 +183,9 @@ class TestContextBypass:
         )
         assert report.ok
 
+    # Mutator calls are rows of the seam table: these cases run the seam
+    # checker, not this rule.
+
     def test_flags_direct_shard_mutation(self, tmp_path):
         report = lint_source(
             tmp_path,
@@ -178,26 +193,26 @@ class TestContextBypass:
             "shard.ingest_open_episode(record)\n"
             "shard.extend_open_episode('o1', 5.0)\n"
             "shard.close_open_episode('o1')\n",
-            rule="context-bypass",
+            rule="seam",
         )
-        assert rule_names(report) == ["context-bypass"] * 4
+        assert rule_names(report) == ["seam"] * 4
 
-    def test_coordinator_and_engine_may_mutate_shards(self, tmp_path):
-        for filename in ("core/coordinator.py", "core/engine.py", "core/shard.py"):
+    def test_engine_and_shard_may_mutate_shards(self, tmp_path):
+        for filename in ("repro/core/engine.py", "repro/core/shard.py"):
             report = lint_source(
                 tmp_path,
                 "count = shard.ingest_batch(records)\n",
                 filename=filename,
-                rule="context-bypass",
+                rule="seam",
             )
             assert report.ok, filename
 
     def test_shard_mutation_suppressible_with_pragma(self, tmp_path):
         report = lint_source(
             tmp_path,
-            "# repro: allow(context-bypass): exercising the seam directly\n"
+            "# repro: allow(seam): exercising the seam directly\n"
             "shard.ingest_batch(records)\n",
-            rule="context-bypass",
+            rule="seam",
         )
         assert report.ok
 
@@ -206,19 +221,19 @@ class TestContextBypass:
         report = lint_source(
             tmp_path,
             "tree.append_record(record, None)\n",
-            filename="core/engine.py",
-            rule="context-bypass",
+            filename="repro/core/engine.py",
+            rule="seam",
         )
-        assert rule_names(report) == ["context-bypass"]
+        assert rule_names(report) == ["seam"]
 
     def test_flags_direct_storage_backend_writes(self, tmp_path):
         report = lint_source(
             tmp_path,
             "backend.append_rows(rows)\n"
             "backend.rewrite_tail_row(record, open=True)\n",
-            rule="context-bypass",
+            rule="seam",
         )
-        assert rule_names(report) == ["context-bypass"] * 2
+        assert rule_names(report) == ["seam"] * 2
         assert all(
             "storage backend" in d.message for d in report.diagnostics
         )
@@ -227,23 +242,23 @@ class TestContextBypass:
         for filename in (
             "repro/storage/sqlite.py",
             "repro/storage/memory.py",
-            "tracking/table.py",
+            "repro/tracking/table.py",
         ):
             report = lint_source(
                 tmp_path,
                 "stored = backend.append_rows(rows)\n"
                 "backend.rewrite_tail_row(record, open=False)\n",
                 filename=filename,
-                rule="context-bypass",
+                rule="seam",
             )
             assert report.ok, filename
 
     def test_storage_write_suppressible_with_pragma(self, tmp_path):
         report = lint_source(
             tmp_path,
-            "# repro: allow(context-bypass): the import seam is the writer\n"
+            "# repro: allow(seam): the import seam is the writer\n"
             "backend.append_rows(rows)\n",
-            rule="context-bypass",
+            rule="seam",
         )
         assert report.ok
 
@@ -316,7 +331,7 @@ class TestWallClock:
 
 
 # ----------------------------------------------------------------------
-# serve-seam
+# serve seam: the seam table's repro.serve rows
 # ----------------------------------------------------------------------
 
 
@@ -331,14 +346,14 @@ class TestServeSeam:
             tmp_path,
             SERVE_SEAM_FIXTURE.read_text(),
             filename=filename,
-            rule="serve-seam",
+            rule="seam",
         )
 
     def test_flags_seeded_lines_exactly(self, tmp_path):
         report = self.lint_fixture(tmp_path)
         lines = sorted(d.line for d in report.diagnostics)
         assert lines == [38, 42, 46, 50, 54]
-        assert all(d.rule == "serve-seam" for d in report.diagnostics)
+        assert all(d.rule == "seam" for d in report.diagnostics)
 
     def test_actor_receivers_stay_clean(self, tmp_path):
         # Lines 30/34 call query()/ingest() *through the actor* — the
@@ -355,21 +370,22 @@ class TestServeSeam:
         assert "internals" in by_line[54]
 
     def test_rule_is_scoped_to_repro_serve(self, tmp_path):
+        # Outside repro.serve only the shard/storage internals (every
+        # scope's rows) stay findings; engine calls are fine there.
         report = self.lint_fixture(tmp_path, filename="repro/core/module.py")
-        assert report.ok
+        assert sorted(d.line for d in report.diagnostics) == [50, 54]
 
     def test_actor_client_and_smoke_modules_are_exempt(self, tmp_path):
         for exempt in ("actor.py", "client.py", "smoke.py"):
             report = self.lint_fixture(
                 tmp_path, filename=f"repro/serve/{exempt}"
             )
-            assert report.ok, exempt
+            lines = sorted(d.line for d in report.diagnostics)
+            assert lines == [50, 54], exempt
 
     def test_shipped_serve_package_is_clean(self):
-        registry = rules_by_name()
-        report = lint_paths(
-            [REPO_ROOT / "src" / "repro" / "serve"],
-            [registry["serve-seam"]],
+        report = analyze(
+            [REPO_ROOT / "src" / "repro" / "serve"], checkers=[SeamChecker()]
         )
         assert report.ok, "\n".join(d.format() for d in report.diagnostics)
 
@@ -510,7 +526,7 @@ class TestFramework:
     def test_directories_are_walked_recursively(self, tmp_path):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "deep.py").write_text("flag = x == 0.0\n")
-        report = lint_paths([tmp_path])
+        report = analyze([tmp_path], rules=ALL_RULES)
         assert rule_names(report) == ["float-equality"]
 
     def test_cli_exit_codes(self, tmp_path, capsys):
@@ -539,5 +555,5 @@ class TestFramework:
         # The acceptance bar of the tooling PR: the shipped code passes its
         # own linter (pre-existing violations fixed or suppressed with a
         # justification).
-        report = lint_paths([REPO_ROOT / "src", REPO_ROOT / "tests"])
+        report = analyze([REPO_ROOT / "src", REPO_ROOT / "tests"], rules=ALL_RULES)
         assert report.ok, "\n".join(d.format() for d in report.diagnostics)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import set_contracts
+from repro.contracts import set_contracts
 from repro.datagen import (
     CphConfig,
     SyntheticConfig,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import set_contracts
+from repro.contracts import set_contracts
 from repro.core.engine import FlowEngine, LiveFlowEngine
 from repro.core.monitor import SnapshotTopKMonitor
 from repro.datagen.config import SyntheticConfig

@@ -1,3 +1,4 @@
+# repro: allow-file(seam): this file tests the shard and live-table mutators themselves
 """Unit tests for the shard-layer building blocks.
 
 Covers the pieces a sharded engine composes: stats merge helpers,
@@ -170,7 +171,6 @@ class TestShardState:
     def test_frozen_shard_rejects_mutation(self):
         shard = self._shard()
         with pytest.raises(RuntimeError, match="frozen-batch"):
-            # repro: allow(context-bypass): exercising the guard itself
             shard.ingest_batch([_records()[0]])
 
     def test_resolve_pois_memoizes_by_id_tuple(self):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.analysis.contracts import set_contracts
+from repro.contracts import set_contracts
 from repro.core import FlowEngine, SnapshotTopKMonitor, shard_of
 from repro.storage import MemoryBackend
 from repro.tracking.records import TrackingRecord

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
-from repro.analysis import set_contracts
+from repro.contracts import set_contracts
 from repro.core.engine import FlowEngine
 from repro.datagen.config import SyntheticConfig
 from repro.datagen.synthetic import build_synthetic_dataset

@@ -76,6 +76,21 @@ class TestMeasures:
         c = l_shape().centroid()
         assert c.almost_equal(Point((2 * 0.5 + 1 * 1.5) / 3, (2 * 1.0 + 1 * 0.5) / 3))
 
+    def test_centroid_of_far_sliver_stays_inside(self):
+        # A saved Hypothesis triangle: absolute shoelace terms near 218
+        # cancel to an area near 2e-6, which pushed the centroid 3.9e-7
+        # outside; summing relative to vertex 0 keeps it exact.
+        sliver = Polygon(
+            [
+                Point(37.0, 0.0),
+                Point(36.9999999999999, 1.2041195073199626e-06),
+                Point(33.782116141076976, 5.890296893655275),
+            ]
+        )
+        c = sliver.centroid()
+        assert (c.x, c.y) == (35.92737204702563, 1.963432699258261)
+        assert sliver.contains(c)
+
 
 class TestConvexity:
     def test_rectangle_is_convex(self):

@@ -1,4 +1,4 @@
-# repro: allow-file(context-bypass): this file tests the AR-tree mutators themselves
+# repro: allow-file(seam): this file tests the AR-tree and live-table mutators themselves
 """Incremental AR-tree maintenance: delta buffer, compaction, open tails.
 
 The LSM-style invariant under test: an AR-tree grown record by record

@@ -5,7 +5,7 @@ flows) or the engine's ``stats()`` counters."""
 import pytest
 
 from repro import obs
-from repro.analysis import set_contracts
+from repro.contracts import set_contracts
 from repro.datagen.config import SyntheticConfig
 from repro.datagen.synthetic import build_synthetic_dataset
 

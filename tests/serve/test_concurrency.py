@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.analysis import set_contracts
+from repro.contracts import set_contracts
 from repro.core.queries import IntervalTopKQuery, SnapshotTopKQuery
 from repro.datagen.config import SyntheticConfig
 from repro.serve.app import ServeConfig, ServerHandle

@@ -1,4 +1,4 @@
-# repro: allow-file(context-bypass): this file tests the storage backends themselves
+# repro: allow-file(seam): this file tests the storage backends themselves
 """The StorageBackend battery, run against every implementation.
 
 Each backend must speak the same mutation vocabulary with the same

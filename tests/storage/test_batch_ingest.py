@@ -1,4 +1,4 @@
-# repro: allow-file(context-bypass): this file tests the storage write path itself
+# repro: allow-file(seam): this file tests the storage and live-table write path itself
 """Batch-grain ingest: one validation pass, one storage write, one unit.
 
 ``FlowEngine.ingest(records)`` validates the whole batch against the table
@@ -23,7 +23,7 @@ import sqlite3
 import pytest
 
 from repro import obs
-from repro.analysis import set_contracts
+from repro.contracts import set_contracts
 from repro.core import FlowEngine
 from repro.datagen.config import SyntheticConfig
 from repro.datagen.synthetic import build_synthetic_dataset

@@ -1,4 +1,3 @@
-# repro: allow-file(context-bypass): crash simulation drives the raw backend connection
 """Crash recovery: kill mid-ingest, reopen, answers are bit-identical.
 
 The headline guarantee of the storage seam: a SQLite-backed live engine
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import set_contracts
+from repro.contracts import set_contracts
 from repro.core import FlowEngine
 from repro.datagen.config import SyntheticConfig
 from repro.datagen.synthetic import build_synthetic_dataset

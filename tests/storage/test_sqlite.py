@@ -1,4 +1,4 @@
-# repro: allow-file(context-bypass): this file tests the storage backends themselves
+# repro: allow-file(seam): this file tests the storage backends themselves
 """SQLite backend durability: reopen, schema guards, env routing."""
 
 from __future__ import annotations

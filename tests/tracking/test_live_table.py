@@ -1,3 +1,4 @@
+# repro: allow-file(seam): this file tests the live-table mutators themselves
 """LiveTrackingTable: append-time validation, open episodes, generations.
 
 The live table is the streaming counterpart of the frozen
