@@ -28,14 +28,14 @@ import time
 
 import pytest
 
-from conftest import BENCH_SCALE
+from conftest import DEFAULT_SCALE
 
 from repro.bench import format_stats
 from repro.core.engine import FlowEngine
 from repro.datagen.config import SyntheticConfig
 from repro.tracking import LiveTrackingTable, ObjectTrackingTable
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", BENCH_SCALE))
+SCALE = float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
 
 #: Objects whose in-window records arrive late, one per tick.
 LATE_OBJECTS = 4

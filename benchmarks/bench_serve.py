@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from conftest import BENCH_SCALE
+from conftest import DEFAULT_SCALE
 
 from repro.core.queries import SnapshotTopKQuery
 from repro.datagen.config import SyntheticConfig
@@ -23,7 +23,7 @@ from repro.serve.app import ServeConfig, ServerHandle
 from repro.serve.client import ServeClient
 from repro.serve.wire import QuerySpec
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", BENCH_SCALE))
+SCALE = float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
 K = 10
 
 

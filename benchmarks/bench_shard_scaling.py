@@ -13,9 +13,7 @@ Three claims are exercised here:
   monolith does: queries run the monolith's join over the shards' merged
   AR-tree candidates, so sharding adds no query work;
 * **scaling** — the timed matrix records how fleet size moves the
-  end-to-end query cost (committed numbers live in
-  ``benchmarks/baselines/BENCH_shard_scaling.json``, regenerated by
-  ``python benchmarks/runner.py --only shard_scaling``).
+  end-to-end query cost.
 
 Scale is configurable for CI smoke runs via ``REPRO_BENCH_SCALE``.
 """
@@ -24,13 +22,13 @@ import os
 
 import pytest
 
-from conftest import BENCH_SCALE, run_benchmark
+from conftest import DEFAULT_SCALE, run_benchmark
 
 from repro.core.engine import FlowEngine
 from repro.datagen.config import SyntheticConfig
 from repro.datagen.synthetic import build_synthetic_dataset
 
-SCALE = float(os.environ.get("REPRO_BENCH_SCALE", BENCH_SCALE))
+SCALE = float(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
 
 SHARD_COUNTS = (1, 2, 4)
 WINDOW_SECONDS = 240.0

@@ -1,8 +1,9 @@
 """Shared benchmark fixtures.
 
-The pytest-benchmark suite runs each figure's series at a small fixed
-scale so the whole suite stays in the minutes range; the printable harness
-(``python -m repro.bench``) runs the full sweeps at arbitrary scale.
+The pytest benches assert the system's claims (live ingest, sharding,
+monitor caches, serving, substrates) at a small fixed scale.  The paper's
+figures are timed by ``python -m repro.bench``; end-to-end system numbers
+come from ``perfbench``.
 """
 
 from __future__ import annotations
@@ -11,35 +12,17 @@ import pytest
 
 from repro.bench import BenchContext
 
-#: Population scale for the pytest-benchmark suite (fraction of the
-#: paper's |O|).
-BENCH_SCALE = 0.05
-
-#: Reduced sweeps: first / middle / last value of each paper range.
-K_VALUES = (1, 10, 50)
-POI_PERCENTAGES = (20, 60, 100)
-DETECTION_RANGES = (1.0, 1.5, 2.5)
-OBJECT_COUNTS = (1000, 3000, 5000)
-WINDOW_MINUTES = (1, 10, 30)
+#: Default population scale for the benches (fraction of the paper's
+#: |O|); the ingest, serve and shard benches read ``REPRO_BENCH_SCALE``.
+DEFAULT_SCALE = 0.05
 
 METHODS = ("iterative", "join")
 
 
 @pytest.fixture(scope="session")
-def ctx() -> BenchContext:
-    return BenchContext(scale=BENCH_SCALE, repeats=1)
-
-
-@pytest.fixture(scope="session")
-def synthetic(ctx):
+def synthetic():
     """(dataset, engine) for the default synthetic setting."""
-    return ctx.synthetic()
-
-
-@pytest.fixture(scope="session")
-def cph(ctx):
-    """(dataset, engine) for the simulated CPH setting."""
-    return ctx.cph()
+    return BenchContext(scale=DEFAULT_SCALE, repeats=1).synthetic()
 
 
 def run_benchmark(benchmark, fn):

@@ -3,14 +3,16 @@
 The driver owns everything above the individual rule/checker level:
 
 * walking the target paths once and parsing each file at most once per
-  run (``--jobs N`` forks a parser pool),
+  run,
 * running the per-file rules and the whole-program checkers over the
   same parse results, with pragma suppression applied uniformly,
 * the **result cache** (``.repro-analysis-cache.json``): per-file lint
   results keyed by content digest + rule set, whole-program checker
-  results keyed by the digest of every analyzed file — a warm run does
-  nothing but ``stat()`` calls and a JSON load, well under the 2 s
-  budget,
+  results keyed by the digest of every analyzed file; both keys also
+  carry one digest of the analyzer's own source, so editing a rule or
+  checker invalidates every cached finding — a warm run does nothing
+  but ``stat()`` calls, one read of the analyzer and a JSON load, well
+  under the 2 s budget,
 * the **baseline** workflow (``--baseline`` / ``--write-baseline``):
   grandfathered findings are recorded as ``(path, rule, message)``
   entries with counts (line numbers drift too much to key on), and only
@@ -85,6 +87,20 @@ class AnalysisReport:
 
 def _digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:20]
+
+
+def _analyzer_digest() -> str:
+    """One digest of every ``.py`` file of this analyzer package.
+
+    Folded into every cache key: results computed by an edited rule or
+    checker must never be served again.
+    """
+    root = Path(__file__).resolve().parent
+    hasher = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        hasher.update(path.relative_to(root).as_posix().encode("utf-8"))
+        hasher.update(_digest_bytes(path.read_bytes()).encode("ascii"))
+    return hasher.hexdigest()[:20]
 
 
 class AnalysisCache:
@@ -178,12 +194,14 @@ class AnalysisCache:
         digests: Mapping[str, str],
         checker_names: Sequence[str],
         report_all: bool,
+        analyzer: str,
     ) -> str:
         payload = json.dumps(
             {
                 "files": sorted(digests.items()),
                 "checkers": sorted(checker_names),
                 "report_all": report_all,
+                "analyzer": analyzer,
             },
             sort_keys=True,
         )
@@ -258,7 +276,6 @@ def analyze(
     *,
     rules: Sequence["Rule"] = (),
     checkers: Sequence[Checker] = (),
-    jobs: int = 1,
     report_all: bool = False,
     cache: AnalysisCache | None = None,
 ) -> AnalysisReport:
@@ -269,7 +286,6 @@ def analyze(
             ``fixtures`` / ``__pycache__`` skipped).
         rules: Per-file rules to run (may be empty).
         checkers: Whole-program checkers to run (may be empty).
-        jobs: Fork this many parser workers when > 1.
         report_all: Report checker findings in tests/benchmarks too.
         cache: Optional result cache (caller saves it).
 
@@ -296,7 +312,8 @@ def analyze(
             continue
         digests[str(path)] = digest
 
-    rules_key = ",".join(sorted(rule.name for rule in rules))
+    analyzer = _analyzer_digest()
+    rules_key = analyzer + ":" + ",".join(sorted(rule.name for rule in rules))
     checker_names = [checker.name for checker in checkers]
 
     # Decide what actually needs parsing.
@@ -314,7 +331,9 @@ def analyze(
             else:
                 lint_misses.append(Path(path_str))
 
-    program_key = AnalysisCache.program_key(digests, checker_names, report_all)
+    program_key = AnalysisCache.program_key(
+        digests, checker_names, report_all, analyzer
+    )
     program_cached = (
         cache.program_result(program_key)
         if cache is not None and checkers
@@ -332,7 +351,7 @@ def analyze(
 
     with span("analysis.parse"):
         parse_errors: list[str] = []
-        parsed = parse_files(sorted(need_parse), jobs=jobs, errors=parse_errors)
+        parsed = parse_files(sorted(need_parse), errors=parse_errors)
     report.errors.extend(parse_errors)
     parsed_by_path: dict[str, tuple[str, ast.Module]] = {
         path_str: (source, tree) for path_str, source, tree in parsed
@@ -598,7 +617,6 @@ def run_cli(
             args.paths,
             rules=rules,
             checkers=active_checkers,
-            jobs=max(1, args.jobs),
             report_all=bool(args.report_tests),
             cache=cache,
         )

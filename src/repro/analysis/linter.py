@@ -45,7 +45,7 @@ Usage
 (defaulting to ``src`` and ``tests``) and exits non-zero when any
 diagnostic survives suppression.  ``--check-all`` additionally runs the
 whole-program checkers; see ``--help`` for baselines, output formats,
-caching, ``--jobs`` and ``--profile``.
+caching and ``--profile``.
 """
 
 from __future__ import annotations
@@ -288,13 +288,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="PATH",
         default=None,
         help="write the surviving findings to PATH as a baseline and exit 0",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse files with N forked workers (default: 1)",
     )
     parser.add_argument(
         "--profile",

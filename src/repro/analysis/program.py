@@ -421,7 +421,6 @@ class ProjectModel:
         cls,
         paths: Sequence[Path | str],
         *,
-        jobs: int = 1,
         parsed: Sequence[tuple[str, str, ast.Module]] | None = None,
     ) -> "ProjectModel":
         """Parse ``paths`` (files or trees) into a model.
@@ -429,10 +428,9 @@ class ProjectModel:
         Args:
             paths: Files or directories; directories are walked
                 recursively (``fixtures`` and ``__pycache__`` skipped).
-            jobs: Parse with this many forked workers when > 1.
             parsed: Pre-parsed ``(path, source, tree)`` triples; when
-                given, ``paths``/``jobs`` are ignored (used by the CLI to
-                share one parse between the linter and the checkers).
+                given, ``paths`` is ignored (used by the CLI to share one
+                parse between the linter and the checkers).
 
         Returns:
             The populated model.
@@ -440,7 +438,7 @@ class ProjectModel:
         model = cls()
         if parsed is None:
             files = list(iter_python_files(Path(p) for p in paths))
-            parsed = parse_files(files, jobs=jobs, errors=model.errors)
+            parsed = parse_files(files, errors=model.errors)
         for path_str, source, tree in parsed:
             model.add_module(path_str, source, tree)
         model.finalize()
@@ -529,15 +527,12 @@ class ProjectModel:
 def parse_files(
     files: Sequence[Path],
     *,
-    jobs: int = 1,
     errors: list[str] | None = None,
 ) -> list[tuple[str, str, ast.Module]]:
-    """Parse ``files``, optionally with a forked worker pool.
+    """Parse ``files``.
 
     Args:
         files: The python files to parse.
-        jobs: Fork this many workers when > 1 (falls back to serial when
-            the platform lacks ``fork``).
         errors: Receives ``"path: error"`` strings for unparsable files.
 
     Returns:
@@ -545,20 +540,6 @@ def parse_files(
     """
     sink = errors if errors is not None else []
     results: list[tuple[str, str, ast.Module]] = []
-    if jobs > 1:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            with context.Pool(processes=jobs) as pool:
-                for outcome in pool.map(
-                    _parse_one, [str(path) for path in files]
-                ):
-                    if isinstance(outcome, str):
-                        sink.append(outcome)
-                    else:
-                        results.append(outcome)
-            return results
     for path in files:
         outcome = _parse_one(str(path))
         if isinstance(outcome, str):

@@ -55,6 +55,7 @@ def ablation_segment_mbrs(ctx: BenchContext) -> list[AblationRow]:
         start, end = dataset.window(ctx.default_window_minutes)
         for label, improved in (("coarse-mbr", False), ("segment-mbrs", True)):
             time_ms = ctx.time_ms(
+                engine,
                 lambda improved=improved, engine=engine: engine.interval_topk(
                     start,
                     end,
@@ -76,7 +77,9 @@ def ablation_topology_check(ctx: BenchContext) -> list[AblationRow]:
     flows_by_label = {}
     for label, enabled in (("euclidean-only", False), ("topology-checked", True)):
         engine = dataset.engine(topology_check=enabled)
-        time_ms = ctx.time_ms(lambda engine=engine: engine.snapshot_flows(t))
+        time_ms = ctx.time_ms(
+            engine, lambda engine=engine: engine.snapshot_flows(t)
+        )
         flows = engine.snapshot_flows(t)
         flows_by_label[label] = flows
         rows.append(
@@ -102,7 +105,9 @@ def ablation_grid_resolution(
     rows = []
     for resolution in resolutions:
         engine = dataset.engine(resolution=resolution)
-        time_ms = ctx.time_ms(lambda engine=engine: engine.snapshot_flows(t))
+        time_ms = ctx.time_ms(
+            engine, lambda engine=engine: engine.snapshot_flows(t)
+        )
         flows = engine.snapshot_flows(t)
         keys = set(reference) | set(flows)
         max_error = max(
@@ -134,6 +139,7 @@ def ablation_rtree_fanout(
         engine = dataset.engine(rtree_fanout=fanout)
         pois = dataset.poi_subset(ctx.default_poi_percent)
         time_ms = ctx.time_ms(
+            engine,
             lambda engine=engine, pois=pois: engine.snapshot_topk(
                 t, ctx.default_k, pois=pois, method="join"
             )

@@ -83,7 +83,7 @@ def _snapshot_point(ctx, dataset, engine, k, pois):
         for t in anchors:
             engine.snapshot_topk(t, k, pois=pois, method=method)
 
-    iterative_ms, join_ms = ctx.compare_methods(run)
+    iterative_ms, join_ms = ctx.compare_methods(engine, run)
     return iterative_ms / len(anchors), join_ms / len(anchors)
 
 
@@ -94,7 +94,7 @@ def _interval_point(ctx, dataset, engine, k, pois, minutes):
         for start, end in windows:
             engine.interval_topk(start, end, k, pois=pois, method=method)
 
-    iterative_ms, join_ms = ctx.compare_methods(run)
+    iterative_ms, join_ms = ctx.compare_methods(engine, run)
     return iterative_ms / len(windows), join_ms / len(windows)
 
 

@@ -147,16 +147,12 @@ class _CountingTopology:
 
     def ring_constraint(self, device: Device, budget: float) -> Region:
         self._stats.topology_prunes += 1
-        if obs_enabled():
-            counter("topology.prunes", unit="constraints").inc()
         return self._checker.ring_constraint(device, budget)
 
     def path_constraint(
         self, device_a: Device, device_b: Device, budget: float
     ) -> Region:
         self._stats.topology_prunes += 1
-        if obs_enabled():
-            counter("topology.prunes", unit="constraints").inc()
         return self._checker.path_constraint(device_a, device_b, budget)
 
 
@@ -375,9 +371,9 @@ class EvaluationContext:
 
         With :mod:`repro.obs` enabled, cache-miss builds are timed under a
         ``ur.build.<kind>`` span (kind = ``snapshot`` / ``detection`` /
-        ``gap`` / ``lead`` / ``trail``) and hits/misses mirrored into the
-        ``ctx.region.hits`` / ``ctx.region.misses`` counters — observation
-        only, never part of the cache key or the value.
+        ``gap`` / ``lead`` / ``trail``) — observation only, never part of
+        the cache key or the value.  Hits and misses are counted once, in
+        ``stats`` (``region_cache_hits`` / ``regions_computed``).
 
         Args:
             key: The parameter-free key part; its first element names the
@@ -402,8 +398,6 @@ class EvaluationContext:
         value = cast(_R, raw)
         if hit:
             self.stats.region_cache_hits += 1
-            if obs_enabled():
-                counter("ctx.region.hits", unit="regions").inc()
             if contracts_enabled():
                 check_region_fingerprint(
                     _mbr_fingerprint(value),
@@ -412,8 +406,6 @@ class EvaluationContext:
                 )
         else:
             self.stats.regions_computed += 1
-            if obs_enabled():
-                counter("ctx.region.misses", unit="regions").inc()
         return value
 
     def snapshot_region(self, context: "SnapshotContext") -> Region:
@@ -574,8 +566,8 @@ class EvaluationContext:
         grid (:meth:`PresenceEstimator.presences`).
 
         With :mod:`repro.obs` enabled, that pass is timed under one
-        ``presence.quadrature`` span and hits/misses are mirrored into the
-        ``ctx.presence.hits`` / ``ctx.presence.misses`` counters.
+        ``presence.quadrature`` span; hits and misses are counted in
+        ``stats`` (``presence_cache_hits`` / ``presence_evaluations``).
 
         Args:
             poi: The POI to intersect the regions with.
@@ -598,11 +590,8 @@ class EvaluationContext:
         misses = [index for index, value in enumerate(found) if value is None]
         values = cast(list[float], found)
         hit_count = len(batch) - len(misses)
-        instrumented = obs_enabled()
         if hit_count:
             self.stats.presence_cache_hits += hit_count
-            if instrumented:
-                counter("ctx.presence.hits", unit="evaluations").inc(hit_count)
             if contracts_enabled():
                 hits = [i for i, value in enumerate(found) if value is not None]
                 fresh = self.estimator.presences(
@@ -619,8 +608,7 @@ class EvaluationContext:
             return values
         self.stats.presence_evaluations += len(misses)
         regions = [batch[index][0]() for index in misses]
-        if instrumented:
-            counter("ctx.presence.misses", unit="evaluations").inc(len(misses))
+        if obs_enabled():
             with span("presence.quadrature"):
                 fresh = self.estimator.presences(poi, regions)
         else:

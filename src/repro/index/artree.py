@@ -437,8 +437,6 @@ class ARTree:
                 self._delta_insert(entry)
             self._size = len(merged) + len(self._delta)
             self.compactions += 1
-        if obs_enabled():
-            counter("artree.compactions", unit="compactions").inc()
 
     # ------------------------------------------------------------------
     # Per-object access

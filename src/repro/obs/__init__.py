@@ -7,9 +7,8 @@ Three small layers, all stdlib-only:
   :data:`TRACER`;
 * :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` of counters,
   gauges and fixed-bucket histograms (:data:`REGISTRY`);
-* :mod:`repro.obs.export` — dict / JSON / pretty-table exporters plus the
-  schema-versioned ``BENCH_*.json`` baseline helpers used by
-  ``benchmarks/runner.py``.
+* :mod:`repro.obs.export` — schema-versioned dict / JSON / pretty-table
+  exporters, plus the snapshot merge ``perfbench`` uses.
 
 Instrumentation is **off by default** and costs ~nothing while off: every
 site goes through :func:`span` (returns a shared no-op) or guards with
@@ -32,13 +31,11 @@ query results or ``FlowEngine.stats()`` is enforced by ``tests/obs/``.
 
 from .export import (
     OBS_SCHEMA_VERSION,
-    bench_baseline,
     format_table,
     merge_snapshot_dicts,
     parse_snapshot,
     snapshot_dict,
     snapshot_json,
-    write_baseline,
 )
 from .metrics import (
     DEFAULT_TIME_BUCKETS,
@@ -76,7 +73,6 @@ __all__ = [
     "SpanStats",
     "TRACER",
     "Tracer",
-    "bench_baseline",
     "counter",
     "disable",
     "enable",
@@ -90,7 +86,6 @@ __all__ = [
     "snapshot_dict",
     "snapshot_json",
     "span",
-    "write_baseline",
 ]
 
 

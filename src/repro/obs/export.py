@@ -1,8 +1,8 @@
 """Exporters: observability snapshots to dict, JSON and pretty tables.
 
 One **snapshot** bundles a tracer's span rows and a registry's metrics
-under a schema version, so downstream tooling (the bench runner, CI
-artifact diffing, a notebook) can consume a single stable shape:
+under a schema version, so downstream tooling (``perfbench``, the
+service's ``/metrics``, a notebook) can consume a single stable shape:
 
 .. code-block:: python
 
@@ -20,12 +20,10 @@ artifact diffing, a notebook) can consume a single stable shape:
         },
     }
 
-The same schema version gates the ``BENCH_*.json`` baseline files
-``benchmarks/runner.py`` writes (see :func:`bench_baseline` /
-:func:`write_baseline` and ``docs/observability.md`` for the full field
-catalogue).  :func:`parse_snapshot` round-trips what the serializers
-produce and rejects unknown schema versions, so a reader can never
-silently misinterpret an old baseline.
+:func:`parse_snapshot` round-trips what the serializers produce and
+rejects unknown schema versions, so a reader can never silently
+misinterpret an old snapshot (see ``docs/observability.md`` for the
+field catalogue).
 """
 
 from __future__ import annotations
@@ -38,17 +36,15 @@ from .tracing import TRACER, Tracer
 
 __all__ = [
     "OBS_SCHEMA_VERSION",
-    "bench_baseline",
     "format_table",
     "merge_snapshot_dicts",
     "parse_snapshot",
     "snapshot_dict",
     "snapshot_json",
-    "write_baseline",
 ]
 
-#: Version stamped into every exported snapshot and ``BENCH_*.json``
-#: baseline.  Bump on any backwards-incompatible field change.
+#: Version stamped into every exported snapshot.  Bump on any
+#: backwards-incompatible field change.
 OBS_SCHEMA_VERSION = 1
 
 
@@ -105,7 +101,7 @@ def merge_snapshot_dicts(
     Each process has its own tracer and registry, so a run spread over
     processes — or over phases separated by :func:`reset` — yields one
     :func:`snapshot_dict` each; this merges them into the same shape, so
-    baselines and reports read identically for one and many.
+    reports read identically for one and many.
 
     Merge rules, per span path and per metric name:
 
@@ -272,65 +268,3 @@ def format_table(
         unit = f" {payload['unit']}" if payload["unit"] else ""
         lines.append(f"{name:<48} | {payload['kind']:>9} | {value}{unit}")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Bench baselines (the BENCH_*.json files benchmarks/runner.py emits)
-# ----------------------------------------------------------------------
-
-
-def bench_baseline(
-    name: str,
-    machine: Mapping[str, Any],
-    scale: float,
-    params: Mapping[str, Any],
-    results: Mapping[str, Any],
-    stats: Mapping[str, Any] | None = None,
-    tracer: Tracer | None = None,
-    registry: MetricsRegistry | None = None,
-) -> dict[str, Any]:
-    """Assemble one schema-versioned ``BENCH_<name>.json`` payload.
-
-    Args:
-        name: Baseline name (becomes the ``BENCH_<name>.json`` stem).
-        machine: Host provenance (platform, python, cpu count, …).
-        scale: Workload scale relative to the paper's populations.
-        params: The workload parameters that shaped the run.
-        results: The measured numbers (timings, speedups, …).
-        stats: Optional ``FlowEngine.stats()`` counters of the run.
-        tracer: Tracer whose per-phase span rows to embed (process-wide
-            default when omitted; pass a quiesced tracer for clean runs).
-        registry: Registry whose metrics to embed (process-wide default).
-
-    Returns:
-        The JSON-ready baseline mapping, including the observability
-        snapshot under ``"observability"``.
-    """
-    return {
-        "schema_version": OBS_SCHEMA_VERSION,
-        "name": name,
-        "machine": dict(machine),
-        "scale": scale,
-        "params": dict(params),
-        "results": dict(results),
-        "stats": dict(stats) if stats is not None else {},
-        "observability": snapshot_dict(tracer, registry),
-    }
-
-
-def write_baseline(path: str, payload: Mapping[str, Any]) -> None:
-    """Write one baseline payload as stable, sorted-key JSON.
-
-    Args:
-        path: Destination file (conventionally ``BENCH_<name>.json``).
-        payload: A mapping from :func:`bench_baseline`.
-
-    Raises:
-        ValueError: If the payload is missing its schema version — a
-            baseline without one can never be read back safely.
-    """
-    if payload.get("schema_version") != OBS_SCHEMA_VERSION:
-        raise ValueError("baseline payload lacks the current schema_version")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -18,7 +18,7 @@ module-level flag (:func:`obs_enabled`, toggled by :func:`enable` /
 time) makes :func:`span` return a shared no-op context manager, so an
 instrumented hot path pays one function call, one attribute read and an
 empty ``with`` block — no clock read, no allocation, no dict access.
-``benchmarks/runner.py`` measures this as the ``obs_overhead`` baseline.
+``tests/obs/test_overhead.py`` bounds what that costs a live-ingest run.
 
 Spans observe; they never influence.  No query result, cache key or
 stats counter may depend on tracer state — `tests/obs/` asserts top-k

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 from typing import Optional, Sequence
 
 from ..core.monitor import TopKUpdate
@@ -116,6 +117,12 @@ def _walk(shards: int) -> None:
 
         consumer = threading.Thread(target=consume, daemon=True)
         consumer.start()
+        # Tick only once the stream is subscribed: an update published
+        # before that never reaches it.
+        deadline = time.monotonic() + 30.0
+        while client.monitor(monitor_id)["subscribers"] < 1:
+            _check(time.monotonic() < deadline, "SSE consumer never subscribed")
+            time.sleep(0.01)
         ticked = [
             client.tick_monitor(monitor_id, t)
             for t in (t_mid, t_mid + 30.0)

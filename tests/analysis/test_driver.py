@@ -126,6 +126,31 @@ class TestCache:
             d.rule for d in first.diagnostics
         }
 
+    def test_analyzer_edit_invalidates_cached_findings(
+        self, tmp_path, monkeypatch
+    ):
+        """A finding cached by the old analyzer is not served once the
+        analyzer's source (and so its digest) changes."""
+        from repro.analysis.rules.float_equality import FloatEqualityRule
+
+        root = write_tree(tmp_path, {"proj/t.py": "flag = x == 0.5\n"})
+        cache_path = tmp_path / "cache.json"
+        rules = [FloatEqualityRule()]
+        cache = AnalysisCache(cache_path)
+        first = analyze([root], rules=rules, checkers=list(ALL_CHECKERS), cache=cache)
+        cache.save()
+        assert [d.rule for d in first.diagnostics] == ["float-equality"]
+
+        # The rule is edited to accept the line and, with it, the
+        # analyzer's digest moves.
+        monkeypatch.setattr(FloatEqualityRule, "check", lambda self, tree, path: [])
+        monkeypatch.setattr(driver_module, "_analyzer_digest", lambda: "edited")
+        cache = AnalysisCache(cache_path)
+        second = analyze(
+            [root], rules=rules, checkers=list(ALL_CHECKERS), cache=cache
+        )
+        assert second.diagnostics == []
+
     def test_corrupt_cache_is_discarded(self, tmp_path):
         cache_path = tmp_path / "cache.json"
         cache_path.write_text("{not json")
@@ -253,18 +278,10 @@ class TestCli:
         assert (code_cold, out_cold) == (code_warm, out_warm)
         assert cache.exists()
 
-    def test_jobs_and_profile(self, tmp_path, capsys):
+    def test_profile(self, tmp_path, capsys):
         root = write_tree(tmp_path, {"proj/util.py": CLEAN})
         code, _out, err = self.run(
-            [
-                "--check-all",
-                "--no-cache",
-                "--jobs",
-                "2",
-                "--profile",
-                str(root),
-            ],
-            capsys,
+            ["--check-all", "--no-cache", "--profile", str(root)], capsys
         )
         assert code == 0
         assert "analysis.model" in err

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
 from repro.analysis.program import (
     ProjectModel,
     iter_python_files,
     module_name_for,
-    parse_files,
 )
 
 
@@ -129,23 +127,3 @@ class TestModel:
         model = ProjectModel.build([tmp_path])
         assert len(model.errors) == 1
         assert "bad.py" in model.errors[0]
-
-
-class TestParallelParse:
-    def test_jobs_parse_matches_serial(self, tmp_path):
-        root = write_tree(tmp_path, PKG)
-        files = list(iter_python_files([root]))
-        serial = parse_files(files, jobs=1)
-        forked = parse_files(files, jobs=2)
-        assert [item[0] for item in serial] == [item[0] for item in forked]
-        for (_, _, tree_a), (_, _, tree_b) in zip(serial, forked):
-            assert ast.dump(tree_a) == ast.dump(tree_b)
-
-    def test_jobs_parse_reports_errors(self, tmp_path):
-        write_tree(tmp_path, {"ok.py": "x = 1\n", "bad.py": "def broken(:\n"})
-        errors: list[str] = []
-        parsed = parse_files(
-            sorted(iter_python_files([tmp_path])), jobs=2, errors=errors
-        )
-        assert [Path(p).name for p, _, _ in parsed] == ["ok.py"]
-        assert len(errors) == 1 and "bad.py" in errors[0]

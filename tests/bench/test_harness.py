@@ -44,16 +44,45 @@ class TestContext:
 
     def test_time_ms_positive(self):
         ctx = BenchContext(**TINY)
-        assert ctx.time_ms(lambda: sum(range(1000))) >= 0.0
+        _, engine = ctx.synthetic()
+        assert ctx.time_ms(engine, lambda: sum(range(1000))) >= 0.0
 
     def test_compare_methods_runs_both(self):
         ctx = BenchContext(**TINY)
+        _, engine = ctx.synthetic()
         seen = []
         iterative_ms, join_ms = ctx.compare_methods(
-            lambda method: seen.append(method)
+            engine, lambda method: seen.append(method)
         )
         assert set(seen) == {"iterative", "join"}
         assert iterative_ms >= 0.0 and join_ms >= 0.0
+
+    @pytest.mark.parametrize(
+        "figure_id, query", [("fig10a", "snapshot_topk"), ("fig12a", "interval_topk")]
+    )
+    def test_every_repeat_starts_cold(self, monkeypatch, figure_id, query):
+        """Each timed repeat of a figure point rebuilds what the first did:
+        no region, window or presence memo survives from the last repeat."""
+        ctx = BenchContext(
+            scale=0.01, repeats=3, default_window_minutes=2.0
+        )
+        _, engine = ctx.synthetic()
+        original = getattr(engine, query)
+        computed: dict[str, list[int]] = {"iterative": [], "join": []}
+
+        def spy(*args, **kwargs):
+            engine.reset_stats()
+            result = original(*args, **kwargs)
+            computed[kwargs["method"]].append(engine.stats()["regions_computed"])
+            return result
+
+        monkeypatch.setattr(engine, query, spy)
+        run_figure(figure_id, ctx, params=(5,))
+        for method, counts in computed.items():
+            anchors = len(counts) // ctx.repeats
+            first = counts[:anchors]
+            assert sum(first) > 0, method
+            assert counts == first * ctx.repeats, method
 
 
 class TestFigureRegistry:

@@ -1,4 +1,4 @@
-"""Exporter round-trips and the BENCH_*.json baseline schema."""
+"""Exporter round-trips and the snapshot schema."""
 
 import json
 
@@ -7,12 +7,10 @@ import pytest
 from repro import obs
 from repro.obs.export import (
     OBS_SCHEMA_VERSION,
-    bench_baseline,
     format_table,
     parse_snapshot,
     snapshot_dict,
     snapshot_json,
-    write_baseline,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -91,52 +89,6 @@ def test_format_table_empty_state():
     table = format_table(Tracer(), MetricsRegistry())
     assert "(no spans collected)" in table
     assert "(no metrics recorded)" in table
-
-
-def test_bench_baseline_roundtrip(tmp_path):
-    tracer, registry = _populated()
-    payload = bench_baseline(
-        "unit_test",
-        machine={"platform": "test", "cpu_count": 1},
-        scale=0.01,
-        params={"k": 10},
-        results={"elapsed_ms": 1.5},
-        stats={"regions_computed": 3},
-        tracer=tracer,
-        registry=registry,
-    )
-    path = tmp_path / "BENCH_unit_test.json"
-    write_baseline(str(path), payload)
-    loaded = json.loads(path.read_text())
-    assert loaded == payload
-    assert loaded["schema_version"] == OBS_SCHEMA_VERSION
-    assert loaded["observability"]["spans"][0]["path"] == ["query"]
-    assert path.read_text().endswith("\n")
-
-
-def test_write_baseline_requires_schema_version(tmp_path):
-    with pytest.raises(ValueError, match="schema_version"):
-        write_baseline(str(tmp_path / "x.json"), {"name": "x"})
-
-
-def test_committed_baselines_parse():
-    """The baselines shipped under benchmarks/baselines/ must stay
-    readable by the current schema."""
-    import pathlib
-
-    baseline_dir = (
-        pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
-    )
-    files = sorted(baseline_dir.glob("BENCH_*.json"))
-    assert len(files) >= 3
-    for file in files:
-        payload = json.loads(file.read_text())
-        assert payload["schema_version"] == OBS_SCHEMA_VERSION
-        assert {"name", "machine", "scale", "params", "results", "observability"} <= set(payload)
-        # Per-phase span timings are the point of the baselines.
-        parse_snapshot(json.dumps(payload["observability"]))
-        if payload["name"] != "obs_overhead":
-            assert payload["observability"]["spans"], file.name
 
 
 def test_module_level_snapshot_uses_process_defaults():
