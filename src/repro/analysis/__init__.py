@@ -6,24 +6,22 @@ presence outside ``[0, 1]``, a negative region area, an unseeded RNG in a
 workload generator, or a region built outside the caching layer — is
 amplified into every downstream snapshot/interval top-k answer.  This
 package is the correctness tooling that keeps those invariants machine
-checked:
+checked (``python -m repro.analysis src tests``):
 
-* :mod:`repro.analysis.linter` — an AST-based lint pass with repo-specific
-  rules derived from the paper (``python -m repro.analysis src tests``);
-* :mod:`repro.analysis.rules` — the individual per-file rules, each
-  documenting the paper equation or architectural invariant it protects;
-* :mod:`repro.analysis.program` / :mod:`repro.analysis.callgraph` — the
-  v2 whole-program layer: a one-parse project model (symbol tables,
-  attribute-write index) plus an approximate, annotation-driven call
-  graph;
+* :mod:`repro.analysis.linter` — the :class:`Diagnostic` findings, the
+  :class:`Check` interface and the ``# repro: allow(...)`` pragmas;
+* :mod:`repro.analysis.rules` — the per-file checks, each documenting
+  the paper equation or architectural invariant it protects;
+* :mod:`repro.analysis.program` / :mod:`repro.analysis.callgraph` — a
+  one-parse project model (symbol tables, attribute-write index) plus an
+  approximate, annotation-driven call graph;
 * :mod:`repro.analysis.seams` — the one declarative table of guarded
   mutators (receivers, scope, allowed callers) that the ``seam`` and
   ``cache-coherence`` checkers read;
-* :mod:`repro.analysis.checkers` — interprocedural checkers over that
-  model (seam, cache-coherence, determinism), run with
-  ``python -m repro.analysis --check-all``;
-* :mod:`repro.analysis.driver` — orchestration: shared parsing, the
-  result cache, baselines and the text/json/sarif output formats.
+* :mod:`repro.analysis.checkers` — the interprocedural checks over that
+  model (seam, cache-coherence, determinism);
+* :mod:`repro.analysis.driver` — :data:`ALL_CHECKS`, the one pass that
+  runs them over one parse, the text/json output and the CLI.
 
 The runtime contract checks the engine calls at its seams live outside
 this package, in :mod:`repro.contracts`, so importing the engine loads
@@ -31,24 +29,19 @@ none of the analyzer.
 """
 
 from .callgraph import CallGraph, CallSite
-from .checkers import ALL_CHECKERS, Checker, checkers_by_name
-from .driver import AnalysisReport, analyze
-from .linter import Diagnostic, LintReport, main
+from .driver import ALL_CHECKS, AnalysisReport, analyze, checks_by_name, main
+from .linter import Check, Diagnostic
 from .program import ProjectModel
-from .rules import ALL_RULES, rules_by_name
 
 __all__ = [
-    "ALL_CHECKERS",
-    "ALL_RULES",
+    "ALL_CHECKS",
     "AnalysisReport",
     "CallGraph",
     "CallSite",
-    "Checker",
+    "Check",
     "Diagnostic",
-    "LintReport",
     "ProjectModel",
     "analyze",
-    "checkers_by_name",
+    "checks_by_name",
     "main",
-    "rules_by_name",
 ]

@@ -1,8 +1,8 @@
-"""``python -m repro.analysis`` — run the paper-invariant lint pass."""
+"""``python -m repro.analysis`` — run every paper-invariant check."""
 
 import sys
 
-from .linter import main
+from .driver import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -24,10 +24,9 @@ invalidate) without path-sensitive analysis.
 from __future__ import annotations
 
 from ..callgraph import CallGraph
-from ..linter import Diagnostic
+from ..linter import Check, Diagnostic
 from ..program import ProjectModel
 from ..seams import SEAMS
-from .base import Checker
 from .seam import guards
 
 __all__ = ["CacheCoherenceChecker"]
@@ -50,7 +49,7 @@ def _is_invalidating_attr(attr: str) -> bool:
     return any(marker in lowered for marker in _INVALIDATOR_ATTR_MARKERS)
 
 
-class CacheCoherenceChecker(Checker):
+class CacheCoherenceChecker(Check):
     name = "cache-coherence"
     description = (
         "functions that append/patch tracked state must bump the "

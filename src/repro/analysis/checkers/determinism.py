@@ -26,9 +26,8 @@ from __future__ import annotations
 import ast
 
 from ..callgraph import CallGraph
-from ..linter import Diagnostic
+from ..linter import Check, Diagnostic
 from ..program import FunctionInfo, ProjectModel, annotation_name
-from .base import Checker
 
 __all__ = ["DeterminismChecker"]
 
@@ -50,7 +49,7 @@ _ORDER_CLEANSING_CALLS = frozenset({"sorted", "min", "max", "len", "fsum"})
 _ORDER_PRESERVING_CALLS = frozenset({"list", "tuple", "iter", "enumerate"})
 
 
-class DeterminismChecker(Checker):
+class DeterminismChecker(Check):
     name = "determinism"
     description = (
         "set/dict-view iteration feeding float accumulation must be "

@@ -15,10 +15,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..callgraph import CallGraph
-from ..linter import Diagnostic
+from ..linter import Check, Diagnostic
 from ..program import ProjectModel
 from ..seams import ATTRIBUTE_WRITE, SEAMS, Seam
-from .base import Checker
 
 __all__ = ["SeamChecker"]
 
@@ -65,7 +64,7 @@ def _violated(
     return None
 
 
-class SeamChecker(Checker):
+class SeamChecker(Check):
     name = "seam"
     description = (
         "guarded mutators (shard, AR-tree, live table, storage, engine "

@@ -1,19 +1,20 @@
-"""The repo-specific AST lint pass.
+"""Diagnostics, the check interface and pragma suppressions.
 
 Generic linters cannot know that ``φ(o)`` is a probability, that uncertainty
 regions must be built through :class:`~repro.core.context.EvaluationContext`
-or that benchmark hot paths may not read wall clocks.  This module provides
-the small framework — diagnostics, suppression comments, file walking and
-the CLI — while the rules themselves live in :mod:`repro.analysis.rules`,
-each documenting the paper invariant it protects.  The whole-program
-checkers (:mod:`repro.analysis.checkers`) emit the same
-:class:`Diagnostic` objects and share the suppression machinery; they are
-orchestrated by :mod:`repro.analysis.driver`.
+or that benchmark hot paths may not read wall clocks.  This module holds
+the small framework every repo-specific check shares: the
+:class:`Diagnostic` a finding is reported as, the :class:`Check`
+interface, and the suppression pragmas.  The checks themselves live in
+:mod:`repro.analysis.rules` (per-file AST rules) and
+:mod:`repro.analysis.checkers` (whole-program checkers), each
+documenting the paper invariant it protects; :mod:`repro.analysis.driver`
+runs them all over one parse.
 
 Suppressions
 ------------
 
-A diagnostic is suppressed by a pragma comment naming its rule, either on
+A diagnostic is suppressed by a pragma comment naming its check, either on
 the flagged line or on the line directly above it::
 
     value = snapshot_region(ctx, ...)  # repro: allow(context-bypass): unit test of the low-level builder
@@ -21,7 +22,7 @@ the flagged line or on the line directly above it::
     # repro: allow(float-equality): sentinel comparison, value is exact
     if marker == 1.0:
 
-Several rules can be named in one pragma, comma separated — the
+Several checks can be named in one pragma, comma separated — the
 justification after the closing parenthesis then applies to each of
 them — and one comment may carry several pragmas, each with its own
 justification::
@@ -29,7 +30,7 @@ justification::
     # repro: allow(context-bypass, cache-coherence): rebuild path, generation bumped by caller
     # repro: allow(determinism): int-only sum  # repro: allow(wall-clock): cold path
 
-A whole file opts out of one rule with a file-level pragma anywhere in the
+A whole file opts out of one check with a file-level pragma anywhere in the
 file (used by unit tests that exist to exercise a low-level API)::
 
     # repro: allow-file(context-bypass): this file tests snapshot_region itself
@@ -37,37 +38,23 @@ file (used by unit tests that exist to exercise a low-level API)::
 Justifications are parsed and kept (``Suppressions.justification_for``)
 so tools and reviewers can audit them; an empty justification is legal
 but frowned upon.
-
-Usage
------
-
-``python -m repro.analysis [paths ...]`` lints the given files/directories
-(defaulting to ``src`` and ``tests``) and exits non-zero when any
-diagnostic survives suppression.  ``--check-all`` additionally runs the
-whole-program checkers; see ``--help`` for baselines, output formats,
-caching and ``--profile``.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
-import sys
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass
+from pathlib import PurePath
 
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle:
-    # rules import the Rule base class from this module)
-    from .rules import Rule
+from .callgraph import CallGraph
+from .program import ProjectModel
 
 __all__ = [
+    "Check",
     "Diagnostic",
-    "LintReport",
     "Suppressions",
-    "lint_file",
-    "main",
+    "is_test_path",
     "parse_suppressions",
 ]
 
@@ -92,19 +79,60 @@ class Diagnostic:
         return f"{self.path}:{self.line}:{self.column}: [{self.rule}] {self.message}"
 
 
-@dataclass(slots=True)
-class LintReport:
-    """The outcome of linting a set of files."""
+#: Path parts whose modules are parsed into the model (their calls count
+#: for reachability) but not *reported* on by default by the
+#: whole-program checkers: tests exercise seams on purpose, benchmarks
+#: and examples drive public APIs.
+_UNREPORTED_PARTS = frozenset({"tests", "benchmarks", "examples"})
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    files_checked: int = 0
-    suppressed: int = 0
-    errors: list[str] = field(default_factory=list)
-    """Files that could not be parsed (reported, and fail the run)."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.diagnostics and not self.errors
+def is_test_path(path: str) -> bool:
+    """Whether ``path`` belongs to tests/benchmarks/examples."""
+    return bool(_UNREPORTED_PARTS.intersection(PurePath(path).parts))
+
+
+class Check:
+    """One named check over the parsed program.
+
+    Subclasses set ``name`` (the suppression token), ``description`` (one
+    line for ``--list``) and ``paper_ref`` (the paper equation or
+    architectural invariant the check protects), and implement
+    :meth:`check`.  ``report_all`` is set when fixture trees are
+    analyzed with tests included (``--report-tests``).
+    """
+
+    name: str = ""
+    description: str = ""
+    paper_ref: str = ""
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+    def check(
+        self, model: ProjectModel, graph: CallGraph, *, report_all: bool = False
+    ) -> list[Diagnostic]:
+        """All violations in the program."""
+        raise NotImplementedError
+
+    def reportable(self, path: str, *, report_all: bool) -> bool:
+        """Whether findings in ``path`` are reported (see ``is_test_path``)."""
+        return report_all or not is_test_path(path)
+
+    def diagnostic(
+        self, path: str, node: ast.AST | None, message: str,
+        line: int | None = None, col: int | None = None,
+    ) -> Diagnostic:
+        """A diagnostic at ``node`` (or an explicit ``line``/``col``)."""
+        return Diagnostic(
+            path=path,
+            line=line if line is not None else getattr(node, "lineno", 1),
+            column=(
+                col if col is not None else getattr(node, "col_offset", 0)
+            )
+            + 1,
+            rule=self.name,
+            message=message,
+        )
 
 
 #: File-wide suppressions are recorded under this pseudo line number.
@@ -187,183 +215,3 @@ def parse_suppressions(source: str) -> Suppressions:
         file_wide=frozenset(file_wide),
         justifications=justifications,
     )
-
-
-def lint_file(
-    path: Path,
-    rules: Sequence["Rule"],
-    report: LintReport,
-    *,
-    preparsed: tuple[str, ast.Module],
-) -> None:
-    """Lint one parsed file into ``report``.
-
-    Args:
-        path: The file to lint.
-        rules: The rules to run.
-        report: Receives diagnostics/suppression counts.
-        preparsed: Its ``(source, tree)`` from the driver's parse stage.
-    """
-    from repro.obs import span
-
-    source, tree = preparsed
-    report.files_checked += 1
-    suppressions = parse_suppressions(source)
-    for rule in rules:
-        if not rule.applies_to(path):
-            continue
-        with span(f"analysis.rule.{rule.name}"):
-            found = rule.check(tree, str(path))
-        for diagnostic in found:
-            if suppressions.covers(diagnostic):
-                report.suppressed += 1
-            else:
-                report.diagnostics.append(diagnostic)
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    from .rules import ALL_RULES, rules_by_name
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description=(
-            "Paper-invariant static checks for the repro codebase: "
-            "per-file rules, plus whole-program seam / "
-            "cache-coherence / determinism checkers (--check-all)."
-        ),
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
-    )
-    parser.add_argument(
-        "--rule",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only the named per-file rule (repeatable)",
-    )
-    parser.add_argument(
-        "--checker",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help=(
-            "run only the named whole-program checker (repeatable; "
-            "implies the checker pass)"
-        ),
-    )
-    parser.add_argument(
-        "--check-all",
-        action="store_true",
-        help="run the per-file rules AND the whole-program checkers",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the available per-file rules and exit",
-    )
-    parser.add_argument(
-        "--list-checkers",
-        action="store_true",
-        help="list the available whole-program checkers and exit",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format for findings (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        default=None,
-        help="subtract grandfathered findings recorded in this file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="PATH",
-        default=None,
-        help="write the surviving findings to PATH as a baseline and exit 0",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="report per-rule / per-checker wall time via repro.obs spans",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the analysis result cache",
-    )
-    parser.add_argument(
-        "--cache-path",
-        metavar="PATH",
-        default=None,
-        help="analysis cache location (default: .repro-analysis-cache.json)",
-    )
-    parser.add_argument(
-        "--report-tests",
-        action="store_true",
-        help=(
-            "report checker findings in tests/benchmarks/examples too "
-            "(skipped by default — tests exercise seams on purpose)"
-        ),
-    )
-    args = parser.parse_args(argv)
-
-    registry = rules_by_name()
-    from .checkers import checkers_by_name
-
-    checker_registry = checkers_by_name()
-
-    if args.list_rules or args.list_checkers:
-        if args.list_rules:
-            for name in sorted(registry):
-                rule = registry[name]
-                print(f"{name:20s} {rule.description}")
-                if rule.paper_ref:
-                    print(f"{'':20s} protects: {rule.paper_ref}")
-        if args.list_checkers:
-            for name in sorted(checker_registry):
-                checker = checker_registry[name]
-                print(f"{name:20s} {checker.description}")
-                if checker.paper_ref:
-                    print(f"{'':20s} protects: {checker.paper_ref}")
-        return 0
-
-    if args.rule:
-        unknown = [name for name in args.rule if name not in registry]
-        if unknown:
-            print(f"unknown rule(s): {', '.join(unknown)}", file=sys.stderr)
-            print(f"available: {', '.join(sorted(registry))}", file=sys.stderr)
-            return 2
-        rules: Sequence["Rule"] = [registry[name] for name in args.rule]
-    else:
-        rules = ALL_RULES
-
-    checkers = None
-    if args.checker:
-        unknown = [
-            name for name in args.checker if name not in checker_registry
-        ]
-        if unknown:
-            print(f"unknown checker(s): {', '.join(unknown)}", file=sys.stderr)
-            print(
-                f"available: {', '.join(sorted(checker_registry))}",
-                file=sys.stderr,
-            )
-            return 2
-        checkers = [checker_registry[name] for name in args.checker]
-
-    missing = [path for path in args.paths if not Path(path).exists()]
-    if missing:
-        print(f"no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
-
-    from .driver import run_cli
-
-    return run_cli(args, rules=rules, checkers=checkers)

@@ -1,4 +1,4 @@
-"""The whole-program project model (``repro.analysis`` v2).
+"""The whole-program project model.
 
 The per-file rules in :mod:`repro.analysis.rules` see one module at a
 time, which is enough for syntactic invariants (float equality, unseeded
@@ -407,6 +407,10 @@ def annotation_name(node: ast.expr) -> str | None:
 class ProjectModel:
     """The parsed project: symbol tables plus the attribute-write index."""
 
+    files: list[ModuleInfo] = field(default_factory=list)
+    """Every parsed file, in parse order (two loose files with the same
+    stem are two entries here but one name in :attr:`modules`)."""
+
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
@@ -429,8 +433,8 @@ class ProjectModel:
             paths: Files or directories; directories are walked
                 recursively (``fixtures`` and ``__pycache__`` skipped).
             parsed: Pre-parsed ``(path, source, tree)`` triples; when
-                given, ``paths`` is ignored (used by the CLI to share one
-                parse between the linter and the checkers).
+                given, ``paths`` is ignored (the driver parses once and
+                also reads each file's pragmas from the same source).
 
         Returns:
             The populated model.
@@ -450,6 +454,7 @@ class ProjectModel:
         info = ModuleInfo(name=name, path=path, source=source, tree=tree)
         extractor = _ModuleExtractor(info, self.attribute_writes)
         extractor.visit(tree)
+        self.files.append(info)
         self.modules[name] = info
         for function in extractor.info_all_functions:
             self.functions[function.qualname] = function

@@ -1,4 +1,4 @@
-"""The repo-specific lint rules.
+"""The per-file rules: checks that see one module's AST at a time.
 
 Each rule protects one paper equation or architectural invariant; the
 mapping is documented per rule (``paper_ref``) and collected in
@@ -15,26 +15,10 @@ from .unseeded_rng import UnseededRngRule
 from .wall_clock import WallClockRule
 
 __all__ = [
-    "ALL_RULES",
     "ContextBypassRule",
     "FloatEqualityRule",
     "MutableDefaultRule",
     "Rule",
     "UnseededRngRule",
     "WallClockRule",
-    "rules_by_name",
 ]
-
-#: The default rule set, in diagnostic-output order.
-ALL_RULES: tuple[Rule, ...] = (
-    FloatEqualityRule(),
-    UnseededRngRule(),
-    ContextBypassRule(),
-    MutableDefaultRule(),
-    WallClockRule(),
-)
-
-
-def rules_by_name() -> dict[str, Rule]:
-    """Name -> rule instance for the default rule set."""
-    return {rule.name: rule for rule in ALL_RULES}

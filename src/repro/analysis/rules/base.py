@@ -1,42 +1,41 @@
-"""The rule protocol shared by all lint rules."""
+"""The per-file rule: a check that sees one module's AST at a time."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-from ..linter import Diagnostic
+from ..callgraph import CallGraph
+from ..linter import Check, Diagnostic
+from ..program import ProjectModel
 
 __all__ = ["Rule"]
 
 
-class Rule:
-    """One named check over a parsed module.
+class Rule(Check):
+    """A :class:`~repro.analysis.linter.Check` run file by file.
 
-    Subclasses set ``name`` (the suppression token), ``description`` (one
-    line for ``--list-rules``) and ``paper_ref`` (the paper equation or
-    architectural invariant the rule protects), and implement
-    :meth:`check`.
+    Subclasses implement :meth:`check_tree` and may narrow
+    :meth:`applies_to`.  Rules report on every file, tests included,
+    whatever ``report_all`` says.
     """
-
-    name: str = ""
-    description: str = ""
-    paper_ref: str = ""
 
     def applies_to(self, path: Path) -> bool:
         """Whether the rule runs on ``path`` at all (default: every file)."""
         return True
 
-    def check(self, tree: ast.Module, path: str) -> list[Diagnostic]:
-        """All violations in ``tree``."""
+    def check_tree(self, tree: ast.Module, path: str) -> list[Diagnostic]:
+        """All violations in one parsed file."""
         raise NotImplementedError
 
-    def diagnostic(self, path: str, node: ast.AST, message: str) -> Diagnostic:
-        """A diagnostic anchored at ``node``'s location."""
-        return Diagnostic(
-            path=path,
-            line=getattr(node, "lineno", 1),
-            column=getattr(node, "col_offset", 0) + 1,
-            rule=self.name,
-            message=message,
-        )
+    def check(
+        self, model: ProjectModel, graph: CallGraph, *, report_all: bool = False
+    ) -> list[Diagnostic]:
+        # The parse list, not ``model.modules``: two loose files with the
+        # same stem share a module name but are both checked.
+        return [
+            diagnostic
+            for module in model.files
+            if self.applies_to(Path(module.path))
+            for diagnostic in self.check_tree(module.tree, module.path)
+        ]

@@ -3,8 +3,8 @@
 The context's region/presence caches are only coherent if every region
 derivation goes through :meth:`EvaluationContext.snapshot_region` /
 :meth:`EvaluationContext.interval_uncertainty`: a direct call to the
-low-level builders skips the memo layer, the stats counters and the
-params-epoch stamping, so cached and fresh answers can silently diverge.
+low-level builders skips the memo layer and the stats counters, so
+cached and fresh answers can silently diverge.
 This rule flags imports and bare calls of the builders outside the
 caching layer itself; ``__init__.py`` re-exports are exempt.  Mutator
 calls are the ``seam`` checker's (:mod:`repro.analysis.seams`).
@@ -51,7 +51,7 @@ class ContextBypassRule(Rule):
             for i in range(len(parts) - len(fragment) + 1)
         )
 
-    def check(self, tree: ast.Module, path: str) -> list[Diagnostic]:
+    def check_tree(self, tree: ast.Module, path: str) -> list[Diagnostic]:
         reexports = Path(path).name == "__init__.py"
         found: list[tuple[ast.AST, str]] = []
         for node in ast.walk(tree):

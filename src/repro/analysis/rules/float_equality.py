@@ -69,7 +69,7 @@ class FloatEqualityRule(Rule):
         "vs-join flow-identity guarantee"
     )
 
-    def check(self, tree: ast.Module, path: str) -> list[Diagnostic]:
+    def check_tree(self, tree: ast.Module, path: str) -> list[Diagnostic]:
         visitor = _Visitor(self, path)
         visitor.visit(tree)
         return visitor.diagnostics

@@ -37,7 +37,7 @@ class MutableDefaultRule(Rule):
     description = "no mutable default arguments (shared across calls)"
     paper_ref = "EvaluationContext state isolation (no cross-query leakage)"
 
-    def check(self, tree: ast.Module, path: str) -> list[Diagnostic]:
+    def check_tree(self, tree: ast.Module, path: str) -> list[Diagnostic]:
         diagnostics: list[Diagnostic] = []
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):

@@ -40,7 +40,7 @@ class UnseededRngRule(Rule):
     description = "no random.Random()/module-level random.*/np.random.* without a seed"
     paper_ref = "Section 5.1 workload generation (reproducible seeds end to end)"
 
-    def check(self, tree: ast.Module, path: str) -> list[Diagnostic]:
+    def check_tree(self, tree: ast.Module, path: str) -> list[Diagnostic]:
         diagnostics: list[Diagnostic] = []
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):

@@ -47,7 +47,7 @@ class WallClockRule(Rule):
                     return True
         return False
 
-    def check(self, tree: ast.Module, path: str) -> list[Diagnostic]:
+    def check_tree(self, tree: ast.Module, path: str) -> list[Diagnostic]:
         diagnostics: list[Diagnostic] = []
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call) or not isinstance(

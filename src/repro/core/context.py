@@ -8,14 +8,14 @@ re-derived each object's uncertainty region from scratch.  An
 object that additionally owns bounded LRU memo layers:
 
 * the **region cache** — keyed on ``(object_id, kind, quantized time
-  window, params-epoch)``, it returns previously constructed uncertainty
+  window)``, it returns previously constructed uncertainty
   regions.  Interval regions are cached at *episode* granularity (one entry
   per detection/gap/lead/trail piece), so a sliding window only rebuilds
   the episodes whose effective time window actually changed — interior
   detection disks and fully covered gap ellipses are reused tick after
   tick;
 * the **window memo** — keyed on ``(object_id, t_start, t_end, tail
-  epoch, params-epoch)``, it returns the assembled
+  epoch)``, it returns the assembled
   :class:`IntervalUncertainty` of a window asked before (its union
   region and MBRs included), so a repeated interval query makes no
   region-cache lookups at all;
@@ -49,6 +49,7 @@ append invalidation is surgical, never a cache flush.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence, TypeVar, cast
 
@@ -195,10 +196,13 @@ class EvaluationContext:
         region_cache_size: int = DEFAULT_REGION_CACHE_SIZE,
         presence_cache_size: int = DEFAULT_PRESENCE_CACHE_SIZE,
     ):
-        if v_max <= 0:
-            raise ValueError("v_max must be positive")
-        if inner_allowance < 0:
-            raise ValueError("inner_allowance must be non-negative")
+        if not (math.isfinite(v_max) and v_max > 0):
+            raise ValueError(f"v_max must be positive and finite, got {v_max!r}")
+        if not (math.isfinite(inner_allowance) and inner_allowance >= 0):
+            raise ValueError(
+                "inner_allowance must be non-negative and finite, "
+                f"got {inner_allowance!r}"
+            )
         self.deployment = deployment
         self.v_max = float(v_max)
         self.estimator = (
@@ -223,17 +227,6 @@ class EvaluationContext:
         self._counted_topology = (
             _CountingTopology(topology, self.stats) if topology is not None else None
         )
-        # The params-epoch stamped into every cache key.  The parameters a
-        # cached region depends on are fixed at construction, so within one
-        # context the epoch is constant; it exists so entries from one
-        # parameterisation can never be confused with another's (e.g. after
-        # pickling round-trips or future in-place reconfiguration).
-        self.params_epoch: Hashable = (
-            round(self.v_max, 9),
-            round(self.inner_allowance, 9),
-            topology is not None,
-            self.estimator.resolution,
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -255,7 +248,8 @@ class EvaluationContext:
 
         Raises:
             ValueError: If an override violates a constructor constraint
-                (non-positive ``v_max``, negative ``inner_allowance``).
+                (non-positive or non-finite ``v_max``, negative or non-finite
+                ``inner_allowance``).
         """
         settings: dict[str, Any] = dict(
             deployment=self.deployment,
@@ -360,8 +354,8 @@ class EvaluationContext:
     ) -> _R:
         """Build-or-reuse one region-cache entry; counts the outcome.
 
-        ``key`` is the parameter-free part (``(kind, object_id, quantized
-        time window)``); the context stamps its params-epoch on top.
+        ``key`` is ``(kind, object_id, quantized time window)``: the
+        parameters are fixed per context, so they need no place in it.
 
         Under ``REPRO_CONTRACTS=1`` every cache hit is verified against a
         fresh rebuild (MBR fingerprints must agree) — the PR 1 coherence
@@ -392,9 +386,7 @@ class EvaluationContext:
                 with span(f"ur.build.{kind}"):
                     return builder()
 
-        raw, hit = self._region_cache.get_or_build(
-            (key, self.params_epoch), build
-        )
+        raw, hit = self._region_cache.get_or_build(key, build)
         value = cast(_R, raw)
         if hit:
             self.stats.region_cache_hits += 1
@@ -461,7 +453,6 @@ class EvaluationContext:
             context.t_start,
             context.t_end,
             self.tail_epoch(object_id),
-            self.params_epoch,
         )
         windows = self._window_cache
         found = windows.get(key)
@@ -527,7 +518,7 @@ class EvaluationContext:
         """
         if fingerprint is None:
             return None
-        return self._presence_cache.row((fingerprint, self.params_epoch))
+        return self._presence_cache.row(fingerprint)
 
     def presence(
         self, region: Region, poi: "Poi", fingerprint: Hashable | None = None
@@ -619,7 +610,7 @@ class EvaluationContext:
             values[index] = check_presence(value, where=where)
             fingerprint = batch[index][1]
             if fingerprint is not None:
-                cache.put((fingerprint, self.params_epoch), poi_id, value)
+                cache.put(fingerprint, poi_id, value)
         return values
 
 

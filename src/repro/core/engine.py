@@ -50,7 +50,6 @@ from typing import Any, Iterable, Sequence
 
 from ..geometry import DEFAULT_RESOLUTION, Region
 from ..index import ARTree, RTree
-from ..index.artree import DEFAULT_DELTA_THRESHOLD
 from ..indoor.devices import Deployment
 from ..indoor.distance import IndoorDistanceOracle
 from ..indoor.floorplan import FloorPlan
@@ -129,8 +128,8 @@ class FlowEngine:
         side).
     topology_check:
         Apply the indoor topology check (Section 3.3).  Disable to ablate.
-    rtree_fanout, artree_fanout:
-        Index node capacities.
+    rtree_fanout:
+        Node capacity of the POI R-trees.
     detection_slack:
         Detection latency of the positioning system, in seconds.  The
         paper's model assumes continuous detection; sampled systems may
@@ -148,8 +147,6 @@ class FlowEngine:
         open-episode methods) accept new records after construction.
         Implied when ``ott`` is a :class:`LiveTrackingTable`; a plain
         table is re-validated into one record by record.
-    artree_delta_threshold:
-        Delta-buffer size at which the live AR-tree auto-compacts.
     storage:
         Durable storage (requires ``live=True`` or a live table).  With
         one shard, a :class:`~repro.storage.base.StorageBackend` the live
@@ -183,20 +180,21 @@ class FlowEngine:
         resolution: int = DEFAULT_RESOLUTION,
         topology_check: bool = True,
         rtree_fanout: int = 8,
-        artree_fanout: int = 16,
         detection_slack: float = 0.0,
         region_cache_size: int = DEFAULT_REGION_CACHE_SIZE,
         presence_cache_size: int = DEFAULT_PRESENCE_CACHE_SIZE,
         live: bool = False,
-        artree_delta_threshold: int = DEFAULT_DELTA_THRESHOLD,
         storage: StorageBackend | str | Path | None = None,
         num_shards: int = 1,
     ):
         num_shards = _checked_count(num_shards, "num_shards")
-        if v_max <= 0:
-            raise ValueError("v_max must be positive")
-        if detection_slack < 0:
-            raise ValueError("detection_slack must be non-negative")
+        if not (math.isfinite(v_max) and v_max > 0):
+            raise ValueError(f"v_max must be positive and finite, got {v_max!r}")
+        if not (math.isfinite(detection_slack) and detection_slack >= 0):
+            raise ValueError(
+                "detection_slack must be non-negative and finite, "
+                f"got {detection_slack!r}"
+            )
         if not pois:
             raise ValueError("the engine needs at least one POI")
         if num_shards == 1 and isinstance(storage, (str, Path)):
@@ -234,17 +232,10 @@ class FlowEngine:
             DEFAULT_POI_SUBSET_CACHE_SIZE
         )
         self._poi_subset_trees_built = 0
-        params: dict[str, Any] = dict(
-            artree_fanout=artree_fanout,
-            live=live,
-            artree_delta_threshold=artree_delta_threshold,
-        )
         if num_shards == 1:
-            self._shards = [ShardState(ott, self._ctx, storage=storage, **params)]
+            self._shards = [ShardState(ott, self._ctx, live=live, storage=storage)]
         else:
-            self._shards = build_shards(
-                ott, self._ctx, num_shards, storage, **params
-            )
+            self._shards = build_shards(ott, self._ctx, num_shards, storage, live)
 
     # ------------------------------------------------------------------
     # Shard-owned state

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import zlib
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from ..geometry import Region
 from ..index import ARTree
-from ..index.artree import DEFAULT_DELTA_THRESHOLD
 from ..obs import span
 from ..storage.base import Mutation, StorageBackend, StoredRow
 from ..storage.sqlite import sqlite_shard_stores
@@ -56,8 +55,6 @@ class ShardState:
     ctx:
         The engine's evaluation context; the shard's ingest hooks report
         every append to it (:meth:`EvaluationContext.note_append`).
-    artree_fanout, artree_delta_threshold:
-        The AR-tree's node capacity and auto-compaction threshold.
     live:
         Keep the table append-capable (implied by a live ``ott``).
     object_ids:
@@ -73,9 +70,7 @@ class ShardState:
         self,
         ott: ObjectTrackingTable | LiveTrackingTable,
         ctx: EvaluationContext,
-        artree_fanout: int = 16,
         live: bool = False,
-        artree_delta_threshold: int = DEFAULT_DELTA_THRESHOLD,
         object_ids: frozenset[ObjectId] | None = None,
         storage: StorageBackend | None = None,
     ):
@@ -127,11 +122,7 @@ class ShardState:
                 self._live = table.copy_into(storage)
                 table = self._live
         self.ott: ObjectTrackingTable | LiveTrackingTable = table
-        self.artree = ARTree.build(
-            self.ott,
-            fanout=artree_fanout,
-            delta_threshold=artree_delta_threshold,
-        )
+        self.artree = ARTree.build(self.ott)
         if storage is not None and storage.generation > 0:
             # The context's data generation counts every shard's
             # mutations: add this store's snapshot generation, then
@@ -416,7 +407,7 @@ def build_shards(
     ctx: EvaluationContext,
     num_shards: int,
     storage: str | Path | None,
-    **params: Any,
+    live: bool = False,
 ) -> list[ShardState]:
     """Partition ``ott`` by :func:`shard_of` into ``num_shards`` shards.
 
@@ -430,7 +421,7 @@ def build_shards(
             partition; populated ones recover it (``ott`` must then be
             empty, and N must match the count the stores were written
             under).
-        **params: The remaining :class:`ShardState` keyword arguments.
+        live: Keep the tables append-capable (implied by a live ``ott``).
 
     Returns:
         The shards, index ``i`` owning the objects with
@@ -440,7 +431,7 @@ def build_shards(
         ValueError: If ``storage`` is given for a frozen-batch fleet, or
             a recovered store holds objects of another partition.
     """
-    live = bool(params.get("live", False)) or isinstance(ott, LiveTrackingTable)
+    live = live or isinstance(ott, LiveTrackingTable)
     if storage is not None and not live:
         raise ValueError(
             "per-shard storage needs a live fleet; pass live=True "
@@ -457,8 +448,8 @@ def build_shards(
                 for object_id in all_ids
                 if shard_of(object_id, num_shards) == index
             ),
+            live=live,
             storage=None if stores is None else stores(index),
-            **params,
         )
         for index in range(num_shards)
     ]

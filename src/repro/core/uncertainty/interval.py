@@ -52,7 +52,7 @@ __all__ = ["Episode", "IntervalUncertainty", "interval_uncertainty"]
 #: A region memo hook: ``memo(key, builder) -> region``.  Keys are
 #: parameter-free tuples ``(kind, object_id, quantized time window ...)``;
 #: an :class:`~repro.core.context.EvaluationContext` passes its region
-#: cache here, stamping its params-epoch onto the key.
+#: cache here (the cache is per context, so per parameterisation).
 RegionMemo = Callable[[tuple[Hashable, ...], Callable[[], Region]], Region]
 
 

@@ -45,7 +45,7 @@ def quantize_time(t: float) -> float:
 
 
 def snapshot_region_key(context: SnapshotContext) -> tuple[Hashable, ...]:
-    """The region-cache key of ``UR(o, t)`` (without the params-epoch).
+    """The region-cache key of ``UR(o, t)``.
 
     The key encodes everything the region depends on besides the evaluation
     parameters — the involved devices and the (quantized) record boundary

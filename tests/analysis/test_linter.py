@@ -1,4 +1,4 @@
-"""The repo-specific AST lint pass: rules, suppressions and the CLI.
+"""The per-file rules, pragma suppressions and the CLI exit codes.
 
 Violating code lives in string literals here, which the AST rules cannot
 see — only the temp files the tests write from them are linted.  The
@@ -12,10 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisReport, Diagnostic, analyze, main
+from repro.analysis import (
+    ALL_CHECKS,
+    AnalysisReport,
+    Diagnostic,
+    analyze,
+    checks_by_name,
+    main,
+)
 from repro.analysis.checkers import SeamChecker
 from repro.analysis.linter import FILE_WIDE_LINE, parse_suppressions
-from repro.analysis.rules import ALL_RULES, rules_by_name
+from repro.analysis.rules import Rule
+
+#: The per-file checks (the rules run without ``rule=``).
+RULES = [check for check in ALL_CHECKS if isinstance(check, Rule)]
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -26,11 +36,11 @@ def lint_source(
     filename: str = "module.py",
     rule: str | None = None,
 ) -> AnalysisReport:
-    """Write ``source`` under ``tmp_path`` and lint it.
+    """Write ``source`` under ``tmp_path`` and run one check (``rule``)
+    or every per-file rule over it.
 
-    ``rule="seam"`` runs the seam checker instead of the per-file rules;
-    the file's directories become packages, so ``repro/core/engine.py``
-    is the module ``repro.core.engine``.
+    For ``rule="seam"`` the file's directories become packages, so
+    ``repro/core/engine.py`` is the module ``repro.core.engine``.
     """
     target = tmp_path / filename
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -38,10 +48,8 @@ def lint_source(
     if rule == "seam":
         for package in target.relative_to(tmp_path).parents[:-1]:
             (tmp_path / package / "__init__.py").touch()
-        return analyze([target], checkers=[SeamChecker()])
-    registry = rules_by_name()
-    rules = [registry[rule]] if rule is not None else ALL_RULES
-    return analyze([target], rules=rules)
+    checks = [checks_by_name()[rule]] if rule is not None else RULES
+    return analyze([target], checks=checks)
 
 
 def rule_names(report: AnalysisReport) -> list[str]:
@@ -385,7 +393,7 @@ class TestServeSeam:
 
     def test_shipped_serve_package_is_clean(self):
         report = analyze(
-            [REPO_ROOT / "src" / "repro" / "serve"], checkers=[SeamChecker()]
+            [REPO_ROOT / "src" / "repro" / "serve"], checks=[SeamChecker()]
         )
         assert report.ok, "\n".join(d.format() for d in report.diagnostics)
 
@@ -513,7 +521,7 @@ class TestPragmaParser:
 
 class TestFramework:
     def test_every_rule_documents_its_paper_invariant(self):
-        for rule in ALL_RULES:
+        for rule in RULES:
             assert rule.name
             assert rule.description
             assert rule.paper_ref
@@ -526,7 +534,7 @@ class TestFramework:
     def test_directories_are_walked_recursively(self, tmp_path):
         (tmp_path / "pkg").mkdir()
         (tmp_path / "pkg" / "deep.py").write_text("flag = x == 0.0\n")
-        report = analyze([tmp_path], rules=ALL_RULES)
+        report = analyze([tmp_path], checks=RULES)
         assert rule_names(report) == ["float-equality"]
 
     def test_cli_exit_codes(self, tmp_path, capsys):
@@ -540,20 +548,9 @@ class TestFramework:
         out = capsys.readouterr().out
         assert "[float-equality]" in out
         assert main([str(tmp_path / "missing.py")]) == 2
-        assert main(["--rule", "no-such-rule", str(clean)]) == 2
-
-    def test_cli_rule_filter_and_listing(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("flag = x == 0.0\n")
-        assert main(["--rule", "unseeded-rng", str(dirty)]) == 0
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in ALL_RULES:
-            assert rule.name in out
 
     def test_repo_sources_and_tests_are_clean(self):
-        # The acceptance bar of the tooling PR: the shipped code passes its
-        # own linter (pre-existing violations fixed or suppressed with a
-        # justification).
-        report = analyze([REPO_ROOT / "src", REPO_ROOT / "tests"], rules=ALL_RULES)
+        # The shipped code passes every check (violations fixed or
+        # suppressed with a justification).
+        report = analyze([REPO_ROOT / "src", REPO_ROOT / "tests"])
         assert report.ok, "\n".join(d.format() for d in report.diagnostics)

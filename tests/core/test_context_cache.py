@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import EvaluationContext, LruCache
+from repro.core.algorithms.iterative import snapshot_flows
 from repro.core.caching import RowCache
 from repro.core.monitor import SlidingIntervalTopKMonitor, SnapshotTopKMonitor
 
@@ -158,12 +159,20 @@ class TestParameterIsolation:
         ).snapshot_flows(t)
         assert fast_flows == reference
 
-    def test_params_epoch_differs_across_parameterisations(
-        self, synthetic_dataset
+    def test_replaced_context_computes_regions_afresh(
+        self, synthetic_dataset, cached_engine
     ):
-        a = synthetic_dataset.engine(v_max=0.6).ctx
-        b = synthetic_dataset.engine(v_max=2.4).ctx
-        assert a.params_epoch != b.params_epoch
+        # No cache key carries the parameters: a replacement is safe
+        # because its caches are its own.
+        t = synthetic_dataset.mid_time()
+        artrees, poi_tree = cached_engine.artrees, cached_engine.poi_tree
+        snapshot_flows(artrees, poi_tree, cached_engine.ctx, t)
+        cached_engine.reset_stats()
+        snapshot_flows(artrees, poi_tree, cached_engine.ctx, t)
+        assert cached_engine.ctx.stats_dict()["regions_computed"] == 0
+        replaced = cached_engine.ctx.replace(v_max=cached_engine.v_max * 2)
+        snapshot_flows(artrees, poi_tree, replaced, t)
+        assert replaced.stats_dict()["regions_computed"] > 0
 
     def test_context_replace_starts_cold(self, synthetic_dataset, cached_engine):
         t = synthetic_dataset.mid_time()

@@ -1,8 +1,10 @@
 """Tests for the FlowEngine facade."""
 
+import math
+
 import pytest
 
-from repro.core import FlowEngine, IntervalUncertainty
+from repro.core import EvaluationContext, FlowEngine, IntervalUncertainty
 from repro.geometry import Region
 
 
@@ -15,6 +17,33 @@ class TestConstruction:
                 synthetic_dataset.ott,
                 synthetic_dataset.pois,
                 v_max=0.0,
+            )
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("v_max", math.nan),
+            ("v_max", math.inf),
+            ("detection_slack", math.nan),
+            ("detection_slack", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, synthetic_dataset, argument, value):
+        # nan passes every ``<= 0`` check and inf a positive one; either
+        # would answer with garbage flows instead of failing.
+        with pytest.raises(ValueError, match=argument):
+            FlowEngine(
+                synthetic_dataset.floorplan,
+                synthetic_dataset.deployment,
+                synthetic_dataset.ott,
+                synthetic_dataset.pois,
+                **{"v_max": 1.0, argument: value},
+            )
+        # The context takes the slack as an allowance in meters.
+        name = "inner_allowance" if argument == "detection_slack" else argument
+        with pytest.raises(ValueError, match=name):
+            EvaluationContext(
+                synthetic_dataset.deployment, **{"v_max": 1.0, name: value}
             )
 
     def test_rejects_empty_pois(self, synthetic_dataset):
