@@ -114,7 +114,7 @@ class TestCli:
         payload = json.loads(out)
         assert payload["summary"]["findings"] > 0
 
-    def test_list_prints_every_check(self, capsys):
+    def test_list_checkers(self, capsys):
         code, out, _err = self.run(["--list"], capsys)
         assert code == 0
         listed = [line.split()[0] for line in out.splitlines() if line[:1] != " "]

@@ -549,6 +549,16 @@ class TestFramework:
         assert "[float-equality]" in out
         assert main([str(tmp_path / "missing.py")]) == 2
 
+    def test_cli_rule_filter_and_listing(self, tmp_path, capsys):
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("flag = x == 0.0\n")
+        assert analyze([dirty], checks=[checks_by_name()["unseeded-rng"]]).ok
+        assert not analyze([dirty], checks=[checks_by_name()["float-equality"]]).ok
+        assert main(["--list"]) == 0
+        out = capsys.readouterr().out
+        for rule in RULES:
+            assert rule.name in out
+
     def test_repo_sources_and_tests_are_clean(self):
         # The shipped code passes every check (violations fixed or
         # suppressed with a justification).
