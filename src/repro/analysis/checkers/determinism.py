@@ -1,13 +1,13 @@
 """Checker: unordered iteration must not feed float accumulation.
 
-Float addition is not associative, so the order in which per-object
-contributions are accumulated changes the low bits of Φ(p).  The
-sharded engine stays bit-identical to the monolith because it
-enumerates candidates in the canonical total key order
-``(t1, t2, record_id)`` — the shards' AR-tree results are merged on that
-key — before accumulating.  Any code path that instead iterates a ``set`` / ``frozenset``
-(or a dict built from one) and folds floats in that order is
-nondeterministic across hash seeds and across runs.
+Float addition is not associative, so the order in which contributions
+are accumulated changes the low bits of a float sum.  The engine's
+flows sidestep this: presence is kept as integer sample counts, and
+``Φ(p) = Σ_o c_o / n_p`` sums them exactly and divides once per POI, so
+every candidate order (every shard count) gives the same bits.  Any code
+path that instead iterates a ``set`` / ``frozenset`` (or a dict built
+from one) and folds floats in that order is nondeterministic across hash
+seeds and across runs.
 
 What is flagged: a ``for`` loop over an unordered iterable whose body
 accumulates floats (``acc += x``, ``acc = acc + x``,
@@ -56,9 +56,9 @@ class DeterminismChecker(Check):
         "sorted on a total key first"
     )
     paper_ref = (
-        "Φ(p) = Σ_o φ(o) (PAPER.md §4): the reported flows are only "
-        "reproducible bit-for-bit if contributions are accumulated in a "
-        "canonical order — candidates come in (t1, t2, record_id) order"
+        "Φ(p) = Σ_o φ(o) (PAPER.md §4): a float sum is only reproducible "
+        "bit-for-bit in a fixed order — the engine sums integer sample "
+        "counts and divides once per POI, so its flows need none"
     )
 
     def check(

@@ -141,7 +141,8 @@ def module_name_for(path: Path) -> str:
     """The dotted module name of ``path``, derived from ``__init__.py``.
 
     Walks up while the parent directory is a package; files outside any
-    package (test fixtures, scripts) get their bare stem as the name.
+    package (test fixtures, scripts) get their bare stem as the name;
+    :meth:`ProjectModel.add_module` numbers a namesake (``mod#2``).
     """
     parts = [path.stem] if path.stem != "__init__" else []
     parent = path.parent
@@ -408,8 +409,7 @@ class ProjectModel:
     """The parsed project: symbol tables plus the attribute-write index."""
 
     files: list[ModuleInfo] = field(default_factory=list)
-    """Every parsed file, in parse order (two loose files with the same
-    stem are two entries here but one name in :attr:`modules`)."""
+    """Every parsed file, in parse order."""
 
     modules: dict[str, ModuleInfo] = field(default_factory=dict)
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
@@ -451,6 +451,8 @@ class ProjectModel:
     def add_module(self, path: str, source: str, tree: ast.Module) -> None:
         """Add one parsed module to the model (call :meth:`finalize` after)."""
         name = module_name_for(Path(path))
+        if name in self.modules and self.modules[name].path != path:
+            name = f"{name}#{len(self.files) + 1}"  # a loose file's namesake
         info = ModuleInfo(name=name, path=path, source=source, tree=tree)
         extractor = _ModuleExtractor(info, self.attribute_writes)
         extractor.visit(tree)

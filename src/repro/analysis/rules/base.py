@@ -31,8 +31,7 @@ class Rule(Check):
     def check(
         self, model: ProjectModel, graph: CallGraph, *, report_all: bool = False
     ) -> list[Diagnostic]:
-        # The parse list, not ``model.modules``: two loose files with the
-        # same stem share a module name but are both checked.
+        # The parse list: every parsed file, in parse order.
         return [
             diagnostic
             for module in model.files

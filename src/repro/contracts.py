@@ -3,16 +3,18 @@
 The query engine's answers rest on a handful of numeric invariants that no
 type checker can see:
 
-* ``0 <= φ(o) <= 1`` — presence is an area ratio (Definition 1);
+* ``0 <= φ(o) <= 1`` — presence is an area ratio (Definition 1), the
+  count ``c`` of a POI's ``n_p`` grid samples inside the region over
+  ``n_p``;
 * ``Φ(p) <= |candidates|`` — a flow is a sum of presences over the
   relevant objects, each contributing at most 1 (Definition 2);
 * ``area(UR) >= 0`` — quadrature never goes negative (Section 3);
 * join upper bounds dominate refined flows — the count-based priorities
   that drive Algorithms 2/5 must never undercut an exact flow, or the
   best-first termination test returns wrong top-k sets (Section 4.2);
-* cached == fresh — a memoized region/presence/interval window must
+* cached == fresh — a memoized region/sample count/interval window must
   agree with a from-scratch recomputation (the cache-coherence
-  invariant).
+  invariant);
 * batched quadrature counts equal the reference ``Region.contains_many``
   count on the same sample grid.
 
@@ -50,9 +52,8 @@ __all__ = [
 _ENV_VAR = "REPRO_CONTRACTS"
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
-#: Absolute slack for quadrature sums: presences are exact ratios of small
-#: integer counts and flows sum at most a few thousand of them, so any
-#: drift beyond this is a real invariant break, not float noise.
+#: Absolute slack for quadrature areas.  Presence, flow, bound and cache
+#: checks compare exact integer sample counts and need none.
 _TOLERANCE = 1e-6
 
 
@@ -82,27 +83,25 @@ def _fail(message: str) -> None:
     raise ContractViolation(message)
 
 
-def check_presence(value: float, *, where: str = "presence") -> float:
-    """Definition 1: ``0 <= φ(o) <= 1``.  Returns ``value``."""
-    if contracts_enabled() and not (
-        -_TOLERANCE <= value <= 1.0 + _TOLERANCE
-    ):
-        _fail(f"{where} = {value!r} outside [0, 1] (Definition 1)")
-    return value
+def check_presence(count: int, samples: int, *, where: str = "presence") -> int:
+    """Definition 1: ``0 <= φ(o) <= 1``, as ``0 <= c <= n_p``.  Returns ``count``."""
+    if contracts_enabled() and not 0 <= count <= samples:
+        _fail(f"{where}: {count!r} of {samples} samples, outside [0, 1] (Definition 1)")
+    return count
 
 
-def check_flow(value: float, candidate_count: int, *, poi_id: object = None) -> float:
-    """Definition 2: ``0 <= Φ(p) <= #candidate objects``.  Returns ``value``."""
-    if contracts_enabled():
+def check_flow(
+    total: int, candidate_count: int, samples: int, *, poi_id: object = None
+) -> int:
+    """Definition 2: ``0 <= Σc <= #candidates · n_p``.  Returns ``total``."""
+    if contracts_enabled() and not 0 <= total <= candidate_count * samples:
         label = f"flow of POI {poi_id!r}" if poi_id is not None else "flow"
-        if value < -_TOLERANCE:
-            _fail(f"{label} = {value!r} is negative (Definition 2)")
-        if value > candidate_count + _TOLERANCE:
-            _fail(
-                f"{label} = {value!r} exceeds the {candidate_count} candidate "
-                "objects (Definition 2: each contributes at most presence 1)"
-            )
-    return value
+        _fail(
+            f"{label} = {total!r}/{samples} samples is negative or exceeds the "
+            f"{candidate_count} candidate objects (Definition 2: each "
+            "contributes presence in [0, 1])"
+        )
+    return total
 
 
 def check_area(value: float, *, what: str = "region area") -> float:
@@ -113,32 +112,30 @@ def check_area(value: float, *, what: str = "region area") -> float:
 
 
 def check_upper_bound(
-    upper_bound: float, refined: float, *, poi_id: object = None
-) -> float:
+    upper_bound: int, total: int, samples: int, *, poi_id: object = None
+) -> int:
     """Section 4.2: a join priority must dominate the refined flow.
 
-    Returns ``refined``.
+    That is ``total <= upper_bound · samples``.  Returns ``total``.
     """
-    if contracts_enabled() and refined > upper_bound + _TOLERANCE:
+    if contracts_enabled() and total > upper_bound * samples:
         label = f" of POI {poi_id!r}" if poi_id is not None else ""
         _fail(
-            f"refined flow{label} = {refined!r} exceeds its count-based "
-            f"upper bound {upper_bound!r}; the best-first join would "
-            "terminate with a wrong top-k (Section 4.2)"
+            f"refined flow{label} = {total!r}/{samples} samples exceeds its "
+            f"count-based upper bound {upper_bound!r}; the best-first join "
+            "would terminate with a wrong top-k (Section 4.2)"
         )
-    return refined
+    return total
 
 
 def check_cached_value(
-    cached: float, fresh: float, *, what: str = "presence", key: object = None
-) -> float:
-    """PR 1 cache coherence: a memoized value equals its recomputation.
+    cached: int, fresh: int, *, what: str = "sample count", key: object = None
+) -> int:
+    """Cache coherence: a memoized sample count equals its recomputation.
 
     Returns ``cached``.
     """
-    if contracts_enabled() and not math.isclose(
-        cached, fresh, rel_tol=1e-9, abs_tol=1e-9
-    ):
+    if contracts_enabled() and cached != fresh:
         suffix = f" (key {key!r})" if key is not None else ""
         _fail(
             f"cached {what} {cached!r} != fresh recomputation {fresh!r}{suffix}"

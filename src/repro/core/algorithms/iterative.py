@@ -3,13 +3,13 @@
 The straightforward strategy: derive the uncertainty region of *every*
 object relevant to the query time (point) or window (range query on the
 AR-tree), look up the POIs the region's bounding box overlaps in the POI
-R-tree, accumulate presence into per-POI flows, and rank.
+R-tree, sum the sample counts ``c`` of presence ``c / n_p`` per POI,
+divide each total once into a flow, and rank.
 
 Besides serving as the paper's baseline, the flow maps these functions
 produce are the reference the join algorithms are validated against.
 ``artrees`` is one AR-tree or the per-shard trees of an object-partitioned
-engine; candidates are enumerated in the same order either way
-(:func:`~repro.core.states.snapshot_contexts`).
+engine (:func:`~repro.core.states.snapshot_contexts`).
 
 All functions take an :class:`~repro.core.context.EvaluationContext`,
 which carries the evaluation parameters (deployment, ``v_max``, estimator,
@@ -44,8 +44,12 @@ __all__ = [
 ]
 
 
+#: Each POI's sample total ``Σ_o c_o`` so far, by ``poi_id``.
+_Totals = dict[str, tuple[Poi, int]]
+
+
 def _accumulate(
-    flows: dict[str, float],
+    totals: _Totals,
     region: Region,
     fingerprint: Hashable | None,
     poi_tree: RTree,
@@ -55,9 +59,23 @@ def _accumulate(
     if mbr is None:
         return
     for poi in poi_tree.search(mbr):
-        presence = ctx.presence(region, poi, fingerprint)
-        if presence > 0.0:
-            flows[poi.poi_id] = flows.get(poi.poi_id, 0.0) + presence
+        count = ctx.count(region, poi, fingerprint)
+        if count:
+            _, total = totals.get(poi.poi_id, (poi, 0))
+            totals[poi.poi_id] = (poi, total + count)
+
+
+def _flows(
+    totals: _Totals, candidates: int, ctx: EvaluationContext
+) -> dict[str, float]:
+    """``Σ_o c_o / n_p``: each POI's sample total, divided once."""
+    flows: dict[str, float] = {}
+    for poi_id, (poi, total) in totals.items():
+        samples = ctx.estimator.sample_count(poi)
+        if contracts_enabled():
+            check_flow(total, candidates, samples, poi_id=poi_id)
+        flows[poi_id] = total / samples
+    return flows
 
 
 def snapshot_flows(
@@ -67,22 +85,17 @@ def snapshot_flows(
     t: float,
 ) -> dict[str, float]:
     """``Φ_t(p)`` for every POI with non-zero flow (Definition 2)."""
-    flows: dict[str, float] = {}
-    candidates = 0
+    totals: _Totals = {}
     with span("candidates.snapshot"):
-        contexts = list(snapshot_contexts(artrees, t))
+        contexts = snapshot_contexts(artrees, t)
     for context in contexts:
-        candidates += 1
         with span("ur.snapshot"):
             region = ctx.snapshot_region(context)
         with span("presence.accumulate"):
             _accumulate(
-                flows, region, ctx.snapshot_fingerprint(context), poi_tree, ctx
+                totals, region, ctx.snapshot_fingerprint(context), poi_tree, ctx
             )
-    if contracts_enabled():
-        for poi_id, flow in flows.items():
-            check_flow(flow, candidates, poi_id=poi_id)
-    return flows
+    return _flows(totals, len(contexts), ctx)
 
 
 def interval_flows(
@@ -93,26 +106,21 @@ def interval_flows(
     t_end: float,
 ) -> dict[str, float]:
     """``Φ_[t_s, t_e](p)`` for every POI with non-zero flow."""
-    flows: dict[str, float] = {}
-    candidates = 0
+    totals: _Totals = {}
     with span("candidates.interval"):
-        contexts = list(interval_contexts(artrees, t_start, t_end))
+        contexts = interval_contexts(artrees, t_start, t_end)
     for context in contexts:
-        candidates += 1
         with span("ur.interval"):
             uncertainty = ctx.interval_uncertainty(context)
         with span("presence.accumulate"):
             _accumulate(
-                flows,
+                totals,
                 uncertainty.region,
                 ctx.interval_fingerprint(uncertainty),
                 poi_tree,
                 ctx,
             )
-    if contracts_enabled():
-        for poi_id, flow in flows.items():
-            check_flow(flow, candidates, poi_id=poi_id)
-    return flows
+    return _flows(totals, len(contexts), ctx)
 
 
 def iterative_snapshot(

@@ -26,8 +26,9 @@ For interval queries the improved variant (Section 4.3.2) additionally
 stores a series of tight per-episode MBRs with each object and requires at
 least one of them — not just the large overall trajectory box, which is
 mostly dead space — to intersect a POI before the POI admits the object.
-An object's join state (its presence-cache row) is resolved once per
-query, at its first refinement.
+An object's join state (its row of cached sample counts) is resolved
+once per query, at its first refinement.  A leaf's flow is the exact sum
+of its objects' counts, divided once, so it is independent of order.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from ...geometry import Mbr, Region, mbr_array
 from ...index import RTree, RTreeEntry
 from ...indoor.poi import Poi
 from ...obs import counter, obs_enabled, span
-from ..context import EvaluationContext, PresenceRow
-from ..presence import PresenceEstimator
+from ..context import CountRow, EvaluationContext
 from ..queries import RankedPoi, TopKResult, rank_top_k
 from ..states import ARTrees, interval_contexts, snapshot_contexts
 from ..uncertainty import snapshot_mbr
@@ -66,8 +66,8 @@ class JoinObject:
     snapshot queries or when the improvement is disabled: the object's
     one ``mbr`` is then its only box).  Every box must lie inside
     ``mbr``.  ``region_key`` is the region's presence-cache fingerprint,
-    when known; ``presence_row`` is its cached row, resolved at the
-    object's first refinement.
+    when known; ``count_row`` is its cached row of sample counts,
+    resolved at the object's first refinement.
     """
 
     __slots__ = (
@@ -75,7 +75,7 @@ class JoinObject:
         "mbr",
         "boxes",
         "region_key",
-        "presence_row",
+        "count_row",
         "_factory",
         "_region",
     )
@@ -96,7 +96,7 @@ class JoinObject:
         self.mbr = mbr
         self.boxes = boxes
         self.region_key = region_key
-        self.presence_row: PresenceRow | None = None
+        self.count_row: CountRow | None = None
         self._factory = region_factory
         self._region: Region | None = None
 
@@ -165,8 +165,8 @@ class _Admission:
         return columns
 
 
-#: ``presences(poi, objects)``: the presence of every object in one POI.
-Presences = Callable[[Poi, Sequence[JoinObject]], list[float]]
+#: ``counts(poi, objects)``: every object's sample count in one POI.
+Counts = Callable[[Poi, Sequence[JoinObject]], list[int]]
 
 #: A queue item: ``(-priority, kind, tie, sequence, POI-tree entry)``;
 #: ``kind`` 0 carries a count bound, 1 an exact flow.
@@ -178,23 +178,17 @@ def _topk_join(
     pois: Sequence[Poi],
     objects: Sequence[JoinObject],
     k: int,
-    estimator: PresenceEstimator | None = None,
-    presences: Presences | None = None,
+    counts: Counts,
+    sample_count: Callable[[Poi], int],
 ) -> TopKResult:
     """The shared best-first traversal of R_P (Algorithms 2/5 unified).
 
     A refined POI's admitted objects are evaluated in one call of
-    ``presences(poi, objects)`` when given (the context-based entry points
-    pass a memoizing closure); otherwise through ``estimator`` directly.
+    ``counts(poi, objects)`` (the context-based entry points pass a
+    memoizing closure); its flow is their total over ``sample_count(poi)``.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if presences is None:
-        if estimator is None:
-            raise ValueError("either an estimator or a presence function is needed")
-        presences = lambda poi, batch: estimator.presences(
-            poi, [obj.region() for obj in batch]
-        )
     if not objects or len(poi_tree) == 0:
         return rank_top_k({}, pois, k)
 
@@ -213,7 +207,9 @@ def _topk_join(
     heapq.heapify(heap)
 
     with span("join.bound_refine"):
-        confirmed = _drain_heap(heap, sequence, admission, objects, k, presences)
+        confirmed = _drain_heap(
+            heap, sequence, admission, objects, k, counts, sample_count
+        )
 
     if len(confirmed) < k:
         # Queue exhausted: every remaining POI has zero flow; fill the
@@ -233,7 +229,8 @@ def _drain_heap(
     admission: _Admission,
     objects: Sequence[JoinObject],
     k: int,
-    presences: Presences,
+    counts: Counts,
+    sample_count: Callable[[Poi], int],
 ) -> list[RankedPoi]:
     """The best-first refinement loop of Algorithms 2/3/5.
 
@@ -264,21 +261,19 @@ def _drain_heap(
             )
         elif poi_entry.child is None:
             poi: Poi = poi_entry.item
-            # Columns ascend in candidate enumeration order, the order
-            # the iterative baseline adds presences in: float addition
-            # is not associative, so this keeps both paths bitwise
-            # comparable.
             batch = [objects[column] for column in admission.columns(poi_entry)]
-            flow = 0.0
-            for value in presences(poi, batch):
-                flow += value
-            if contracts_enabled():
-                # The count bound the queue scheduled this POI under
-                # must dominate the refined flow, or best-first order
-                # was wrong (Section 4.2's correctness argument).
-                check_flow(flow, len(batch), poi_id=poi.poi_id)
-                check_upper_bound(-negative_priority, flow, poi_id=poi.poi_id)
-            if flow > 0.0:
+            total = sum(counts(poi, batch))
+            if total:
+                samples = sample_count(poi)
+                if contracts_enabled():
+                    # The count bound the queue scheduled this POI under
+                    # must dominate the refined flow, or best-first order
+                    # was wrong (Section 4.2's correctness argument).
+                    check_flow(total, len(batch), samples, poi_id=poi.poi_id)
+                    check_upper_bound(
+                        int(-negative_priority), total, samples, poi_id=poi.poi_id
+                    )
+                flow = total / samples
                 heapq.heappush(
                     heap, (-flow, 1, str(poi.poi_id), next(sequence), poi_entry)
                 )
@@ -297,27 +292,27 @@ def _drain_heap(
 # ----------------------------------------------------------------------
 
 
-def _ctx_presences(ctx: EvaluationContext) -> Presences:
-    """Batched presence through the context's memo layer.
+def _ctx_counts(ctx: EvaluationContext) -> Counts:
+    """Batched sample counts through the context's memo layer.
 
-    Each object's presence row is resolved once, at its first refinement
+    Each object's count row is resolved once, at its first refinement
     in the query (again while it has none), so a warm pair costs one
     dict read.  Regions are derived (the paper's H_U) only for the
     pairs the cache misses.
     """
 
-    def presences(poi: Poi, batch: Sequence[JoinObject]) -> list[float]:
-        rows: list[PresenceRow | None] = []
+    def counts(poi: Poi, batch: Sequence[JoinObject]) -> list[int]:
+        rows: list[CountRow | None] = []
         for obj in batch:
-            row = obj.presence_row
+            row = obj.count_row
             if row is None:
-                row = obj.presence_row = ctx.presence_row(obj.region_key)
+                row = obj.count_row = ctx.count_row(obj.region_key)
             rows.append(row)
-        return ctx.presences(
+        return ctx.counts(
             poi, [(obj.region, obj.region_key) for obj in batch], rows
         )
 
-    return presences
+    return counts
 
 
 def join_snapshot(
@@ -346,11 +341,7 @@ def join_snapshot(
                 )
             )
     return _topk_join(
-        poi_tree,
-        pois,
-        objects,
-        k,
-        presences=_ctx_presences(ctx),
+        poi_tree, pois, objects, k, _ctx_counts(ctx), ctx.estimator.sample_count
     )
 
 
@@ -392,9 +383,5 @@ def join_interval(
                 )
             )
     return _topk_join(
-        poi_tree,
-        pois,
-        objects,
-        k,
-        presences=_ctx_presences(ctx),
+        poi_tree, pois, objects, k, _ctx_counts(ctx), ctx.estimator.sample_count
     )

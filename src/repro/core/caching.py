@@ -8,8 +8,8 @@ hot working set (the regions and POIs a monitor touches every tick)
 resident.  A capacity of ``0`` disables a cache entirely, which the
 correctness tests use to compare cached against uncached evaluation.
 
-Presence values are cached in a :class:`RowCache`: one row (a small
-``{column: value}`` dict) per key, bounded by the total number of values
+Presence sample counts are cached in a :class:`RowCache`: one row (a
+small ``{column: value}`` dict) per key, bounded by the total number of values
 and evicted row by row, so a reader can resolve a row once and then read
 many columns of it without hashing the key again.
 """

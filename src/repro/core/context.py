@@ -19,13 +19,14 @@ object that additionally owns bounded LRU memo layers:
   :class:`IntervalUncertainty` of a window asked before (its union
   region and MBRs included), so a repeated interval query makes no
   region-cache lookups at all;
-* the **presence cache** — one row ``{poi_id: presence}`` per region
-  fingerprint, so the grid quadrature runs once per (region, POI) pair.
+* the **presence cache** — one row ``{poi_id: sample count}`` per region
+  fingerprint (the count ``c`` of ``φ(o) = c / n_p``), so the grid
+  quadrature runs once per (region, POI) pair.
   A region's fingerprint is its region-cache key (snapshot) or the tuple
-  of its episode keys (interval), so identical regions share presence
-  values across queries and across the iterative/join strategies.  A
-  reader asking one region about many POIs resolves its row once
-  (:meth:`EvaluationContext.presence_row`).
+  of its episode keys (interval), so identical regions share counts
+  across queries and across the iterative/join strategies.  A reader
+  asking one region about many POIs resolves its row once
+  (:meth:`EvaluationContext.count_row`).
 
 The context also counts what the caches save: ``regions_computed``,
 ``region_cache_hits``, ``presence_evaluations``, ``presence_cache_hits``
@@ -82,8 +83,8 @@ __all__ = ["EvaluationContext", "EvaluationStats"]
 
 _R = TypeVar("_R")
 
-#: One region's cached presences, ``{poi_id: presence}``.
-PresenceRow = dict[Hashable, float]
+#: One region's cached sample counts, ``{poi_id: count}``.
+CountRow = dict[Hashable, int]
 
 #: Default capacities; sized for monitor workloads (thousands of objects,
 #: tens of POIs per region) while keeping worst-case memory modest.
@@ -181,7 +182,7 @@ class EvaluationContext:
         LRU capacities of the memo layers; ``0`` disables a layer.
         ``region_cache_size`` bounds the episode regions and, separately,
         the memoized interval windows; ``presence_cache_size`` bounds the
-        number of cached (region, POI) presence values.
+        number of cached (region, POI) sample counts.
     """
 
     def __init__(
@@ -218,7 +219,7 @@ class EvaluationContext:
         self._window_cache: LruCache[IntervalUncertainty] = LruCache(
             region_cache_size
         )
-        self._presence_cache: RowCache[float] = RowCache(presence_cache_size)
+        self._presence_cache: RowCache[int] = RowCache(presence_cache_size)
         # Generation counters for live ingestion (see note_append): a total
         # data generation plus a per-object tail epoch stamped into the
         # cache keys of the object's open-ended tail episodes.
@@ -281,7 +282,7 @@ class EvaluationContext:
             The :class:`EvaluationStats` counters plus
             ``region_cache_entries`` (episode and snapshot regions, not
             memoized windows), ``presence_cache_entries`` (cached
-            presence values, over all rows) and ``data_generation``.
+            sample counts, over all rows) and ``data_generation``.
         """
         return merge_component_stats(
             self.stats.as_dict(),
@@ -506,26 +507,26 @@ class EvaluationContext:
         """
         return uncertainty.fingerprint
 
-    def presence_row(self, fingerprint: Hashable | None) -> PresenceRow | None:
-        """The cached presences of one region: ``{poi_id: presence}``.
+    def count_row(self, fingerprint: Hashable | None) -> CountRow | None:
+        """The cached sample counts of one region: ``{poi_id: count}``.
 
         ``None`` when nothing is cached for the fingerprint (or it is
         ``None``).  The row is the cache's own: later evaluations of the
         region add to it, and a caller may keep it to read many POIs
         with one key lookup, as the join does for each object it
-        refines.  Reading the row is not counted; :meth:`presences`
-        counts hits and evaluations per pair.
+        refines.  Reading the row is not counted; :meth:`counts` counts
+        hits and evaluations per pair.
         """
         if fingerprint is None:
             return None
         return self._presence_cache.row(fingerprint)
 
-    def presence(
+    def count(
         self, region: Region, poi: "Poi", fingerprint: Hashable | None = None
-    ) -> float:
-        """Memoized presence ``area(UR ∩ p) / area(p)`` of one region.
+    ) -> int:
+        """Memoized sample count of one region in ``poi``.
 
-        A batch of one through :meth:`presences`.
+        A batch of one through :meth:`counts`.
 
         Args:
             region: The uncertainty region.
@@ -534,27 +535,27 @@ class EvaluationContext:
                 ``None`` to evaluate uncached.
 
         Returns:
-            The presence value in ``[0, 1]``.
+            How many of the POI's ``n_p`` grid samples the region contains.
         """
-        return self.presences(poi, ((lambda: region, fingerprint),))[0]
+        return self.counts(poi, ((lambda: region, fingerprint),))[0]
 
-    def presences(
+    def counts(
         self,
         poi: "Poi",
         batch: Sequence[tuple[Callable[[], Region], Hashable | None]],
-        rows: Sequence[PresenceRow | None] | None = None,
-    ) -> list[float]:
-        """Memoized presences of many regions in one POI.
+        rows: Sequence[CountRow | None] | None = None,
+    ) -> list[int]:
+        """Memoized sample counts of many regions in one POI.
 
         Each item is ``(derive, fingerprint)``: a zero-argument callable
-        returning the region, called only when its presence is not
+        returning the region, called only when its count is not
         cached, and the fingerprint identifying the region's geometry
         (``None`` for regions not built through this context: no caching,
         still counted).  ``rows``, when given, holds each item's
-        :meth:`presence_row` resolved by the caller, so hits cost one
+        :meth:`count_row` resolved by the caller, so hits cost one
         dict read each.  Cache hits are resolved first; the misses are
         evaluated together in one batched quadrature pass over the POI's
-        grid (:meth:`PresenceEstimator.presences`).
+        grid (:meth:`PresenceEstimator.counts`).
 
         With :mod:`repro.obs` enabled, that pass is timed under one
         ``presence.quadrature`` span; hits and misses are counted in
@@ -563,55 +564,58 @@ class EvaluationContext:
         Args:
             poi: The POI to intersect the regions with.
             batch: ``(derive, fingerprint)`` pairs.
-            rows: Optional pre-resolved presence rows, one per item.
+            rows: Optional pre-resolved count rows, one per item.
 
         Returns:
-            The presence values in ``[0, 1]``, in batch order.
+            The counts, each in ``[0, n_p]``, in batch order.
 
         Raises:
-            AssertionError: Under ``REPRO_CONTRACTS=1``, if a value falls
-                outside ``[0, 1]``, a batched count differs from
-                ``contains_many`` or a cached value diverges from a fresh
+            AssertionError: Under ``REPRO_CONTRACTS=1``, if a count falls
+                outside ``[0, n_p]``, a batched count differs from
+                ``contains_many`` or a cached count differs from a fresh
                 evaluation.
         """
         poi_id = poi.poi_id
         if rows is None:
-            rows = [self.presence_row(fingerprint) for _, fingerprint in batch]
+            rows = [self.count_row(fingerprint) for _, fingerprint in batch]
         found = [None if row is None else row.get(poi_id) for row in rows]
         misses = [index for index, value in enumerate(found) if value is None]
-        values = cast(list[float], found)
+        counts = cast(list[int], found)
         hit_count = len(batch) - len(misses)
         if hit_count:
             self.stats.presence_cache_hits += hit_count
             if contracts_enabled():
                 hits = [i for i, value in enumerate(found) if value is not None]
-                fresh = self.estimator.presences(
+                fresh = self.estimator.counts(
                     poi, [batch[index][0]() for index in hits]
                 )
                 for index, value in zip(hits, fresh):
                     check_cached_value(
-                        values[index],
+                        counts[index],
                         value,
-                        what=f"presence in POI {poi_id!r}",
+                        what=f"sample count in POI {poi_id!r}",
                         key=batch[index][1],
                     )
         if not misses:
-            return values
+            return counts
         self.stats.presence_evaluations += len(misses)
         regions = [batch[index][0]() for index in misses]
         if obs_enabled():
             with span("presence.quadrature"):
-                fresh = self.estimator.presences(poi, regions)
+                fresh = self.estimator.counts(poi, regions)
         else:
-            fresh = self.estimator.presences(poi, regions)
-        where = f"presence in POI {poi_id!r}"
+            fresh = self.estimator.counts(poi, regions)
+        if contracts_enabled():
+            samples = self.estimator.sample_count(poi)
+            for value in fresh:
+                check_presence(value, samples, where=f"presence in POI {poi_id!r}")
         cache = self._presence_cache
         for index, value in zip(misses, fresh):
-            values[index] = check_presence(value, where=where)
+            counts[index] = value
             fingerprint = batch[index][1]
             if fingerprint is not None:
                 cache.put(fingerprint, poi_id, value)
-        return values
+        return counts
 
 
 def _episode_fingerprints(

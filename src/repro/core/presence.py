@@ -4,14 +4,14 @@ The presence of object ``o`` in POI ``p`` is ``area(UR ∩ p) / area(p)`` —
 the fraction of the POI covered by the object's uncertainty region, a value
 in ``[0, 1]`` interpretable as the probability that ``o`` was in ``p``.
 
-The estimator samples each POI polygon on a fixed grid once (cached, LRU
-bounded); determinism of the grid guarantees that every query algorithm
-assigns identical presence to identical (object, POI) pairs, so the
-iterative and join algorithms return the same flows bit for bit.  An
-evicted-and-resampled POI regenerates the exact same grid, so the bound
-never affects results, only memory.
+The estimator samples each POI polygon on a fixed grid of ``n_p`` points
+once (cached, LRU bounded); the presence is ``c / n_p`` for the count
+``c`` of samples inside the region.  Queries keep the integer counts and
+divide a POI's exact total once, so every algorithm and candidate order
+gives the same flow bits.  An evicted-and-resampled POI regenerates the
+exact same grid, so the bound never affects results, only memory.
 
-Quadrature is batched per POI: :meth:`PresenceEstimator.presences`
+Quadrature is batched per POI: :meth:`PresenceEstimator.counts`
 evaluates every region asked about one POI (a join leaf's admitted
 objects) in one pass over its grid.  Each region is lowered once into a
 literal program (:mod:`repro.geometry.program`, kept on the region); per
@@ -28,9 +28,9 @@ batch the estimator
    (``logical_and.reduceat``) and per region (``logical_or.reduceat``).
 
 Each sample is decided by the same floating-point expression as the
-region's ``contains_many``, so counts (and presences, ``count / len(xs)``)
-equal the reference evaluation exactly; under ``REPRO_CONTRACTS=1`` every
-batched count is recomputed with ``contains_many`` and compared.
+region's ``contains_many``, so counts equal the reference evaluation
+exactly; under ``REPRO_CONTRACTS=1`` every batched count is recomputed
+with ``contains_many`` and compared.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
-from ..contracts import check_presence, check_quadrature, contracts_enabled
+from ..contracts import check_quadrature, contracts_enabled
 from ..geometry import DEFAULT_RESOLUTION, Region, polygon_grid_points
 from ..geometry.program import X_ROW, Y_ROW, PackedLiteral, Program
 from ..indoor.distance import IndoorDistanceOracle, PointDistanceField, RoomGrid
@@ -242,9 +242,13 @@ class PresenceEstimator:
         """The POI's cached grid sample coordinates (read-only arrays)."""
         return self.grid_of(poi).samples
 
-    def presences(self, poi: Poi, regions: Sequence[Region]) -> list[float]:
-        """``φ(o)`` of every region in ``poi``, evaluated in one batch."""
-        values = [0.0] * len(regions)
+    def sample_count(self, poi: Poi) -> int:
+        """``n_p``: how many samples the POI's grid holds."""
+        return len(self.grid_of(poi))
+
+    def counts(self, poi: Poi, regions: Sequence[Region]) -> list[int]:
+        """How many of ``poi``'s samples each region contains, in one batch."""
+        counts = [0] * len(regions)
         poi_mbr = poi.polygon.mbr
         slots: list[int] = []
         programs: list[Program] = []
@@ -257,20 +261,18 @@ class PresenceEstimator:
                 slots.append(slot)
                 programs.append(program)
         if not programs:
-            return values
+            return counts
         grid = self.grid_of(poi)
-        counts = count_inside(grid, programs)
-        n = float(len(grid))
         where = f"presence in POI {poi.poi_id!r}"
         checking = contracts_enabled()
-        for slot, count in zip(slots, counts):
+        for slot, count in zip(slots, count_inside(grid, programs)):
             if checking:
                 reference = regions[slot].contains_many(grid.xs.copy(), grid.ys.copy())
                 check_quadrature(count, int(reference.sum()), where=where)
-            values[slot] = check_presence(float(count) / n, where=where)
-        return values
+            counts[slot] = count
+        return counts
 
     def presence(self, region: Region, poi: Poi) -> float:
         """``φ(o)`` — the fraction of ``poi`` covered by ``region``."""
-        return self.presences(poi, [region])[0]
-
+        count = self.counts(poi, [region])[0]
+        return count / self.sample_count(poi) if count else 0.0

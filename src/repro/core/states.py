@@ -20,8 +20,9 @@ An engine with ``num_shards=N > 1`` keeps one AR-tree per object
 partition.  Both queries return entries sorted on the tree's total key
 ``(t1, t2, record_id)`` and no object spans two trees, so merging the
 trees' results on that key yields exactly the entry sequence one tree
-over all records would return: the candidate order, and with it every
-float addition downstream, does not depend on the shard count.
+over all records would return.  Flows need no fixed order (they divide
+exact integer sums once); the merge keeps the cache work identical at
+every shard count, because LRU recency follows candidate order.
 """
 
 from __future__ import annotations

@@ -191,17 +191,18 @@ def snapshot_presence_calibration(
     pairs: list[tuple[float, bool]] = []
     for t in times:
         for context in snapshot_contexts(engine.artrees, t):
-            # Regions and presences go through the engine's evaluation
-            # context, so calibration sees exactly the cached values the
+            # Regions and sample counts go through the engine's evaluation
+            # context, so calibration sees exactly the cached counts the
             # queries use (and reuses them instead of re-deriving).
             region = engine.ctx.snapshot_region(context)
             fingerprint = engine.ctx.snapshot_fingerprint(context)
             truth_position = dataset.trajectory_of(context.object_id).position_at(t)
             for poi in dataset.pois:
-                presence = engine.ctx.presence(region, poi, fingerprint)
+                count = engine.ctx.count(region, poi, fingerprint)
                 actually_inside = poi.polygon.contains(truth_position)
-                if near_zero(presence) and not actually_inside:
+                if count == 0 and not actually_inside:
                     continue
+                presence = count / engine.ctx.estimator.sample_count(poi)
                 pairs.append((presence, actually_inside))
     return _calibrate(pairs, bins)
 
@@ -221,13 +222,12 @@ def interval_presence_calibration(
             fingerprint = engine.ctx.interval_fingerprint(uncertainty)
             trajectory = dataset.trajectory_of(context.object_id)
             for poi in dataset.pois:
-                presence = engine.ctx.presence(
-                    uncertainty.region, poi, fingerprint
-                )
+                count = engine.ctx.count(uncertainty.region, poi, fingerprint)
                 visited = trajectory.ever_inside(
                     poi.polygon, t_start, t_end, step=step
                 )
-                if near_zero(presence) and not visited:
+                if count == 0 and not visited:
                     continue
+                presence = count / engine.ctx.estimator.sample_count(poi)
                 pairs.append((presence, visited))
     return _calibrate(pairs, bins)

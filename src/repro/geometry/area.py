@@ -145,6 +145,5 @@ def intersection_fraction(
         return 0.0
     xs, ys, _ = polygon_grid_points(polygon, resolution)
     inside = region.contains_many(xs, ys)
-    return check_presence(
-        float(inside.sum()) / float(len(xs)), where="intersection_fraction"
-    )
+    count = check_presence(int(inside.sum()), len(xs), where="intersection_fraction")
+    return count / len(xs)

@@ -32,7 +32,7 @@ where :meth:`ARTree.patch_tail` can cheaply replace them as the episode's
 Query results are returned in a deterministic total order
 ``(t1, t2, record_id)`` so that an incrementally maintained tree and a
 from-scratch bulk load answer queries *identically* — including the
-floating-point accumulation order of downstream flow sums.
+candidate order, which LRU cache recency downstream follows.
 """
 
 from __future__ import annotations

@@ -71,11 +71,11 @@ class TestEnablement:
     def test_disabled_checks_pass_anything_through(self):
         set_contracts(False)
         try:
-            assert check_presence(7.5) == 7.5
-            assert check_flow(-3.0, 0) == -3.0
+            assert check_presence(9, 8) == 9
+            assert check_flow(-3, 0, 8) == -3
             assert check_area(-1.0) == -1.0
-            assert check_upper_bound(1.0, 5.0) == 5.0
-            assert check_cached_value(1.0, 2.0) == 1.0
+            assert check_upper_bound(1, 50, 8) == 50
+            assert check_cached_value(1, 2) == 1
             check_region_fingerprint((0.0, 0.0, 1.0, 1.0), None)
             check_quadrature(1, 2)
             check_window([("a", None)], [("b", None)])
@@ -90,32 +90,54 @@ class TestEnablement:
 
 class TestViolations:
     def test_presence_above_one(self, contracts_on):
+        # One sample more than the POI's grid holds.
         with pytest.raises(ContractViolation, match="Definition 1"):
-            check_presence(1.25)
+            check_presence(65, 64)
+        assert check_presence(64, 64) == 64
 
     def test_presence_negative(self, contracts_on):
         with pytest.raises(ContractViolation, match="Definition 1"):
-            check_presence(-0.5, where="presence in POI 'p1'")
+            check_presence(-1, 64, where="presence in POI 'p1'")
 
     def test_flow_exceeds_candidates(self, contracts_on):
+        # A sample total of candidates * n_p + 1.
         with pytest.raises(ContractViolation, match="candidate"):
-            check_flow(3.5, 3, poi_id="p1")
+            check_flow(3 * 64 + 1, 3, 64, poi_id="p1")
+        assert check_flow(3 * 64, 3, 64) == 3 * 64
 
     def test_flow_negative(self, contracts_on):
         with pytest.raises(ContractViolation, match="negative"):
-            check_flow(-0.1, 5)
+            check_flow(-1, 5, 64)
 
     def test_area_negative(self, contracts_on):
         with pytest.raises(ContractViolation, match="negative"):
             check_area(-4.0, what="UR area")
 
     def test_refined_flow_exceeds_upper_bound(self, contracts_on):
+        # A refined total one sample above bound * n_p.
         with pytest.raises(ContractViolation, match="upper bound"):
-            check_upper_bound(2.0, 2.5, poi_id="p1")
+            check_upper_bound(2, 2 * 64 + 1, 64, poi_id="p1")
+        assert check_upper_bound(2, 2 * 64, 64) == 2 * 64
 
     def test_cached_value_disagrees(self, contracts_on):
+        # A cached count off by one.
         with pytest.raises(ContractViolation, match="fresh recomputation"):
-            check_cached_value(0.5, 0.75, what="presence", key="k")
+            check_cached_value(32, 31, what="sample count", key="k")
+        assert check_cached_value(32, 32) == 32
+
+    def test_one_sample_off_on_a_fine_grid(self, contracts_on):
+        """One sample too many is caught however fine the grid: as float
+        ratios these errors were below the old 1e-6 slack."""
+        samples = 2_000_000
+        assert (samples + 1) / samples - 1.0 < 1e-6
+        with pytest.raises(ContractViolation, match="Definition 1"):
+            check_presence(samples + 1, samples)
+        with pytest.raises(ContractViolation, match="candidate"):
+            check_flow(3 * samples + 1, 3, samples)
+        with pytest.raises(ContractViolation, match="upper bound"):
+            check_upper_bound(2, 2 * samples + 1, samples)
+        with pytest.raises(ContractViolation, match="fresh recomputation"):
+            check_cached_value(samples, samples - 1)
 
     def test_fingerprint_mismatch(self, contracts_on):
         with pytest.raises(ContractViolation, match="MBR"):
@@ -171,14 +193,13 @@ class TestViolations:
 
     def test_violation_is_an_assertion_error(self, contracts_on):
         with pytest.raises(AssertionError):
-            check_presence(2.0)
+            check_presence(2, 1)
 
 
 class TestTolerance:
     def test_quadrature_round_off_is_accepted(self, contracts_on):
-        assert check_presence(1.0 + 1e-9) == pytest.approx(1.0)
-        assert check_presence(-1e-9) == pytest.approx(0.0, abs=1e-8)
-        assert check_flow(3.0 + 1e-9, 3) == pytest.approx(3.0)
+        # Areas are sums of cell areas; sample counts are exact and get
+        # no slack (see TestViolations).
         assert check_area(-1e-9) == pytest.approx(0.0, abs=1e-8)
         # Sub-quantum drift between a cached region and its rebuild (times
         # are quantized to a microsecond in cache keys) is accepted.
@@ -193,18 +214,18 @@ class TestTolerance:
 
 class TestEngineIntegration:
     def test_broken_estimator_is_caught(self, synthetic_engine, contracts_on):
-        """The seam check fires on a presence outside [0, 1]."""
+        """The seam check fires on a count above the POI's sample count."""
 
         class _Broken(PresenceEstimator):
-            def presences(self, poi, regions):
-                return [1.5 for _ in regions]
+            def counts(self, poi, regions):
+                return [self.sample_count(poi) + 1 for _ in regions]
 
         ctx = synthetic_engine.ctx.replace(estimator=_Broken(resolution=8))
         context = next(iter(snapshot_contexts(synthetic_engine.artree, 300.0)))
         region = ctx.snapshot_region(context)
         poi = synthetic_engine.pois[0]
         with pytest.raises(ContractViolation, match="Definition 1"):
-            ctx.presence(region, poi, ctx.snapshot_fingerprint(context))
+            ctx.count(region, poi, ctx.snapshot_fingerprint(context))
 
     def test_snapshot_queries_never_trip_contracts(
         self, synthetic_engine, contracts_on
@@ -269,7 +290,7 @@ def test_random_interval_queries_satisfy_contracts(synthetic_engine, bounds, k):
         flows = synthetic_engine.interval_flows(t_start, t_end)
         candidates = len(synthetic_engine.artree)
         for flow in flows.values():
-            assert -1e-6 <= flow <= candidates + 1e-6
+            assert 0.0 < flow <= candidates
         assert len(result) == k
     finally:
         set_contracts(None)

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 from repro.analysis import ALL_CHECKS, main
-from repro.analysis.driver import analyze, render_json
+from repro.analysis.driver import analyze, checks_by_name, render_json
 
 VIOLATING = (
     "class ARTree:\n"
@@ -80,6 +80,25 @@ class TestAnalyze:
         report = analyze([root / "a/module.py", root / "b/module.py"])
         found = [(Path(d.path).parent.name, d.rule) for d in report.diagnostics]
         assert found == [("a", "float-equality"), ("b", "float-equality")]
+
+    def test_same_stem_files_are_both_reported_by_checkers(self, tmp_path):
+        # Each loose file keeps its own functions in the project model,
+        # so a whole-program checker sees both.
+        source = (
+            "def total(vals: set[float]) -> float:\n"
+            "    return sum(v * 2.0 for v in vals)\n"
+        )
+        root = write_tree(tmp_path, {"a/mod.py": source, "b/mod.py": source})
+        report = analyze(
+            [root / "a/mod.py", root / "b/mod.py"],
+            checks=[checks_by_name()["determinism"]],
+            report_all=True,
+        )
+        found = [
+            (Path(d.path).parent.name, d.line, d.column, d.rule)
+            for d in report.diagnostics
+        ]
+        assert found == [("a", 2, 12, "determinism"), ("b", 2, 12, "determinism")]
 
 
 class TestFormats:

@@ -12,7 +12,7 @@ from repro.core.algorithms.join import (
     _Admission,
     _topk_join,
 )
-from repro.core.presence import PresenceEstimator
+from repro.core.presence import PresenceEstimator, count_inside
 from repro.core.states import snapshot_context
 from repro.geometry import Circle, Mbr, Point, Polygon, mbr_array
 from repro.index import RTree
@@ -27,6 +27,16 @@ def join_object(object_id, x, y, half=2.0, segments=None):
         region_factory=lambda: Circle(Point(x, y), half),
         boxes=None if segments is None else mbr_array(segments),
     )
+
+
+def estimator_counts(estimator):
+    """``_topk_join``'s ``counts`` and ``sample_count`` over ``estimator``."""
+    return {
+        "counts": lambda poi, batch: estimator.counts(
+            poi, [obj.region() for obj in batch]
+        ),
+        "sample_count": estimator.sample_count,
+    }
 
 
 def admission(poi_tree, objects):
@@ -280,7 +290,7 @@ class TestTopKJoin:
             pois,
             objects,
             k=1,
-            estimator=PresenceEstimator(resolution=64),
+            **estimator_counts(PresenceEstimator(resolution=64)),
         )
         assert result.entries[0].poi.poi_id == "p"
         assert result.entries[0].flow == pytest.approx(
@@ -290,7 +300,8 @@ class TestTopKJoin:
     def test_no_objects_returns_zero_topk(self):
         pois = [poi_at(f"p{i}", i * 10.0, 0.0) for i in range(4)]
         result = _topk_join(
-            build_poi_index(pois), pois, [], k=3, estimator=PresenceEstimator()
+            build_poi_index(pois), pois, [], k=3,
+            **estimator_counts(PresenceEstimator()),
         )
         assert len(result) == 3
         assert all(entry.flow == 0.0 for entry in result)
@@ -300,7 +311,7 @@ class TestTopKJoin:
         objects = [join_object("o", 0.0, 0.0)]  # only p0 can have flow
         result = _topk_join(
             build_poi_index(pois), pois, objects, k=4,
-            estimator=PresenceEstimator(),
+            **estimator_counts(PresenceEstimator()),
         )
         assert result.entries[0].poi.poi_id == "p0"
         assert [e.poi.poi_id for e in result.entries[1:]] == ["p1", "p2", "p3"]
@@ -310,7 +321,7 @@ class TestTopKJoin:
         with pytest.raises(ValueError):
             _topk_join(
                 build_poi_index(pois), pois, [], k=0,
-                estimator=PresenceEstimator(),
+                **estimator_counts(PresenceEstimator()),
             )
 
     def test_early_termination_skips_presence_of_low_count_pois(self):
@@ -319,9 +330,9 @@ class TestTopKJoin:
         evaluated = []
 
         class CountingEstimator(PresenceEstimator):
-            def presences(self, poi, regions):
+            def counts(self, poi, regions):
                 evaluated.extend(poi.poi_id for _ in regions)
-                return super().presences(poi, regions)
+                return super().counts(poi, regions)
 
         # Ten objects pile on p0; a single distant object touches p1.
         objects = [join_object(f"a{i}", 0.0, 0.0) for i in range(10)]
@@ -329,7 +340,7 @@ class TestTopKJoin:
         pois = [poi_at("p0", 0.0, 0.0), poi_at("p1", 100.0, 0.0)]
         result = _topk_join(
             build_poi_index(pois), pois, objects, k=1,
-            estimator=CountingEstimator(resolution=16),
+            **estimator_counts(CountingEstimator(resolution=16)),
         )
         assert result.entries[0].poi.poi_id == "p0"
         # p1's bound (1) can never beat p0's exact flow (~10): not evaluated.
@@ -347,19 +358,21 @@ class TestTopKJoin:
             pois,
             objects,
             k=1,
-            estimator=PresenceEstimator(resolution=16),
+            **estimator_counts(PresenceEstimator(resolution=16)),
         )
         assert result.entries[0].poi.poi_id == "p07"
 
 
-class TestSummationOrder:
-    """Float addition is not associative: the join must add a POI's
-    presences in candidate enumeration order, like the iterative scan."""
+class TestExactFlows:
+    """A flow is its POI's sample total divided once, ``Σc / n_p``:
+    exact integer sums, so no candidate order can move its bits."""
 
-    def test_leaf_sums_in_object_order(self):
-        # (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit.
-        values = {"a": 0.1, "b": 0.2, "c": 0.3}
+    def test_reversed_leaf_batch_gives_same_flow(self):
+        # Summed as presences, (0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1
+        # differ in the last bit; summed as counts, both are 6 / 10.
+        counts = {"a": 1, "b": 2, "c": 3}
         pois = [poi_at("p", 0.0, 0.0)]
+        flows = set()
         for names in ("abc", "cba"):
             objects = [join_object(name, 0.0, 0.0) for name in names]
             result = _topk_join(
@@ -367,42 +380,50 @@ class TestSummationOrder:
                 pois,
                 objects,
                 k=1,
-                presences=lambda poi, batch: [values[o.object_id] for o in batch],
+                counts=lambda poi, batch: [counts[o.object_id] for o in batch],
+                sample_count=lambda poi: 10,
             )
-            expected = reduce(operator.add, (values[name] for name in names))
-            assert result.entries[0].flow == expected
+            flows.add(result.entries[0].flow)
+        assert flows == {6 / 10}
         assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
 
-    def test_join_matches_iterative_where_order_matters(self, synthetic_engine):
+    def test_flows_are_exact_sample_ratios(self, synthetic_dataset, synthetic_engine):
         t = 600.0
         ctx = synthetic_engine.ctx
-        presences = {}
-        # point_query returns the candidates in entry-key order, the
-        # order both strategies add presences in.
+        estimator = ctx.estimator
+        counts = {}
+        # Count every candidate's samples in every POI its box meets
+        # straight from count_inside, in candidate order.
         for entry in synthetic_engine.artree.point_query(t):
-            context = snapshot_context(entry, t)
-            region = ctx.snapshot_region(context)
+            region = ctx.snapshot_region(snapshot_context(entry, t))
             if region.mbr is None:
                 continue
-            fingerprint = ctx.snapshot_fingerprint(context)
             for poi in synthetic_engine.poi_tree.search(region.mbr):
-                presence = ctx.presence(region, poi, fingerprint)
-                if presence > 0.0:
-                    presences.setdefault(poi.poi_id, []).append(presence)
+                grid = estimator.grid_of(poi)
+                (count,) = count_inside(grid, [region.program()])
+                if count:
+                    counts.setdefault(poi.poi_id, ([], len(grid)))[0].append(count)
+        expected = {
+            poi_id: sum(found) / samples for poi_id, (found, samples) in counts.items()
+        }
+        # Where adding the presences c / n_p in candidate order rounds
+        # differently, only the exact total gives the expected bits.
         sensitive = [
             poi_id
-            for poi_id, values in presences.items()
-            if reduce(operator.add, values) != reduce(operator.add, values[::-1])
+            for poi_id, (found, samples) in counts.items()
+            if reduce(operator.add, [c / samples for c in found]) != expected[poi_id]
         ]
-        assert sensitive  # the case exercises a last-bit difference
+        assert sensitive
         k = len(synthetic_engine.pois)
-        join = synthetic_engine.snapshot_topk(t, k, method="join")
-        iterative = synthetic_engine.snapshot_topk(t, k, method="iterative")
-        assert join.poi_ids == iterative.poi_ids
-        assert join.flows == iterative.flows  # bit-identical
-        flows = dict(zip(join.poi_ids, join.flows))
-        for poi_id in sensitive:
-            assert flows[poi_id] == reduce(operator.add, presences[poi_id])
+        fleet = synthetic_dataset.engine(num_shards=2)
+        for engine in (synthetic_engine, fleet):
+            assert engine.snapshot_flows(t) == expected
+            for method in ("join", "iterative"):
+                result = engine.snapshot_topk(t, k, method=method)
+                flows = {
+                    entry.poi.poi_id: entry.flow for entry in result if entry.flow
+                }
+                assert flows == expected, (engine.num_shards, method)
 
 
 class TestTreeHeightMismatch:
@@ -420,7 +441,7 @@ class TestTreeHeightMismatch:
             pois,
             objects,
             k=1,
-            estimator=PresenceEstimator(resolution=8),
+            **estimator_counts(PresenceEstimator(resolution=8)),
         )
         assert result.entries[0].poi.poi_id == "p"
         assert result.entries[0].flow > 0.0
@@ -433,7 +454,7 @@ class TestTreeHeightMismatch:
             pois,
             objects,
             k=2,
-            estimator=PresenceEstimator(resolution=8),
+            **estimator_counts(PresenceEstimator(resolution=8)),
         )
         assert result.entries[0].poi.poi_id == "p042"
         assert result.entries[1].flow == 0.0  # zero-filled

@@ -101,27 +101,27 @@ class TestPresence:
 
 @pytest.fixture(scope="module")
 def swept(synthetic_dataset):
-    """Every (region, POI, presence) an engine asks about in a seeded
+    """Every (region, POI, sample count) an engine asks about in a seeded
     sweep of snapshot and interval queries, join and iterative, with the
     topology check on."""
     engine = synthetic_dataset.engine(region_cache_size=0, presence_cache_size=0)
     assert engine.topology is not None
     estimator = engine.ctx.estimator
     asked = []
-    original = estimator.presences
+    original = estimator.counts
 
     def recording(target, regions):
         values = original(target, regions)
         asked.extend((region, target, value) for region, value in zip(regions, values))
         return values
 
-    estimator.presences = recording
+    estimator.counts = recording
     rng = np.random.default_rng(5)
     for t in rng.uniform(200.0, 1000.0, size=2):
         for method in ("join", "iterative"):
             engine.snapshot_topk(float(t), 5, method=method)
             engine.interval_topk(float(t), float(t) + 60.0, 5, method=method)
-    del estimator.presences
+    del estimator.counts
     return engine, asked
 
 
@@ -136,7 +136,7 @@ class TestAnchorMemoPresence:
         for region, target, value in asked:
             xs, ys = engine.ctx.estimator.samples_of(target)
             inside = region.contains_many(xs.copy(), ys.copy())
-            assert value == float(inside.sum()) / float(len(xs)), target.poi_id
+            assert value == int(inside.sum()), target.poi_id
 
     def test_sample_grids_are_read_only(self, swept):
         engine, asked = swept
@@ -153,7 +153,7 @@ class TestAnchorMemoPresence:
 
         def evaluate(name):
             estimator = PresenceEstimator()
-            results[name] = [estimator.presence(r, p) for r, p in pairs]
+            results[name] = [estimator.counts(p, [r])[0] for r, p in pairs]
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

@@ -39,14 +39,14 @@ def assert_batch_matches(estimator: PresenceEstimator, poi: Poi, regions) -> int
         reference = region.contains_many(grid.xs.copy(), grid.ys.copy())
         assert count == int(reference.sum()), (poi.poi_id, region)
         inside += count
-    # The estimator's presences add the MBR pre-check and the division.
-    values = estimator.presences(poi, regions)
+    # The estimator's counts add the MBR pre-check.
+    values = estimator.counts(poi, regions)
     for region, value, count in zip(regions, values, counts):
         mbr = region.mbr
         if mbr is None or not mbr.intersects(poi.polygon.mbr):
-            assert value == 0.0
+            assert value == 0
         else:
-            assert value == float(count) / float(len(grid))
+            assert value == count
     return inside
 
 
@@ -198,8 +198,8 @@ def test_one_batch_equals_one_region_at_a_time(synthetic_dataset):
     batched = PresenceEstimator(resolution=20)
     single = PresenceEstimator(resolution=20)
     for poi in synthetic_dataset.pois:
-        assert batched.presences(poi, regions) == [
-            single.presence(region, poi) for region in regions
+        assert batched.counts(poi, regions) == [
+            single.counts(poi, [region])[0] for region in regions
         ]
 
 
