@@ -26,16 +26,6 @@ def test_rtree_bulk_load(benchmark, random_boxes):
     benchmark(lambda: RTree.bulk_load(random_boxes, max_entries=8))
 
 
-def test_rtree_insert_2000(benchmark, random_boxes):
-    def build():
-        tree = RTree(max_entries=8)
-        for box, item in random_boxes:
-            tree.insert(box, item)
-        return tree
-
-    benchmark(build)
-
-
 def test_rtree_search(benchmark, random_boxes):
     tree = RTree.bulk_load(random_boxes, max_entries=8)
     probe = Mbr(100, 100, 160, 160)

@@ -7,7 +7,7 @@ paper depends on:
 
 * :mod:`repro.geometry` — circles, rings, extended ellipses, polygons and
   composable regions with deterministic area quadrature;
-* :mod:`repro.index` — an R-tree (the POI index, node capacity
+* :mod:`repro.index` — a static R-tree (the POI index, node capacity
   ``rtree_fanout``) and the AR-tree temporal index over the tracking
   table;
 * :mod:`repro.indoor` — floor plans, doors, POIs, device deployments and

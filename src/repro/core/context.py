@@ -174,8 +174,6 @@ class EvaluationContext:
         the check.
     inner_allowance:
         Ring inner-exclusion relaxation in meters (sampled systems).
-    rtree_fanout:
-        Node capacity of the POI R-trees (the universe and per-query subsets).
     resolution:
         Presence quadrature resolution, used when ``estimator`` is omitted.
     region_cache_size, presence_cache_size:
@@ -192,7 +190,6 @@ class EvaluationContext:
         estimator: PresenceEstimator | None = None,
         topology: "TopologyChecker | None" = None,
         inner_allowance: float = 0.0,
-        rtree_fanout: int = 8,
         resolution: int = DEFAULT_RESOLUTION,
         region_cache_size: int = DEFAULT_REGION_CACHE_SIZE,
         presence_cache_size: int = DEFAULT_PRESENCE_CACHE_SIZE,
@@ -213,7 +210,6 @@ class EvaluationContext:
         )
         self.topology = topology
         self.inner_allowance = float(inner_allowance)
-        self.rtree_fanout = rtree_fanout
         self.stats = EvaluationStats()
         self._region_cache: LruCache[object] = LruCache(region_cache_size)
         self._window_cache: LruCache[IntervalUncertainty] = LruCache(
@@ -258,7 +254,6 @@ class EvaluationContext:
             estimator=None if "resolution" in overrides else self.estimator,
             topology=self.topology,
             inner_allowance=self.inner_allowance,
-            rtree_fanout=self.rtree_fanout,
             region_cache_size=self._region_cache.capacity,
             presence_cache_size=self._presence_cache.capacity,
         )

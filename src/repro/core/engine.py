@@ -222,11 +222,11 @@ class FlowEngine:
                 else None
             ),
             inner_allowance=v_max * detection_slack,
-            rtree_fanout=rtree_fanout,
             region_cache_size=region_cache_size,
             presence_cache_size=presence_cache_size,
         )
         self._pois = list(pois)
+        self._rtree_fanout = rtree_fanout
         self._poi_tree = build_poi_index(self._pois, max_entries=rtree_fanout)
         self._subset_trees: LruCache[tuple[list[Poi], RTree]] = LruCache(
             DEFAULT_POI_SUBSET_CACHE_SIZE
@@ -328,7 +328,7 @@ class FlowEngine:
     @property
     def rtree_fanout(self) -> int:
         """Node capacity of the POI R-trees (the universe and per-query subsets)."""
-        return self.ctx.rtree_fanout
+        return self._rtree_fanout
 
     # ------------------------------------------------------------------
     # Live ingestion

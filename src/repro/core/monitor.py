@@ -22,6 +22,7 @@ downstream alerting consumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Protocol, Sequence
 
@@ -250,8 +251,10 @@ class SlidingIntervalTopKMonitor(_BaseMonitor):
         method: str = "join",
     ):
         super().__init__(engine, k, pois=pois, method=method)
-        if window_seconds <= 0:
-            raise ValueError("window_seconds must be positive")
+        if not (math.isfinite(window_seconds) and window_seconds > 0):
+            raise ValueError(
+                f"window_seconds must be positive and finite, got {window_seconds!r}"
+            )
         self.window_seconds = window_seconds
 
     def _evaluate(self, t: float) -> TopKResult:

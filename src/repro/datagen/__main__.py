@@ -26,30 +26,28 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import TextIO
+from typing import Iterator, TextIO
 
 from ..storage.base import StoredRow, chunked_rows
 from ..storage.sqlite import SQLiteBackend
+from ..tracking.io import write_records_csv
+from ..tracking.records import TrackingRecord
 from .config import SyntheticConfig
 from .stream import stream_synthetic_records
 
 __all__ = ["main"]
 
-_CSV_HEADER = "record_id,object_id,device_id,t_s,t_e"
-
-
 def _write_csv(handle: TextIO, config: SyntheticConfig) -> tuple[int, float]:
-    """Stream the records as CSV rows; returns (count, max t_e)."""
-    handle.write(_CSV_HEADER + "\n")
-    count = 0
+    """Stream the records as a record CSV; returns (count, max t_e)."""
     t_max = 0.0
-    for record in stream_synthetic_records(config):
-        handle.write(
-            f"{record.record_id},{record.object_id},{record.device_id},"
-            f"{record.t_s:g},{record.t_e:g}\n"
-        )
-        count += 1
-        t_max = max(t_max, record.t_e)
+
+    def records() -> Iterator[TrackingRecord]:
+        nonlocal t_max
+        for record in stream_synthetic_records(config):
+            t_max = max(t_max, record.t_e)
+            yield record
+
+    count = write_records_csv(records(), handle)
     return count, t_max
 
 
@@ -146,7 +144,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out == "-":
             _write_csv(sys.stdout, config)
         elif args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
                 _write_csv(handle, config)
     elif args.out is None:
         count = 0
@@ -157,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.out == "-":
         count, t_max = _write_csv(sys.stdout, config)
     else:
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
             count, t_max = _write_csv(handle, config)
 
     print(

@@ -159,13 +159,6 @@ class Mbr:
             self.max_y + margin,
         )
 
-    def enlargement(self, other: "Mbr") -> float:
-        """Area growth needed for this MBR to also cover ``other``.
-
-        This is the classic Guttman insertion heuristic used by the R-tree.
-        """
-        return self.union(other).area() - self.area()
-
     def min_distance_to_point(self, point: Point) -> float:
         """Euclidean distance from ``point`` to the rectangle (0 if inside)."""
         dx = max(self.min_x - point.x, 0.0, point.x - self.max_x)

@@ -173,7 +173,6 @@ class ARTree:
         ott: TrackingSource,
         fanout: int = 16,
         delta_threshold: int = DEFAULT_DELTA_THRESHOLD,
-        object_ids: "frozenset[ObjectId] | None" = None,
     ) -> "ARTree":
         """Index a consistent OTT (frozen batch table or live table).
 
@@ -184,9 +183,6 @@ class ARTree:
             ott: The queryable tracking table to index.
             fanout: Node capacity of the bulk-loaded tree.
             delta_threshold: Closed-delta size triggering auto-compaction.
-            object_ids: Index only these objects (the per-shard build seam:
-                N shards can index disjoint slices of one shared frozen
-                table without copying it).  ``None`` indexes everything.
 
         Returns:
             The packed index.
@@ -199,8 +195,6 @@ class ARTree:
         static_entries: list[ARLeafEntry] = []
         open_entries: list[ARLeafEntry] = []
         for object_id in ott.object_ids:
-            if object_ids is not None and object_id not in object_ids:
-                continue
             records = ott.records_for(object_id)
             previous: TrackingRecord | None = None
             for index, record in enumerate(records):

@@ -1,8 +1,9 @@
-"""A classic Guttman R-tree over 2D MBRs.
+"""A static, STR bulk-loaded R-tree over 2D MBRs.
 
 The paper indexes the indoor POIs with an R-tree ``R_P`` (Section 4.1).
-This module provides the dynamic R-tree with quadratic node splitting plus
-an STR bulk loader.
+Every tree here indexes a fixed item set (the POI universe, a query's POI
+subset, the rooms, the devices), so a tree is packed once by
+Sort-Tile-Recursive loading and never changes afterwards.
 
 The join algorithms walk the tree structure explicitly (node by node), so
 the node/entry types are part of the public API rather than hidden behind a
@@ -71,25 +72,21 @@ class RTreeNode:
 
 
 class RTree:
-    """Dynamic R-tree with Guttman quadratic splits.
+    """Immutable R-tree, packed by :meth:`bulk_load` (STR).
+
+    ``RTree()`` is the empty tree; every other tree comes from
+    :meth:`bulk_load` and is never changed after it returns.
 
     Parameters
     ----------
     max_entries:
-        Node fanout; nodes overflowing it are split.
-    min_entries:
-        Minimum fill after a split (defaults to ``max_entries // 2``).
+        Node fanout.
     """
 
-    def __init__(self, max_entries: int = 8, min_entries: int | None = None):
+    def __init__(self, max_entries: int = 8):
         if max_entries < 2:
             raise ValueError("max_entries must be at least 2")
         self.max_entries = max_entries
-        self.min_entries = (
-            min_entries if min_entries is not None else max(1, max_entries // 2)
-        )
-        if self.min_entries > self.max_entries // 2:
-            raise ValueError("min_entries may not exceed max_entries // 2")
         self.root = RTreeNode([], is_leaf=True)
         self._size = 0
         self._height = 1
@@ -100,37 +97,16 @@ class RTree:
     # Construction
     # ------------------------------------------------------------------
 
-    def insert(self, mbr: Mbr, item: Any) -> None:
-        """Insert ``item`` with bounding box ``mbr``."""
-        self._boxes = None
-        self._limits = None
-        entry = RTreeEntry(mbr, item=item)
-        split = self._insert_entry(self.root, entry, level=self._height - 1)
-        if split is not None:
-            left, right = split
-            self.root = RTreeNode(
-                [
-                    RTreeEntry(left.mbr(), child=left),
-                    RTreeEntry(right.mbr(), child=right),
-                ],
-                is_leaf=False,
-            )
-            self._height += 1
-        self._size += 1
-
     @classmethod
     def bulk_load(
-        cls,
-        items: Sequence[tuple[Mbr, Any]],
-        max_entries: int = 8,
-        min_entries: int | None = None,
+        cls, items: Sequence[tuple[Mbr, Any]], max_entries: int = 8
     ) -> Self:
         """Build a packed tree with Sort-Tile-Recursive (STR) loading.
 
-        Produces well-filled nodes and much better MBR quality than repeated
-        inserts, which matters for the join algorithms' pruning power.
+        Produces well-filled nodes with tight MBRs, which matters for the
+        join algorithms' pruning power.
         """
-        tree = cls(max_entries=max_entries, min_entries=min_entries)
+        tree = cls(max_entries=max_entries)
         if not items:
             return tree
         level = [RTreeEntry(mbr, item=item) for mbr, item in items]
@@ -213,8 +189,8 @@ class RTree:
         Returns ``(boxes, rows)``: an ``(E, 4)`` float64 array of
         ``(min_x, min_y, max_x, max_y)`` rows over all entries, internal
         and leaf, and ``{id(entry): row}``.  Built on first use and kept
-        until the next :meth:`insert`, so a tree joined against many
-        times (the POI tree ``R_P``) pays for it once.
+        for the tree's life, so a tree joined against many times (the
+        POI tree ``R_P``) pays for it once.
         """
         if self._boxes is None:
             entries: list[RTreeEntry] = []
@@ -243,7 +219,7 @@ class RTree:
         so :meth:`Mbr.intersects`'s four miss tests become "value <
         limit": ``-box.min_x < -entry.max_x``, ``-box.min_y <
         -entry.max_y``, ``box.max_x < entry.min_x`` and ``box.max_y <
-        entry.min_y``.  The limits are built once and dropped with
+        entry.min_y``.  The limits are built on first use and kept, like
         :meth:`entry_boxes`.
         """
         if self._limits is None:
@@ -265,106 +241,3 @@ class RTree:
     @property
     def height(self) -> int:
         return self._height
-
-    # ------------------------------------------------------------------
-    # Insertion internals
-    # ------------------------------------------------------------------
-
-    def _insert_entry(
-        self, node: RTreeNode, entry: RTreeEntry, level: int
-    ) -> tuple[RTreeNode, RTreeNode] | None:
-        """Recursive insert; returns the two halves if ``node`` split."""
-        if node.is_leaf:
-            node.entries.append(entry)
-        else:
-            chosen = self._choose_subtree(node, entry.mbr)
-            assert chosen.child is not None
-            split = self._insert_entry(chosen.child, entry, level - 1)
-            chosen.mbr = chosen.mbr.union(entry.mbr)
-            if split is not None:
-                left, right = split
-                node.entries.remove(chosen)
-                node.entries.append(RTreeEntry(left.mbr(), child=left))
-                node.entries.append(RTreeEntry(right.mbr(), child=right))
-        if len(node.entries) > self.max_entries:
-            return self._split(node)
-        return None
-
-    @staticmethod
-    def _choose_subtree(node: RTreeNode, mbr: Mbr) -> RTreeEntry:
-        """Guttman's least-enlargement heuristic (area as tie breaker)."""
-        return min(
-            node.entries,
-            key=lambda entry: (entry.mbr.enlargement(mbr), entry.mbr.area()),
-        )
-
-    def _split(self, node: RTreeNode) -> tuple[RTreeNode, RTreeNode]:
-        """Quadratic split of an overflowing node."""
-        entries = node.entries
-        seed_a, seed_b = self._pick_seeds(entries)
-        group_a = [entries[seed_a]]
-        group_b = [entries[seed_b]]
-        mbr_a = entries[seed_a].mbr
-        mbr_b = entries[seed_b].mbr
-        remaining = [
-            entry for i, entry in enumerate(entries) if i not in (seed_a, seed_b)
-        ]
-        while remaining:
-            # Force-assign when one group must absorb everything left to
-            # reach the minimum fill.
-            if len(group_a) + len(remaining) <= self.min_entries:
-                group_a.extend(remaining)
-                remaining = []
-                break
-            if len(group_b) + len(remaining) <= self.min_entries:
-                group_b.extend(remaining)
-                remaining = []
-                break
-            index, prefers_a = self._pick_next(remaining, mbr_a, mbr_b)
-            entry = remaining.pop(index)
-            if prefers_a:
-                group_a.append(entry)
-                mbr_a = mbr_a.union(entry.mbr)
-            else:
-                group_b.append(entry)
-                mbr_b = mbr_b.union(entry.mbr)
-        return (
-            RTreeNode(group_a, is_leaf=node.is_leaf),
-            RTreeNode(group_b, is_leaf=node.is_leaf),
-        )
-
-    @staticmethod
-    def _pick_seeds(entries: list[RTreeEntry]) -> tuple[int, int]:
-        """The pair wasting the most area when grouped together."""
-        worst_pair = (0, 1)
-        worst_waste = -math.inf
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                combined = entries[i].mbr.union(entries[j].mbr)
-                waste = (
-                    combined.area()
-                    - entries[i].mbr.area()
-                    - entries[j].mbr.area()
-                )
-                if waste > worst_waste:
-                    worst_waste = waste
-                    worst_pair = (i, j)
-        return worst_pair
-
-    @staticmethod
-    def _pick_next(
-        remaining: list[RTreeEntry], mbr_a: Mbr, mbr_b: Mbr
-    ) -> tuple[int, bool]:
-        """The entry with the strongest group preference, and the group."""
-        best_index = 0
-        best_difference = -math.inf
-        prefers_a = True
-        for i, entry in enumerate(remaining):
-            growth_a = mbr_a.enlargement(entry.mbr)
-            growth_b = mbr_b.enlargement(entry.mbr)
-            difference = abs(growth_a - growth_b)
-            if difference > best_difference:
-                best_difference = difference
-                best_index = i
-                prefers_a = growth_a < growth_b
-        return best_index, prefers_a

@@ -61,6 +61,7 @@ from .jobs import JobStore
 from .wire import (
     QuerySpec,
     WireError,
+    _wire_float,
     decode_query,
     decode_record,
     dumps,
@@ -254,18 +255,18 @@ class ServeApp:
         k = payload.get("k")
         if isinstance(k, bool) or not isinstance(k, int):
             raise WireError("field 'k' must be an integer")
-        window = payload.get("window_seconds")
-        if window is not None and (
-            isinstance(window, bool) or not isinstance(window, (int, float))
-        ):
-            raise WireError("field 'window_seconds' must be a number")
+        window = (
+            None
+            if payload.get("window_seconds") is None
+            else _wire_float(payload, "window_seconds")
+        )
         method = payload.get("method", "join")
         if not isinstance(method, str):
             raise WireError("field 'method' must be a string")
         monitor_id = self.actor.create_monitor(
             kind=kind,
             k=k,
-            window_seconds=None if window is None else float(window),
+            window_seconds=window,
             method=method,
         )
         return Response.json({"monitor_id": monitor_id}, status=202)
@@ -297,11 +298,8 @@ class ServeApp:
     async def _monitor_tick(
         self, request: Request, params: Mapping[str, str]
     ) -> Response:
-        payload = _body(request)
-        t = payload.get("t")
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise WireError("field 't' must be a number")
-        update = await self.actor.tick_monitor(params["monitor_id"], float(t))
+        t = _wire_float(_body(request), "t")
+        update = await self.actor.tick_monitor(params["monitor_id"], t)
         return Response.json(encode_update(update))
 
     async def _monitor_stream(
@@ -393,12 +391,9 @@ def _decode_ingest(payload: Mapping[str, Any]) -> IngestBatch:
         open_episode = decode_record(raw_open)
     extend = _decode_episode_op(payload.get("extend"), "extend", t_e_required=True)
     close = _decode_episode_op(payload.get("close"), "close", t_e_required=False)
-    tick_t: Optional[float] = None
-    raw_tick = payload.get("tick_t")
-    if raw_tick is not None:
-        if isinstance(raw_tick, bool) or not isinstance(raw_tick, (int, float)):
-            raise WireError("field 'tick_t' must be a number")
-        tick_t = float(raw_tick)
+    tick_t = (
+        None if payload.get("tick_t") is None else _wire_float(payload, "tick_t")
+    )
     return IngestBatch(
         records=tuple(records),
         open_episode=open_episode,
@@ -418,14 +413,14 @@ def _decode_episode_op(
     object_id = raw.get("object_id")
     if isinstance(object_id, bool) or not isinstance(object_id, (str, int)):
         raise WireError(f"{name}.object_id must be a string or integer")
-    t_e = raw.get("t_e")
-    if t_e is None:
+    if raw.get("t_e") is None:
         if t_e_required:
             raise WireError(f"{name}.t_e is required")
         return (object_id, None)
-    if isinstance(t_e, bool) or not isinstance(t_e, (int, float)):
-        raise WireError(f"{name}.t_e must be a number")
-    return (object_id, float(t_e))
+    try:
+        return (object_id, _wire_float(raw, "t_e"))
+    except WireError as error:
+        raise WireError(f"{name}: {error}") from error
 
 
 def _require_t_e(op: tuple[ObjectId, Optional[float]]) -> float:

@@ -46,6 +46,7 @@ from ..core.queries import (
 )
 from ..geometry import Point, Polygon
 from ..indoor.poi import Poi
+from ..storage.sqlite import STORABLE_RECORD_IDS
 from ..tracking.records import TrackingRecord
 
 __all__ = [
@@ -208,13 +209,19 @@ def decode_record(payload: Mapping[str, Any]) -> TrackingRecord:
     """Rebuild a :class:`TrackingRecord` from :func:`encode_record` output.
 
     Raises:
-        WireError: On a bad envelope, field types, or an inverted episode
-            (``t_e < t_s`` — re-raised from the record's own validation).
+        WireError: On a bad envelope, field types, a ``record_id`` a
+            SQLite store cannot keep, or an inverted episode (``t_e <
+            t_s`` — re-raised from the record's own validation).
     """
     _check_envelope(payload, "record")
+    record_id = _wire_int(payload, "record_id")
+    if record_id not in STORABLE_RECORD_IDS:
+        raise WireError(
+            f"field 'record_id' must fit a signed 64-bit integer, got {record_id!r}"
+        )
     try:
         return TrackingRecord(
-            record_id=_wire_int(payload, "record_id"),
+            record_id=record_id,
             object_id=_wire_id(payload.get("object_id"), "object_id"),
             device_id=_wire_id(payload.get("device_id"), "device_id"),
             t_s=_wire_float(payload, "t_s"),

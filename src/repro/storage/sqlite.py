@@ -45,7 +45,7 @@ from ..obs import counter, obs_enabled, span
 from ..tracking.records import ObjectId, TrackingRecord
 from .base import Mutation, StoredRow, row_identity
 
-__all__ = ["SQLiteBackend", "sqlite_shard_stores"]
+__all__ = ["STORABLE_RECORD_IDS", "SQLiteBackend", "sqlite_shard_stores"]
 
 _SCHEMA_VERSION = 1
 
@@ -95,6 +95,10 @@ _Identity = tuple[ObjectId, object, float]
 # ``1`` apart.
 _dumps = functools.lru_cache(maxsize=1 << 16, typed=True)(json.dumps)
 _decode_id: Callable[[str], Any] = functools.lru_cache(maxsize=1 << 16)(json.loads)
+
+
+#: The record ids a SQLite store keeps: its INTEGER column is signed 64-bit.
+STORABLE_RECORD_IDS = range(-(2**63), 2**63)
 
 
 def _encode_id(value: object) -> str:
@@ -258,8 +262,13 @@ class SQLiteBackend:
                                 f"{record!r}"
                             )
                         continue
-                    # Encoded before the generation moves, so a row whose
+                    # Checked before the generation moves, so a row whose
                     # ids cannot be stored leaves no gap in the log.
+                    if record.record_id not in STORABLE_RECORD_IDS:
+                        raise ValueError(
+                            f"record id {record.record_id} is outside "
+                            "SQLite's signed 64-bit INTEGER range"
+                        )
                     object_text = _encode_id(record.object_id)
                     device_text = _encode_id(record.device_id)
                     generation += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from ..storage.base import StorageBackend, StoredRow, chunked_rows
 from ..storage.memory import MemoryBackend
@@ -34,6 +34,7 @@ from .table import ObjectTrackingTable
 __all__ = [
     "save_readings_csv",
     "load_readings_csv",
+    "write_records_csv",
     "save_ott_csv",
     "load_ott_csv",
     "import_records_csv",
@@ -80,24 +81,33 @@ def load_readings_csv(path: str | Path) -> list[RawReading]:
     return readings
 
 
+def write_records_csv(records: Iterable[TrackingRecord], handle: TextIO) -> int:
+    """Write a record CSV to an open text handle; returns the row count.
+
+    The one record-CSV writer: times are written with ``repr``, so every
+    float loads back bit-identical.
+    """
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(_RECORD_FIELDS)
+    count = 0
+    for record in records:
+        writer.writerow(
+            (
+                record.record_id,
+                str(record.object_id),
+                str(record.device_id),
+                repr(record.t_s),
+                repr(record.t_e),
+            )
+        )
+        count += 1
+    return count
+
+
 def save_ott_csv(ott: Iterable[TrackingRecord], path: str | Path) -> int:
     """Write tracking records (a table or any iterable); returns the count."""
-    count = 0
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_RECORD_FIELDS)
-        for record in ott:
-            writer.writerow(
-                (
-                    record.record_id,
-                    str(record.object_id),
-                    str(record.device_id),
-                    repr(record.t_s),
-                    repr(record.t_e),
-                )
-            )
-            count += 1
-    return count
+        return write_records_csv(ott, handle)
 
 
 def _record_from_row(

@@ -12,6 +12,7 @@ strings or ints as the application prefers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable
 
@@ -45,7 +46,13 @@ class TrackingRecord:
     t_e: float
 
     def __post_init__(self) -> None:
-        if self.t_e < self.t_s:
+        # One chained test on the hot path; NaN fails every comparison.
+        if not (-math.inf < self.t_s <= self.t_e < math.inf):
+            if not (math.isfinite(self.t_s) and math.isfinite(self.t_e)):
+                raise ValueError(
+                    f"record {self.record_id}: times must be finite, "
+                    f"got t_s={self.t_s!r}, t_e={self.t_e!r}"
+                )
             raise ValueError(
                 f"record {self.record_id}: t_e ({self.t_e}) precedes t_s ({self.t_s})"
             )

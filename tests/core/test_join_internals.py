@@ -230,26 +230,24 @@ class TestAdmissionEquivalence:
         tree = RTree.bulk_load([(Mbr(0, 0, 1, 1), "p"), (Mbr(2, 2, 3, 3), "q")])
         assert tree.entry_boxes() is tree.entry_boxes()
         boxes, rows = tree.entry_boxes()
-        tree.insert(Mbr(5, 5, 6, 6), "r")
-        rebuilt, rebuilt_rows = tree.entry_boxes()
-        assert rebuilt is not boxes and len(rebuilt_rows) > len(rows)
+        assert boxes.shape == (len(rows), 4) == (2, 4)
 
-    def test_tree_entry_misses_follow_inserts(self):
-        tree = RTree.bulk_load([(Mbr(0, 0, 1, 1), "p"), (Mbr(2, 2, 3, 4), "q")])
-        queries = [Mbr(1, 1, 2, 2), Mbr(0.5, 3, 0.9, 5), Mbr(5.5, 5.5, 7, 7)]
-
-        def expected():
-            _, rows = tree.entry_boxes()
-            entries = sorted(_all_entries(tree), key=lambda e: rows[id(e)])
-            return [[not e.mbr.intersects(q) for q in queries] for e in entries]
-
+    def test_tree_entry_misses_match_intersects(self):
+        rng = random.Random(5)
+        tree = RTree.bulk_load(
+            [(_random_box(rng), i) for i in range(30)], max_entries=4
+        )
+        assert tree.height > 1  # internal entries are rows too
+        queries = [_random_box(rng) for _ in range(12)] + [
+            Mbr(1, 1, 2, 2), Mbr(-5, -5, -4, -4)
+        ]
+        _, rows = tree.entry_boxes()
+        entries = sorted(_all_entries(tree), key=lambda e: rows[id(e)])
+        expected = [[not e.mbr.intersects(q) for q in queries] for e in entries]
         misses = tree.entry_misses(mbr_array(queries))
-        assert misses.tolist() == expected()
-        assert tree.entry_misses(mbr_array(queries)).tolist() == misses.tolist()
-        tree.insert(Mbr(5, 5, 6, 6), "r")
-        rebuilt = tree.entry_misses(mbr_array(queries))
-        assert rebuilt.shape == (len(tree.entry_boxes()[1]), len(queries))
-        assert rebuilt.tolist() == expected()
+        assert misses.shape == (len(rows), len(queries))
+        assert misses.tolist() == expected
+        assert tree.entry_misses(mbr_array(queries)).tolist() == expected
 
 
 class TestEntryBounds:

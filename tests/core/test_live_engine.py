@@ -8,6 +8,8 @@ with runtime contracts enforced — while the warm incremental path
 computes strictly fewer uncertainty regions than the cold rebuild.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,6 +274,27 @@ class TestMonitorRegression:
         b = fresh.interval_topk(0.0, 400.0, 3)
         assert a.poi_ids == b.poi_ids
         assert a.flows == b.flows
+
+
+class TestNonFiniteTimes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_are_refused_everywhere(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TrackingRecord(0, "o", "d", bad, bad)
+        with pytest.raises(ValueError, match="finite"):
+            TrackingRecord(0, "o", "d", 1.0, bad)
+
+        plan, deployment, pois = tiny_world()
+        engine = LiveFlowEngine(plan, deployment, pois, v_max=1.2)
+        engine.ingest(as_records(BASE_ROWS))
+        engine.ingest_open(TrackingRecord(99, "bo", "rfid-shop", 330.0, 332.0))
+        generation = engine.generation
+        with pytest.raises(ValueError):
+            engine.extend_episode("bo", bad)
+        with pytest.raises(ValueError):
+            engine.close_episode("bo", bad)
+        assert engine.generation == generation
+        assert engine.extend_episode("bo", 350.0).t_e == 350.0
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for continuous top-k monitoring."""
 
+import math
+
 import pytest
 
 from repro.core.monitor import (
@@ -17,6 +19,11 @@ class TestValidation:
     def test_rejects_bad_window(self, synthetic_engine):
         with pytest.raises(ValueError):
             SlidingIntervalTopKMonitor(synthetic_engine, k=3, window_seconds=0.0)
+
+    @pytest.mark.parametrize("window", [math.inf, math.nan])
+    def test_rejects_non_finite_window(self, synthetic_engine, window):
+        with pytest.raises(ValueError, match="finite"):
+            SlidingIntervalTopKMonitor(synthetic_engine, k=3, window_seconds=window)
 
     def test_time_must_not_run_backwards(self, synthetic_dataset, synthetic_engine):
         monitor = SnapshotTopKMonitor(synthetic_engine, k=3)

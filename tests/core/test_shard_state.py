@@ -97,18 +97,11 @@ class TestLivePartitionView:
 
 
 # ----------------------------------------------------------------------
-# AR-tree object-subset build seam
+# AR-tree stats (a shard indexes its partition view with ARTree.build)
 # ----------------------------------------------------------------------
 
 
 class TestARTreeObjectSubset:
-    def test_build_restricted_to_object_ids(self):
-        table = ObjectTrackingTable(_records()).freeze()
-        tree = ARTree.build(table, object_ids=frozenset({"a"}))
-        assert {e.object_id for e in tree.point_query(4.0)} == {"a"}
-        full = ARTree.build(table)
-        assert {e.object_id for e in full.point_query(4.0)} >= {"a", "b"}
-
     def test_stats_dict_shape(self):
         table = ObjectTrackingTable(_records()).freeze()
         tree = ARTree.build(table)

@@ -11,6 +11,7 @@ from repro.datagen import (
     stream_synthetic_records,
 )
 from repro.datagen.__main__ import main
+from repro.tracking import load_ott_csv
 
 
 TINY = SyntheticConfig(num_objects=12, duration=400.0, rooms_per_side=6, seed=5)
@@ -84,6 +85,31 @@ class TestCli:
         summary = capsys.readouterr().err
         assert "objects=8" in summary
         assert f"records={len(lines) - 1}" in summary
+
+    def test_csv_loads_back_exactly(self, tmp_path, capsys):
+        # Past 10**6 seconds the times need more than six significant
+        # digits, so any shortened float format shifts them.
+        config = SyntheticConfig(
+            num_objects=1, duration=1_001_000.0, rooms_per_side=4, seed=5
+        )
+        out = tmp_path / "ott.csv"
+        argv = ["--objects", "1", "--duration", "1001000", "--rooms-per-side", "4"]
+        assert main(argv + ["--seed", "5", "--out", str(out)]) == 0
+        expected = list(stream_synthetic_records(config))
+        assert expected[-1].t_e > 1e6
+        assert list(load_ott_csv(out)) == expected
+
+        tiny = ["--objects", "1", "--duration", "200", "--rooms-per-side", "4"]
+        assert main(tiny + ["--seed", "5", "--out", "-"]) == 0
+        stdout = tmp_path / "stdout.csv"
+        stdout.write_text(capsys.readouterr().out)
+        assert list(load_ott_csv(stdout)) == list(
+            stream_synthetic_records(
+                SyntheticConfig(
+                    num_objects=1, duration=200.0, rooms_per_side=4, seed=5
+                )
+            )
+        )
 
     def test_summary_only_run(self, capsys):
         assert main(

@@ -98,10 +98,6 @@ class TestCombinators:
         with pytest.raises(ValueError):
             Mbr(0.0, 0.0, 1.0, 1.0).expanded(-1.0)
 
-    def test_enlargement_zero_for_contained(self):
-        outer = Mbr(0.0, 0.0, 10.0, 10.0)
-        assert outer.enlargement(Mbr(1.0, 1.0, 2.0, 2.0)) == 0.0
-
     def test_union_all(self):
         boxes = [Mbr(0, 0, 1, 1), Mbr(2, 2, 3, 3), Mbr(-1, 0, 0, 1)]
         assert Mbr.union_all(boxes) == Mbr(-1, 0, 3, 3)
@@ -129,10 +125,6 @@ class TestProperties:
     @given(mbrs(), mbrs())
     def test_intersects_iff_intersection_exists(self, a, b):
         assert a.intersects(b) == (a.intersection(b) is not None)
-
-    @given(mbrs(), mbrs())
-    def test_enlargement_non_negative(self, a, b):
-        assert a.enlargement(b) >= -1e-6
 
     @given(mbrs(), st.floats(min_value=0.0, max_value=100.0))
     def test_expanded_contains_original(self, box, margin):

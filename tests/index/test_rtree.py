@@ -24,45 +24,42 @@ class TestConstruction:
     def test_rejects_tiny_fanout(self):
         with pytest.raises(ValueError):
             RTree(max_entries=1)
-
-    def test_rejects_bad_min_entries(self):
         with pytest.raises(ValueError):
-            RTree(max_entries=8, min_entries=5)
+            RTree.bulk_load([(Mbr(0, 0, 1, 1), "a")], max_entries=1)
 
     def test_empty_tree(self):
         tree = RTree()
         assert len(tree) == 0
         assert tree.search(Mbr(0, 0, 100, 100)) == []
+        assert len(RTree.bulk_load([])) == 0
 
     def test_height_grows_with_inserts(self):
-        tree = RTree(max_entries=4)
-        for i in range(100):
-            tree.insert(Mbr(i, i, i + 1, i + 1), i)
-        assert tree.height > 1
-        assert len(tree) == 100
+        # Height grows with the number of bulk-loaded items.
+        heights = [
+            RTree.bulk_load(
+                [(Mbr(i, i, i + 1, i + 1), i) for i in range(count)], max_entries=4
+            ).height
+            for count in (4, 5, 17, 100)
+        ]
+        assert heights == [1, 2, 3, 4]
 
 
 class TestSearchCorrectness:
-    @pytest.mark.parametrize("builder", ["insert", "bulk"])
+    @pytest.mark.parametrize("builder", ["bulk"])
     @pytest.mark.parametrize("count", [0, 1, 5, 63, 200])
     def test_matches_brute_force(self, builder, count):
         rng = random.Random(count)
         items = [(random_box(rng), f"item{i}") for i in range(count)]
-        if builder == "insert":
-            tree = RTree(max_entries=6)
-            for box, name in items:
-                tree.insert(box, name)
-        else:
-            tree = RTree.bulk_load(items, max_entries=6)
+        tree = RTree.bulk_load(items, max_entries=6)
         assert len(tree) == count
         for _ in range(25):
             probe = random_box(rng, span=110.0)
             assert set(tree.search(probe)) == brute_force(items, probe)
 
     def test_point_probe(self):
-        tree = RTree(max_entries=4)
-        tree.insert(Mbr(0, 0, 10, 10), "a")
-        tree.insert(Mbr(20, 20, 30, 30), "b")
+        tree = RTree.bulk_load(
+            [(Mbr(0, 0, 10, 10), "a"), (Mbr(20, 20, 30, 30), "b")], max_entries=4
+        )
         probe = Mbr.around(Point(5, 5), 0.0, 0.0)
         assert tree.search(probe) == ["a"]
 
@@ -86,16 +83,11 @@ class TestStructuralInvariants:
                 assert entry.mbr.contains_mbr(child_box)
                 self._check_node(tree, entry.child, is_root=False)
 
-    @pytest.mark.parametrize("builder", ["insert", "bulk"])
+    @pytest.mark.parametrize("builder", ["bulk"])
     def test_mbr_containment_invariant(self, builder):
         rng = random.Random(9)
         items = [(random_box(rng), i) for i in range(150)]
-        if builder == "insert":
-            tree = RTree(max_entries=5)
-            for box, name in items:
-                tree.insert(box, name)
-        else:
-            tree = RTree.bulk_load(items, max_entries=5)
+        tree = RTree.bulk_load(items, max_entries=5)
         self._check_node(tree, tree.root)
 
     def test_bulk_load_leaves_at_same_depth(self):
@@ -113,6 +105,31 @@ class TestStructuralInvariants:
 
         walk(tree.root, 0)
         assert len(depths) == 1
+
+    def test_str_packing_is_pinned(self):
+        # The join's heap order follows node membership and entry order,
+        # so a change to the STR packing must show up here first.
+        rng = random.Random(2016)
+        items = [(random_box(rng), i) for i in range(40)]
+        tree = RTree.bulk_load(items, max_entries=4)
+
+        sizes, nodes = [], [tree.root]
+        while nodes:
+            sizes.append([len(node) for node in nodes])
+            nodes = [e.child for node in nodes for e in node.entries if e.child]
+
+        def leaf_order(node):
+            order = []
+            for entry in node.entries:
+                order += [entry.item] if entry.child is None else leaf_order(entry.child)
+            return order
+
+        assert tree.height == 3
+        assert sizes == [[4], [4, 2, 4, 2], [4, 4, 4, 4, 2, 2, 4, 4, 4, 4, 2, 2]]
+        assert leaf_order(tree.root) == [
+            2, 3, 21, 37, 20, 28, 4, 25, 8, 29, 15, 19, 14, 24, 7, 1, 11, 36, 12, 22,
+            30, 6, 23, 9, 38, 5, 35, 31, 34, 18, 0, 27, 10, 39, 32, 17, 13, 16, 26, 33,
+        ]
 
     def test_entry_validation(self):
         from repro.index import RTreeEntry

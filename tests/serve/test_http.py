@@ -9,6 +9,7 @@ bit-identically, since that is the service's contract.
 
 from __future__ import annotations
 
+import math
 import threading
 import urllib.request
 
@@ -222,6 +223,74 @@ class TestErrorMapping:
             )
         assert excinfo.value.status == 400
         assert "precedes" in excinfo.value.message
+
+
+    def test_non_finite_ingest_numbers_are_400(self, client, workload):
+        last_t = max(record.t_e for record in workload)
+        record = {
+            "wire_version": 1,
+            "kind": "record",
+            "record_id": max(r.record_id for r in workload) + 1000,
+            "object_id": "nan-visitor",
+            "device_id": workload[0].device_id,
+            "t_s": last_t + 1.0,
+            "t_e": last_t + 2.0,
+        }
+        before = client.health()["generation"]
+        for op, body in (
+            ("t_e", {"records": [dict(record, t_e=math.nan)]}),
+            ("extend", {"extend": {"object_id": "nan-visitor", "t_e": math.nan}}),
+            ("close", {"close": {"object_id": "nan-visitor", "t_e": math.inf}}),
+            # Refused before the batch's record is applied.
+            ("tick_t", {"records": [record], "tick_t": math.nan}),
+        ):
+            with pytest.raises(ServeHttpError) as excinfo:
+                client._request("POST", "/ingest", body)
+            assert excinfo.value.status == 400
+            assert "finite" in excinfo.value.message and op in excinfo.value.message
+        assert client.health()["generation"] == before
+
+    def test_infinite_monitor_window_is_400(self, client):
+        for window in (math.inf, math.nan):
+            with pytest.raises(ServeHttpError) as excinfo:
+                client._request(
+                    "POST",
+                    "/monitors",
+                    {"kind": "interval", "k": 3, "window_seconds": window},
+                )
+            assert excinfo.value.status == 400
+        monitor_id = client.create_monitor(kind="snapshot", k=2)
+        try:
+            with pytest.raises(ServeHttpError) as excinfo:
+                client._request("POST", f"/monitors/{monitor_id}/tick", {"t": math.nan})
+            assert excinfo.value.status == 400
+        finally:
+            client.drop_monitor(monitor_id)
+        # No monitor was left behind to fail a later ticked ingest.
+        assert "generation" in client._request("POST", "/ingest", {"tick_t": T_MID})
+
+    def test_oversized_record_id_is_400(self, client, workload):
+        last_t = max(record.t_e for record in workload)
+        with pytest.raises(ServeHttpError) as excinfo:
+            client._request(
+                "POST",
+                "/ingest",
+                {
+                    "records": [
+                        {
+                            "wire_version": 1,
+                            "kind": "record",
+                            "record_id": 2**70,
+                            "object_id": "big-id",
+                            "device_id": workload[0].device_id,
+                            "t_s": last_t + 1.0,
+                            "t_e": last_t + 2.0,
+                        }
+                    ]
+                },
+            )
+        assert excinfo.value.status == 400
+        assert "record_id" in excinfo.value.message
 
 
 class TestHealthAndMetrics:

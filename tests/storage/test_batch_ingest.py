@@ -399,6 +399,22 @@ class TestUnstorableId:
             b = reference.interval_topk(t_lo, t_hi, 5)
             assert (a.poi_ids, a.flows) == (b.poi_ids, b.flows)
 
+    def test_oversized_record_id_is_refused_before_the_generation_moves(
+        self, dataset, tmp_path
+    ):
+        ds, records = dataset
+        fresh = records[FRESH]
+        bad = TrackingRecord(2**70, "big-id", fresh[0].device_id, 0.0, 1.0)
+        engine = live_engine(ds, SQLiteBackend(tmp_path / "big.sqlite"))
+        engine.ingest(records[:BASE])
+        with pytest.raises(ValueError, match="64-bit"):
+            engine.ingest(list(fresh) + [bad] + list(records[TRAILING]))
+        # The valid prefix is stored and applied; the log has no gap.
+        assert engine.ott.generation == engine.storage.generation == BASE + len(fresh)
+        assert engine.ingest(list(records[TRAILING])) == len(records[TRAILING])
+        assert engine.ott.generation == engine.storage.generation
+        engine.storage.close()
+
 
 class TestObservability:
     def test_one_span_per_batch_and_new_rows_counted(self, dataset, tmp_path, obs_on):
